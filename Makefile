@@ -47,4 +47,4 @@ smoke:
 	$(PYTHON) examples/quickstart.py 6000
 
 lint:
-	$(PYTHON) -m ruff check --select F401,F841 src/repro
+	$(PYTHON) -m ruff check --select F401,F841 src/repro tests/oracles

@@ -16,26 +16,22 @@ import pytest
 from repro.perf.bench import KERNELS, render_table, run_bench, write_payload
 
 #: The paths named by the perf harness: functional step (reference and
-#: pre-decoded), trace replay, the OoO hot loop, the hierarchy access
-#: path, the VR vector engine, and the sweep fabric's per-spec
+#: pre-decoded), trace replay, the OoO timing kernel, the hierarchy
+#: access path, the VR vector engine, and the sweep fabric's per-spec
 #: dispatch + cache-lookup overhead.
 _MEASURED = (
     "functional_reference",
     "functional_step",
     "trace_replay",
-    "ooo_loop",
     "ooo_event_loop",
-    "cycle_loop",
-    "cycle_event_loop",
     "hierarchy",
     "demand_translated",
     "vector_engine",
-    "vector_engine_reference",
     "batch_dispatch",
 )
 
 #: ``ooo_loop`` entry of the v0-era committed BENCH_core.json — the
-#: tick-driven loop the event kernels succeeded. Pinned here so the
+#: tick-driven loop the event kernel succeeded. Pinned here so the
 #: no-regression floor survives baseline refreshes.
 OLD_OOO_LOOP_REL = 0.402
 
@@ -64,31 +60,12 @@ def test_bench_payload(benchmark):
     rel = payload["kernels"]["functional_step"]["rel"]
     assert rel >= 1.5, f"pre-decoded step only {rel:.2f}x the reference"
     kernels = payload["kernels"]
-    # Event-kernel gates. Ratios within one payload cancel host speed,
-    # so these hold on any machine; the floors leave ample headroom
-    # below the measured speedups (OoO ~1.3x, cycle ~3.5x).
-    ooo_ratio = kernels["ooo_event_loop"]["ips"] / kernels["ooo_loop"]["ips"]
-    assert ooo_ratio >= 1.0, (
-        f"OoO event kernel only {ooo_ratio:.2f}x its tick-driven reference"
-    )
-    cycle_ratio = kernels["cycle_event_loop"]["ips"] / kernels["cycle_loop"]["ips"]
-    assert cycle_ratio >= 2.0, (
-        f"cycle event kernel only {cycle_ratio:.2f}x its tick-driven reference"
-    )
     # No-regression floor against the pinned v0 ooo_loop rel: the
     # successor kernel must at least match the loop it replaced.
     event_rel = kernels["ooo_event_loop"]["rel"]
     assert event_rel >= OLD_OOO_LOOP_REL * 0.7, (
         f"ooo_event_loop rel {event_rel:.3f} fell below the "
         f"v0 ooo_loop floor {OLD_OOO_LOOP_REL * 0.7:.3f}"
-    )
-    # Slice-engine gate: the slice-based vector engine must beat the
-    # kept reference executor (measured ~2.2x; floored with headroom).
-    vec_ratio = (
-        kernels["vector_engine"]["ips"] / kernels["vector_engine_reference"]["ips"]
-    )
-    assert vec_ratio >= 1.5, (
-        f"slice vector engine only {vec_ratio:.2f}x its reference executor"
     )
     # Translation gate: the TLB funnels demand loads through the unfused
     # access path, so it cannot match the fused tlb-off kernel — but it

@@ -211,10 +211,6 @@ class RunaheadConfig:
     nested_threshold: int = 64  # enter NDM below this many iterations
     instruction_timeout: int = 200
     subthread_issue_width: int = 2  # vector copies issued per cycle
-    # Slice engine selection: "slice" is the chained per-slice engine,
-    # "reference" the kept flat-gather executable spec (see
-    # docs/architecture.md, "The vector engine").
-    vector_engine: str = "slice"
     # Chaining: a dependent vector op's slice may issue as soon as its
     # own source slice is ready, subject to ``subthread_issue_width``
     # slices per cycle. Off = the legacy serialized global-clock timing.
@@ -241,11 +237,6 @@ class RunaheadConfig:
                 f"runahead.tlb_policy must be 'walk' or 'drop', "
                 f"got {self.tlb_policy!r}"
             )
-        if self.vector_engine not in ("slice", "reference"):
-            raise ConfigError(
-                f"runahead.vector_engine must be 'slice' or 'reference', "
-                f"got {self.vector_engine!r}"
-            )
         if self.subthread_issue_width < 1:
             raise ConfigError(
                 f"runahead.subthread_issue_width must be >= 1, "
@@ -261,6 +252,9 @@ class RunaheadConfig:
 #: when unchanged (spec-key stability across the TLB axis's addition).
 _TLB_DEFAULT_DICT = asdict(TLBConfig())
 _TLB_POLICY_DEFAULT = RunaheadConfig.tlb_policy
+#: The retired ``runahead.vector_engine`` field, pinned in the wire
+#: format at its one product value (docs/spec.md rule 7).
+_LEGACY_VECTOR_ENGINE = "slice"
 
 
 @dataclass(frozen=True)
@@ -301,18 +295,25 @@ class SimConfig:
     def to_dict(self) -> Dict:
         """Nested plain-dict form (the ``repro.spec/1`` wire format).
 
+        Every content address — :meth:`RunSpec.key`, campaign digests —
+        derives from this dict, so its bytes only change on purpose.
         Fields added after ``repro.spec/1`` shipped (the TLB axis) are
-        omitted while at their defaults: every content address —
-        :meth:`RunSpec.key`, campaign digests — derives from this dict,
-        and a run that never mentions the TLB must keep the key it had
-        before the axis existed. :meth:`from_dict` restores the
-        defaults, so the round trip is exact either way.
+        omitted while at their defaults: a run that never mentions the
+        TLB keeps the key it had before the axis existed. The retired
+        ``runahead.vector_engine`` field is still written, as
+        ``"slice"`` in its old position, so keys that embed it survive
+        its removal. :meth:`from_dict` undoes both, so the round trip is
+        exact either way.
         """
         data = asdict(self)
         if data["memory"]["tlb"] == _TLB_DEFAULT_DICT:
             del data["memory"]["tlb"]
         if data["runahead"]["tlb_policy"] == _TLB_POLICY_DEFAULT:
             del data["runahead"]["tlb_policy"]
+        runahead = list(data["runahead"].items())
+        at = [name for name, _ in runahead].index("subthread_issue_width") + 1
+        runahead.insert(at, ("vector_engine", _LEGACY_VECTOR_ENGINE))
+        data["runahead"] = dict(runahead)
         return data
 
     @staticmethod
@@ -322,8 +323,21 @@ class SimConfig:
         Strict: an unknown key anywhere in the tree raises
         :class:`ConfigError` (a typo in a spec file must not silently
         fall back to a default), and every dataclass ``__post_init__``
-        validation re-runs on the reconstructed values.
+        validation re-runs on the reconstructed values. The legacy
+        ``runahead.vector_engine`` key is accepted and dropped only with
+        the value :meth:`to_dict` writes; any other value raises.
         """
+        runahead = data.get("runahead") if isinstance(data, Mapping) else None
+        if isinstance(runahead, Mapping) and "vector_engine" in runahead:
+            engine = runahead["vector_engine"]
+            if engine != _LEGACY_VECTOR_ENGINE:
+                raise ConfigError(
+                    f"config.runahead.vector_engine: the field is retired and "
+                    f"only its legacy value {_LEGACY_VECTOR_ENGINE!r} is "
+                    f"accepted, got {engine!r}"
+                )
+            runahead = {k: v for k, v in runahead.items() if k != "vector_engine"}
+            data = {**data, "runahead": runahead}
         return _dataclass_from_dict(SimConfig, data, "config")
 
 

@@ -1,13 +1,11 @@
 """Core models: functional interpreter and the out-of-order timing core."""
 
-from .cycle import CycleCore
 from .dyninstr import DynInstr
 from .functional import FunctionalCore
 from .ooo import OoOCore, SimulationResult
 from .pipeview import pipeview_legend, render_pipeview
 
 __all__ = [
-    "CycleCore",
     "DynInstr",
     "FunctionalCore",
     "OoOCore",

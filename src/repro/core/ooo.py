@@ -18,27 +18,20 @@ here and handed to the attached technique, which is how classic
 runahead, PRE and Vector Runahead trigger. Decoupled techniques (DVR)
 instead use the per-commit and ``advance_to`` hooks.
 
-Two kernels implement the model (see docs/performance.md):
-
-* :meth:`OoOCore.run` — the event-driven kernel. Time advances only at
-  instruction-boundary events (the wakeup times implied by DRAM-stall
-  completions, MSHR reclamations, IQ/LQ frees and ROB-head retirement
-  are folded into O(1) constraint maxes), and the hot path carries flat
-  array-of-int pipeline state: no :class:`DynInstr` allocation, no
-  dict-of-string FU lookups, no per-cycle ticking. Runs with a passive
-  technique take a fully specialized path with the functional handlers
-  inlined; technique runs share the same restructured state but keep
-  every hook call.
-* :meth:`OoOCore.run_reference` — the original loop, kept verbatim as
-  the executable specification. The differential suite
-  (``tests/test_ooo_event_kernel.py``) pins ``run`` against it —
-  bit-identical cycles, counters and golden trace digests — forever.
+:meth:`OoOCore.run` is the one kernel (see docs/performance.md). Time
+advances only at instruction-boundary events: the wakeup times implied
+by DRAM-stall completions, MSHR reclamations, IQ/LQ frees and ROB-head
+retirement fold into O(1) constraint maxes, and the hot path carries
+flat array-of-int pipeline state, with no dict-of-string FU lookups and
+no per-cycle ticking. The original loop it was restructured from lives
+on as a test oracle (``tests/oracles/ooo_reference.py``); the
+differential suites pin ``run`` against it for identical cycles,
+counters and golden trace digests.
 """
 
 from __future__ import annotations
 
 import heapq
-
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -60,7 +53,6 @@ from ..isa.predecode import (
     K_LOAD,
     K_PREFETCH,
     K_STORE,
-    OP_FU_CLASS,
     decode_program,
 )
 from ..isa.program import Program
@@ -82,7 +74,6 @@ from ..observability.trace import (
 from ..prefetch.base import NullTechnique, Technique
 from ..prefetch.stride import StridePrefetcher
 from .functional import FunctionalCore
-from .sched import publish_sched_counters
 
 
 def _dict_delta(after: Dict[str, int], before: Dict[str, int]) -> Dict[str, int]:
@@ -98,21 +89,13 @@ def _dict_delta(after: Dict[str, int], before: Dict[str, int]) -> Dict[str, int]
         if (delta := after.get(key, 0) - before.get(key, 0))
     }
 
-# Functional-unit classes (canonical definitions live with the
-# pre-decoder; re-exported here under their historical names).
-_FU_INT = FU_INT
-_FU_MUL = FU_MUL
-_FU_DIV = FU_DIV
-_FU_FADD = FU_FADD
-_FU_FMUL = FU_FMUL
-_FU_FDIV = FU_FDIV
-_FU_MEM = FU_MEM
 
-# Dense integer codes for the FU classes: the event kernel indexes flat
-# lists instead of hashing class-name strings per instruction.
-_FU_ORDER = (_FU_INT, _FU_MUL, _FU_DIV, _FU_FADD, _FU_FMUL, _FU_FDIV, _FU_MEM)
+# Dense integer codes for the FU classes (canonical names live with the
+# pre-decoder): the kernel indexes flat lists instead of hashing
+# class-name strings per instruction.
+_FU_ORDER = (FU_INT, FU_MUL, FU_DIV, FU_FADD, FU_FMUL, FU_FDIV, FU_MEM)
 _FU_INDEX = {name: idx for idx, name in enumerate(_FU_ORDER)}
-_CLS_DIV = _FU_INDEX[_FU_DIV]
+_CLS_DIV = _FU_INDEX[FU_DIV]
 
 # CPI-stack buckets for loads, by hierarchy service level.
 _MEM_BUCKETS = {
@@ -136,7 +119,7 @@ def publish_core_counters(
     mispredictions: int,
     buckets: Dict[str, int],
 ) -> None:
-    """Publish the ``core.*`` counter family (shared with CycleCore)."""
+    """Publish the ``core.*`` counter family."""
     registry.set("core.cycles", cycles)
     registry.set("core.fetch.instructions", fetched)
     registry.set("core.commit.instructions", committed)
@@ -147,9 +130,6 @@ def publish_core_counters(
     registry.set("core.branch.mispredictions", mispredictions)
     for bucket, value in buckets.items():
         registry.set(f"core.cpi_stack.{bucket}", value)
-
-
-_OP_CLASS = OP_FU_CLASS
 
 
 @dataclass
@@ -310,9 +290,29 @@ class OoOCore:
             else decode_program(self.program)
         )
 
-    def _fu_tables(self):
-        """Flat per-class capacity/latency lists in ``_FU_ORDER`` order."""
+    # -- the timing kernel -----------------------------------------------------
+
+    def run(self, max_instructions: Optional[int] = None) -> SimulationResult:
+        """Simulate up to ``max_instructions`` (default: the config's).
+
+        Architectural execution goes through the functional source's
+        ``step()`` (so capture/replay sources work), and every technique
+        hook fires where the reference loop fires it: the differential
+        suites pin this kernel against ``tests/oracles/ooo_reference.py``
+        for identical cycles, counters and trace digests.
+        """
+        if self._ran:
+            raise SimulationError("an OoOCore instance can only run once")
+        self._ran = True
+        limit = max_instructions or self.config.max_instructions
         cfg = self.config.core
+        width = cfg.width
+        fe_depth = cfg.frontend_stages
+        rob_size = cfg.rob_size
+        iq_size = cfg.iq_size
+        lq_size = cfg.lq_size
+        sq_size = cfg.sq_size
+        # Per-class unit counts and latencies, indexed like _FU_ORDER.
         fu_caps = [
             cfg.int_alu_units,
             cfg.int_mul_units,
@@ -331,53 +331,6 @@ class OoOCore:
             cfg.fp_div_latency,
             1,  # mem completion comes from the hierarchy, not this table
         ]
-        return fu_caps, fu_lats
-
-    # -- event-driven kernel ---------------------------------------------------
-
-    def run(self, max_instructions: Optional[int] = None) -> SimulationResult:
-        """Simulate with the event-driven kernel (the default).
-
-        Produces results bit-identical to :meth:`run_reference` — same
-        cycle counts, same counters, same golden trace digests — which
-        the differential suite enforces. Runs whose technique is passive
-        (the plain OoO baseline) and whose functional source is the live
-        interpreter take a specialized flat path with the pre-decoded
-        handlers inlined; everything else shares the general event loop.
-        """
-        if self._ran:
-            raise SimulationError("an OoOCore instance can only run once")
-        self._ran = True
-        limit = max_instructions or self.config.max_instructions
-        functional = self.functional
-        if (
-            getattr(self.technique, "passive", False)
-            and type(functional) is FunctionalCore
-            and functional.program is self.program
-            and self.trace_limit == 0
-        ):
-            return self._run_event_flat(limit)
-        return self._run_event_general(limit)
-
-    def _run_event_flat(self, limit: int) -> SimulationResult:
-        """The specialized kernel: passive technique, inlined handlers.
-
-        All pipeline state is flat arrays of ints; no :class:`DynInstr`
-        is ever allocated, no technique hook is ever called (passivity
-        guarantees every one is a no-op and both blocked-until fields
-        stay 0). Architectural execution happens by calling the per-PC
-        pre-decoded handler directly, and the functional core's public
-        state (``pc``/``executed``/``halted``) is kept consistent even on
-        an exception so audits observe exactly what the reference would.
-        """
-        cfg = self.config.core
-        width = cfg.width
-        fe_depth = cfg.frontend_stages
-        rob_size = cfg.rob_size
-        iq_size = cfg.iq_size
-        lq_size = cfg.lq_size
-        sq_size = cfg.sq_size
-        fu_caps, fu_lats = self._fu_tables()
         fu_busy = [dict() for _ in _FU_ORDER]
         div_latency = fu_lats[_CLS_DIV]
 
@@ -391,28 +344,33 @@ class OoOCore:
         rd_of = [-1 if r is None else r for r in decoded.rd]
         rs1_of = [-1 if r is None else r for r in decoded.rs1]
         rs2_of = [-1 if r is None else r for r in decoded.rs2]
-        handlers = decoded.handlers
-        plen = len(handlers)
 
-        functional = self.functional
-        regs = functional.regs
-        memory = functional.memory
+        technique = self.technique
         hierarchy = self.hierarchy
         predictor = self.predictor
         stride_pf = self.l1_stride_prefetcher
+        functional_step = self.functional.step
         mshr_available = hierarchy.mshr_available
         hierarchy_access = hierarchy.access
         demand_load = hierarchy.demand_load
         is_mapped = self.memory_image.is_mapped
         predict = predictor.predict
         predictor_update = predictor.update
+        technique_on_commit = technique.on_commit
+        technique_advance_to = technique.advance_to
+        technique_on_demand_load = technique.on_demand_load
         heappush = heapq.heappush
         heappushpop = heapq.heappushpop
+        trace_limit = self.trace_limit
 
         fetch_ring = [0] * width
         commit_ring = [0] * width
         rob_commit_ring = [0] * rob_size
         rob_miss_ring = [False] * rob_size
+        # The would-be ROB head, for the full-ROB stall hook only; the
+        # reference's (complete, miss, dyn) tuple ring is split into the
+        # flat miss ring above plus this object ring.
+        rob_dyn_ring = [None] * rob_size
         iq_heap: list = []
         lq_heap: list = []
         # Heap sizes tracked as ints: once a queue fills it stays full
@@ -447,340 +405,6 @@ class OoOCore:
         i = 0
         w_slot = 0  # i % width, maintained incrementally
         r_slot = 0  # i % rob_size
-
-        obs = self.observability
-        event_trace = obs.trace if obs is not None else None
-        fire_hooks = obs is not None and obs.has_hooks
-
-        def publish_live(registry: CounterRegistry) -> None:
-            publish_core_counters(
-                registry,
-                cycles=max(1, prev_commit),
-                fetched=i,
-                committed=i,
-                full_stall=full_rob_stall_cycles,
-                episodes=stall_episodes,
-                commit_blocked=commit_block_cycles,
-                predictions=predictor.predictions,
-                mispredictions=predictor.mispredictions,
-                buckets=cpi_buckets,
-            )
-            hierarchy.publish_counters(registry)
-            self.technique.publish_counters(registry)
-
-        pc = functional.pc
-        halted = functional.halted
-        executed_before = functional.executed
-        if halted:
-            limit = 0
-        try:
-            while i < limit:
-                if not 0 <= pc < plen:
-                    raise SimulationError(f"PC out of range: {pc}")
-                value, addr, taken, next_pc = handlers[pc](regs, memory)
-                kind = kinds[pc]
-
-                # ---- fetch ----
-                fetch = next_fetch
-                if i >= width:
-                    prior = fetch_ring[w_slot] + 1
-                    if prior > fetch:
-                        fetch = prior
-                fetch_ring[w_slot] = fetch
-
-                # ---- dispatch (rename + queue allocation) ----
-                dispatch = fetch + fe_depth
-                backend_constraint = 0
-                head_was_miss = False
-                if iq_count >= iq_size and iq_heap[0] > backend_constraint:
-                    backend_constraint = iq_heap[0]
-                if kind == K_LOAD:
-                    if lq_count >= lq_size and lq_heap[0] > backend_constraint:
-                        backend_constraint = lq_heap[0]
-                elif kind == K_STORE and stores_seen >= sq_size:
-                    constraint = sq_ring[stores_seen % sq_size]
-                    if constraint > backend_constraint:
-                        backend_constraint = constraint
-                if i >= rob_size:
-                    rob_constraint = rob_commit_ring[r_slot]
-                    if rob_constraint > backend_constraint:
-                        backend_constraint = rob_constraint
-                    head_was_miss = rob_miss_ring[r_slot]
-                if backend_constraint > dispatch:
-                    # Backend-full stall: the span to the wakeup (oldest
-                    # occupant's leave time) is skipped in O(1), not
-                    # ticked through.
-                    covered_from = (
-                        dispatch if dispatch > stall_covered_until else stall_covered_until
-                    )
-                    if backend_constraint > covered_from:
-                        full_rob_stall_cycles += backend_constraint - covered_from
-                        stall_covered_until = backend_constraint
-                        if (
-                            head_was_miss or last_miss_complete > covered_from
-                        ) and covered_from >= stall_handled_until:
-                            stall_episodes += 1
-                            stall_handled_until = backend_constraint
-                    dispatch = backend_constraint
-
-                # ---- register readiness ----
-                ready = dispatch
-                rs1 = rs1_of[pc]
-                if rs1 >= 0 and reg_ready[rs1] > ready:
-                    ready = reg_ready[rs1]
-                rs2 = rs2_of[pc]
-                if rs2 >= 0 and reg_ready[rs2] > ready:
-                    ready = reg_ready[rs2]
-
-                # ---- issue + execute ----
-                cls = cls_of[pc]
-                busy = fu_busy[cls]
-                capacity = fu_caps[cls]
-                issue = ready
-                count = busy.get(issue, 0)
-                while count >= capacity:
-                    issue += 1
-                    count = busy.get(issue, 0)
-                busy[issue] = count + 1
-                if cls == _CLS_DIV:
-                    # Divides are unpipelined: occupy the unit for the
-                    # full latency.
-                    for extra in range(1, div_latency):
-                        busy[issue + extra] = busy.get(issue + extra, 0) + 1
-
-                was_memory_miss = False
-                if kind == K_ALU:
-                    complete = issue + lat_of[pc]
-                elif kind == K_LOAD:
-                    # The load leaves the IQ at issue; if every MSHR is
-                    # busy it waits in the LSQ for one to free before
-                    # accessing memory (demand_load fuses the MSHR wait
-                    # and the timed access).
-                    mem_start, result = demand_load(addr, issue)
-                    complete = result.ready
-                    level = result.level
-                    if level == LEVEL_DRAM or level == LEVEL_MSHR:
-                        was_memory_miss = True
-                        if complete > last_miss_complete:
-                            last_miss_complete = complete
-                    if stride_pf is not None:
-                        stride_pf.on_demand_load(pc, addr, mem_start, hierarchy)
-                    if lq_count < lq_size:
-                        heappush(lq_heap, complete)
-                        lq_count += 1
-                    else:
-                        heappushpop(lq_heap, complete)
-                elif kind == K_STORE:
-                    hierarchy_access(addr, issue, source="main", write=True)
-                    complete = issue + 1
-                elif kind == K_BNZ or kind == K_BEZ:
-                    complete = issue + 1
-                    predicted = predict(pc)
-                    predictor_update(pc, taken, predicted)
-                    if predicted != taken:
-                        # Redirect: fetch restarts after the branch resolves.
-                        redirect = complete + 1
-                        if redirect > next_fetch:
-                            next_fetch = redirect
-                            last_redirect_cycle = redirect
-                elif kind == K_PREFETCH:
-                    if addr is not None and is_mapped(addr) and mshr_available(issue):
-                        hierarchy_access(addr, issue, source="prefetcher", prefetch=True)
-                    complete = issue + 1
-                else:
-                    # JMP / NOP / HALT
-                    complete = issue + 1
-
-                # ---- in-order commit ----
-                commit_floor = prev_commit
-                commit = complete + 1
-                if prev_commit > commit:
-                    commit = prev_commit
-                if i >= width:
-                    ring_commit = commit_ring[w_slot] + 1
-                    if ring_commit > commit:
-                        commit = ring_commit
-                commit_ring[w_slot] = commit
-                prev_commit = commit
-                if commit != last_commit_value:
-                    commit_cycles += 1
-                    last_commit_value = commit
-                if commit <= complete:
-                    retire_violations += 1
-
-                # ---- CPI-stack attribution ----
-                delta = commit - commit_floor
-                if delta > 0:
-                    if commit == complete + 1:
-                        if kind == K_LOAD:
-                            bucket = _MEM_BUCKETS.get(level, "mem_dram")
-                        elif fetch == last_redirect_cycle:
-                            bucket = "branch"
-                        elif issue > ready:
-                            bucket = "issue_contention"
-                        elif ready > dispatch:
-                            bucket = "dependency"
-                        elif dispatch > fetch + fe_depth:
-                            bucket = "backend_full"
-                        else:
-                            bucket = "frontend"
-                    else:
-                        bucket = "commit_width"
-                    cpi_buckets[bucket] = cpi_buckets.get(bucket, 0) + delta
-
-                # ---- bookkeeping for later occupancy constraints ----
-                rob_commit_ring[r_slot] = commit
-                rob_miss_ring[r_slot] = was_memory_miss
-                if iq_count < iq_size:
-                    heappush(iq_heap, issue)
-                    iq_count += 1
-                else:
-                    heappushpop(iq_heap, issue)
-                if kind == K_STORE:
-                    sq_ring[stores_seen % sq_size] = commit
-                    stores_seen += 1
-                rd = rd_of[pc]
-                if rd >= 0:
-                    reg_ready[rd] = complete
-
-                if event_trace is not None:
-                    opv = op_values[pc]
-                    event_trace.emit(fetch, EV_FETCH, pc, opv)
-                    event_trace.emit(issue, EV_ISSUE, pc, opv)
-                    event_trace.emit(complete, EV_COMPLETE, pc, opv)
-                    event_trace.emit(commit, EV_RETIRE, pc, opv)
-                i += 1
-                w_slot += 1
-                if w_slot == width:
-                    w_slot = 0
-                r_slot += 1
-                if r_slot == rob_size:
-                    r_slot = 0
-                if fire_hooks:
-                    obs.maybe_fire(i, prev_commit, publish_live)
-                if warmup and i == warmup:
-                    warmup_snapshot = self._snapshot(
-                        prev_commit,
-                        full_rob_stall_cycles,
-                        stall_episodes,
-                        commit_block_cycles,
-                        cpi_buckets,
-                    )
-                    commit_cycles_at_warmup = commit_cycles
-                if next_pc is None:
-                    halted = True
-                    break
-                pc = next_pc
-        finally:
-            # Keep architectural state observable (audits compare it
-            # against a fresh reference interpreter) even if a handler
-            # or the hierarchy raised mid-run.
-            functional.pc = pc
-            functional.executed = executed_before + i
-            functional.halted = halted
-
-        return self._finalize(
-            instructions=i,
-            prev_commit=prev_commit,
-            full_rob_stall_cycles=full_rob_stall_cycles,
-            stall_episodes=stall_episodes,
-            commit_block_cycles=commit_block_cycles,
-            cpi_buckets=cpi_buckets,
-            warmup=warmup,
-            warmup_snapshot=warmup_snapshot,
-            event_trace=event_trace,
-            sched={
-                "commit_cycles": commit_cycles,
-                "commit_cycles_at_warmup": commit_cycles_at_warmup,
-                "retire_violations": retire_violations,
-            },
-        )
-
-    def _run_event_general(self, limit: int) -> SimulationResult:
-        """The general event kernel: any technique, any functional source.
-
-        Same restructured flat-int pipeline state as the specialized
-        path, but architectural execution goes through the functional
-        source's ``step()`` (so capture/replay sources work) and every
-        technique hook is invoked exactly where the reference invokes
-        it. This is the path all runahead/VR/DVR timing runs take.
-        """
-        cfg = self.config.core
-        width = cfg.width
-        fe_depth = cfg.frontend_stages
-        rob_size = cfg.rob_size
-        iq_size = cfg.iq_size
-        lq_size = cfg.lq_size
-        sq_size = cfg.sq_size
-        fu_caps, fu_lats = self._fu_tables()
-        fu_busy = [dict() for _ in _FU_ORDER]
-        div_latency = fu_lats[_CLS_DIV]
-
-        decoded = self._decoded()
-        kinds = decoded.kinds
-        op_values = decoded.op_values
-        cls_of = [_FU_INDEX[name] for name in decoded.fu_classes]
-        lat_of = [fu_lats[cls] for cls in cls_of]
-        rd_of = [-1 if r is None else r for r in decoded.rd]
-        rs1_of = [-1 if r is None else r for r in decoded.rs1]
-        rs2_of = [-1 if r is None else r for r in decoded.rs2]
-
-        technique = self.technique
-        hierarchy = self.hierarchy
-        predictor = self.predictor
-        stride_pf = self.l1_stride_prefetcher
-        functional_step = self.functional.step
-        mshr_available = hierarchy.mshr_available
-        hierarchy_access = hierarchy.access
-        demand_load = hierarchy.demand_load
-        is_mapped = self.memory_image.is_mapped
-        predict = predictor.predict
-        predictor_update = predictor.update
-        technique_on_commit = technique.on_commit
-        technique_advance_to = technique.advance_to
-        technique_on_demand_load = technique.on_demand_load
-        heappush = heapq.heappush
-        heappushpop = heapq.heappushpop
-        trace_limit = self.trace_limit
-
-        fetch_ring = [0] * width
-        commit_ring = [0] * width
-        rob_commit_ring = [0] * rob_size
-        rob_miss_ring = [False] * rob_size
-        # The would-be ROB head, for the full-ROB stall hook only; the
-        # reference's (complete, miss, dyn) tuple ring is split into the
-        # flat miss ring above plus this object ring.
-        rob_dyn_ring = [None] * rob_size
-        iq_heap: list = []
-        lq_heap: list = []
-        # Tracked sizes: once full, pushpop keeps them full (see the
-        # flat kernel).
-        iq_count = 0
-        lq_count = 0
-        sq_ring = [0] * sq_size
-        reg_ready = [0] * NUM_REGS
-
-        next_fetch = 0
-        prev_commit = 0
-        stores_seen = 0
-        full_rob_stall_cycles = 0
-        stall_episodes = 0
-        commit_block_cycles = 0
-        stall_handled_until = 0
-        stall_covered_until = 0
-        last_miss_complete = 0
-        last_redirect_cycle = -1
-        cpi_buckets: Dict[str, int] = {}
-        warmup = max(0, self.config.warmup_instructions)
-        warmup_snapshot = None
-        commit_cycles = 0
-        commit_cycles_at_warmup = 0
-        last_commit_value = 0
-        retire_violations = 0
-        level = None
-        i = 0
-        w_slot = 0
-        r_slot = 0
 
         obs = self.observability
         event_trace = obs.trace if obs is not None else None
@@ -1046,352 +670,7 @@ class OoOCore:
             },
         )
 
-    # -- reference loop --------------------------------------------------------
-
-    def run_reference(self, max_instructions: Optional[int] = None) -> SimulationResult:
-        """The original kernel, kept verbatim as the executable spec.
-
-        Bit-identical to :meth:`run` (the differential suite enforces
-        this over the full workload × technique matrix), an order of
-        magnitude slower, and never going away: it is the escape hatch
-        when a change to the event kernel needs a trusted baseline.
-        """
-        if self._ran:
-            raise SimulationError("an OoOCore instance can only run once")
-        self._ran = True
-        cfg = self.config.core
-        limit = max_instructions or self.config.max_instructions
-        width = cfg.width
-        fe_depth = cfg.frontend_stages
-        rob_size = cfg.rob_size
-        iq_size = cfg.iq_size
-        lq_size = cfg.lq_size
-        sq_size = cfg.sq_size
-
-        # Port bandwidth: issue is out of order, so a port unused at cycle
-        # X is free at X regardless of processing order. We count issues
-        # per (class, cycle) and linearly probe for a free slot.
-        fu_units: Dict[str, int] = {
-            _FU_INT: cfg.int_alu_units,
-            _FU_MUL: cfg.int_mul_units,
-            _FU_DIV: cfg.int_div_units,
-            _FU_FADD: cfg.fp_add_units,
-            _FU_FMUL: cfg.fp_mul_units,
-            _FU_FDIV: cfg.fp_div_units,
-            _FU_MEM: cfg.mem_ports,
-        }
-        fu_busy: Dict[str, Dict[int, int]] = {cls: {} for cls in fu_units}
-        fu_latency = {
-            _FU_INT: cfg.int_alu_latency,
-            _FU_MUL: cfg.int_mul_latency,
-            _FU_DIV: cfg.int_div_latency,
-            _FU_FADD: cfg.fp_add_latency,
-            _FU_FMUL: cfg.fp_mul_latency,
-            _FU_FDIV: cfg.fp_div_latency,
-        }
-
-        fetch_ring = [0] * width
-        commit_ring = [0] * width
-        rob_commit_ring = [0] * rob_size
-        # blame ring: (complete_cycle, was_memory_miss) of the would-be head
-        rob_blame_ring = [(0, False, None)] * rob_size
-        # The IQ and LQ free entries out of order: an entry is available
-        # once *any* occupant leaves. We track the ``size`` largest
-        # leave-times in a min-heap; its minimum is the cycle at which the
-        # next slot frees (an order-statistic, not a FIFO ring).
-        iq_heap: list = []
-        lq_heap: list = []
-        sq_ring = [0] * sq_size
-        reg_ready = [0] * NUM_REGS
-
-        technique = self.technique
-        hierarchy = self.hierarchy
-        predictor = self.predictor
-        stride_pf = self.l1_stride_prefetcher
-
-        # Pre-decoded per-PC arrays and hoisted bound methods: the loop
-        # below runs once per dynamic instruction, so every attribute
-        # lookup and Opcode-enum comparison it avoids is paid millions
-        # of times over a long run.
-        decoded = self._decoded()
-        kinds = decoded.kinds
-        fu_classes = decoded.fu_classes
-        op_values = decoded.op_values
-        rd_of = decoded.rd
-        rs1_of = decoded.rs1
-        rs2_of = decoded.rs2
-        functional_step = self.functional.step
-        mshr_available = hierarchy.mshr_available
-        load_needs_mshr = hierarchy.load_needs_mshr
-        hierarchy_access = hierarchy.access
-        is_mapped = self.memory_image.is_mapped
-        predict = predictor.predict
-        predictor_update = predictor.update
-        technique_on_commit = technique.on_commit
-        trace_limit = self.trace_limit
-
-        next_fetch = 0
-        prev_commit = 0
-        stores_seen = 0
-        full_rob_stall_cycles = 0
-        stall_episodes = 0
-        commit_block_cycles = 0
-        stall_handled_until = 0
-        stall_covered_until = 0
-        last_miss_complete = 0
-        last_redirect_cycle = -1
-        cpi_buckets: Dict[str, int] = {}
-        warmup = max(0, self.config.warmup_instructions)
-        warmup_snapshot = None
-        i = 0
-
-        # Observability: event tracing and profiling hooks are opt-in;
-        # with neither attached the loop pays two predicate tests per
-        # instruction and nothing more.
-        obs = self.observability
-        event_trace = obs.trace if obs is not None else None
-        fire_hooks = obs is not None and obs.has_hooks
-
-        def publish_live(registry: CounterRegistry) -> None:
-            # Raw running aggregates for mid-run hook snapshots (final
-            # counters are ROI-adjusted; see _finalize()).
-            publish_core_counters(
-                registry,
-                cycles=max(1, prev_commit),
-                fetched=i,
-                committed=i,
-                full_stall=full_rob_stall_cycles,
-                episodes=stall_episodes,
-                commit_blocked=commit_block_cycles,
-                predictions=predictor.predictions,
-                mispredictions=predictor.mispredictions,
-                buckets=cpi_buckets,
-            )
-            hierarchy.publish_counters(registry)
-            technique.publish_counters(registry)
-
-        while i < limit:
-            dyn = functional_step()
-            if dyn is None:
-                break
-            pc = dyn.pc
-            kind = kinds[pc]
-
-            # ---- fetch ----
-            fetch = next_fetch
-            if technique.fetch_blocked_until > fetch:
-                fetch = technique.fetch_blocked_until
-            if i >= width:
-                prior = fetch_ring[i % width] + 1
-                if prior > fetch:
-                    fetch = prior
-            fetch_ring[i % width] = fetch
-
-            # ---- dispatch (rename + queue allocation) ----
-            dispatch = fetch + fe_depth
-            backend_constraint = 0
-            head_dyn = None
-            head_was_miss = False
-            if len(iq_heap) >= iq_size and iq_heap[0] > backend_constraint:
-                backend_constraint = iq_heap[0]
-            if kind == K_LOAD and len(lq_heap) >= lq_size and lq_heap[0] > backend_constraint:
-                backend_constraint = lq_heap[0]
-            if kind == K_STORE and stores_seen >= sq_size:
-                constraint = sq_ring[stores_seen % sq_size]
-                if constraint > backend_constraint:
-                    backend_constraint = constraint
-            if i >= rob_size:
-                rob_constraint = rob_commit_ring[i % rob_size]
-                if rob_constraint > backend_constraint:
-                    backend_constraint = rob_constraint
-                head_complete, head_was_miss, head_dyn = rob_blame_ring[i % rob_size]
-            if backend_constraint > dispatch:
-                # Backend-full stall (full ROB, or a full IQ/LQ/SQ with the
-                # same oldest-miss root cause). The wall-clock stall begins
-                # where the previous stall epoch ended — dispatch has been
-                # continuously blocked — not at this instruction's own
-                # fetch-side readiness.
-                covered_from = max(dispatch, stall_covered_until)
-                if backend_constraint > covered_from:
-                    full_rob_stall_cycles += backend_constraint - covered_from
-                    stall_covered_until = backend_constraint
-                    # Blame memory when an outstanding demand miss spans
-                    # the stall window (the classic runahead trigger).
-                    memory_blamed = head_was_miss or (
-                        last_miss_complete > covered_from
-                    )
-                    if memory_blamed and covered_from >= stall_handled_until:
-                        stall_episodes += 1
-                        technique.on_full_rob_stall(
-                            covered_from, backend_constraint, head_dyn or dyn
-                        )
-                        stall_handled_until = backend_constraint
-                dispatch = backend_constraint
-
-            # ---- register readiness ----
-            ready = dispatch
-            rs1 = rs1_of[pc]
-            rs2 = rs2_of[pc]
-            if rs1 is not None and reg_ready[rs1] > ready:
-                ready = reg_ready[rs1]
-            if rs2 is not None and reg_ready[rs2] > ready:
-                ready = reg_ready[rs2]
-
-            # ---- issue + execute ----
-            fu_class = fu_classes[pc]
-            busy = fu_busy[fu_class]
-            capacity = fu_units[fu_class]
-            issue = ready
-            while busy.get(issue, 0) >= capacity:
-                issue += 1
-            busy[issue] = busy.get(issue, 0) + 1
-            if fu_class == _FU_DIV:
-                # Divides are unpipelined: occupy the unit for the full
-                # latency.
-                for extra in range(1, fu_latency[_FU_DIV]):
-                    busy[issue + extra] = busy.get(issue + extra, 0) + 1
-
-            was_memory_miss = False
-            if kind == K_LOAD:
-                technique.advance_to(issue)
-                addr = dyn.addr
-                # The load leaves the IQ at issue; if every MSHR is busy it
-                # waits in the LSQ for one to free before accessing memory.
-                mem_start = issue
-                if load_needs_mshr(addr, issue) and not mshr_available(issue):
-                    wait = hierarchy.mshr_next_free(issue)
-                    if wait > mem_start:
-                        mem_start = wait
-                result = hierarchy_access(addr, mem_start, source="main")
-                complete = result.ready
-                was_memory_miss = result.level in (LEVEL_DRAM, LEVEL_MSHR)
-                if was_memory_miss and complete > last_miss_complete:
-                    last_miss_complete = complete
-                if stride_pf is not None:
-                    stride_pf.on_demand_load(pc, addr, mem_start, hierarchy)
-                technique.on_demand_load(dyn, mem_start, result)
-                heapq.heappush(lq_heap, complete)
-                if len(lq_heap) > lq_size:
-                    heapq.heappop(lq_heap)
-            elif kind == K_ALU:
-                complete = issue + fu_latency[fu_class]
-            elif kind == K_STORE:
-                hierarchy_access(dyn.addr, issue, source="main", write=True)
-                complete = issue + 1
-            elif kind == K_BNZ or kind == K_BEZ:
-                complete = issue + 1
-                predicted = predict(pc)
-                predictor_update(pc, dyn.taken, predicted)
-                if predicted != dyn.taken:
-                    # Redirect: fetch restarts after the branch resolves.
-                    redirect = complete + 1
-                    if redirect > next_fetch:
-                        next_fetch = redirect
-                        last_redirect_cycle = redirect
-            elif kind == K_PREFETCH:
-                if (
-                    dyn.addr is not None
-                    and is_mapped(dyn.addr)
-                    and mshr_available(issue)
-                ):
-                    hierarchy_access(
-                        dyn.addr, issue, source="prefetcher", prefetch=True
-                    )
-                complete = issue + 1
-            else:
-                # JMP / NOP / HALT
-                complete = issue + 1
-
-            # ---- in-order commit ----
-            commit_floor = prev_commit
-            commit = complete + 1
-            if prev_commit > commit:
-                commit = prev_commit
-            if i >= width and commit_ring[i % width] + 1 > commit:
-                commit = commit_ring[i % width] + 1
-            blocked_until = technique.commit_blocked_until
-            technique_blocked = False
-            if blocked_until > commit:
-                commit_block_cycles += blocked_until - commit
-                commit = blocked_until
-                technique_blocked = True
-            commit_ring[i % width] = commit
-            prev_commit = commit
-
-            # ---- CPI-stack attribution (Sniper-style cycle accounting) --
-            # The cycles this instruction adds at the commit point are
-            # charged to the structure on its critical path.
-            delta = commit - commit_floor
-            if delta > 0:
-                if technique_blocked:
-                    bucket = "runahead_block"
-                elif commit == complete + 1:
-                    if kind == K_LOAD:
-                        bucket = _MEM_BUCKETS.get(result.level, "mem_dram")
-                    elif fetch == last_redirect_cycle:
-                        bucket = "branch"
-                    elif issue > ready:
-                        bucket = "issue_contention"
-                    elif ready > dispatch:
-                        bucket = "dependency"
-                    elif dispatch > fetch + fe_depth:
-                        bucket = "backend_full"
-                    else:
-                        bucket = "frontend"
-                else:
-                    bucket = "commit_width"
-                cpi_buckets[bucket] = cpi_buckets.get(bucket, 0) + delta
-
-            # ---- bookkeeping for later occupancy constraints ----
-            rob_commit_ring[i % rob_size] = commit
-            rob_blame_ring[i % rob_size] = (complete, was_memory_miss, dyn)
-            heapq.heappush(iq_heap, issue)
-            if len(iq_heap) > iq_size:
-                heapq.heappop(iq_heap)
-            if kind == K_STORE:
-                sq_ring[stores_seen % sq_size] = commit
-                stores_seen += 1
-            rd = rd_of[pc]
-            if rd is not None:
-                reg_ready[rd] = complete
-
-            if i < trace_limit:
-                self.trace.append(
-                    (i, pc, dyn.instr.opcode.name,
-                     fetch, dispatch, ready, issue, complete, commit)
-                )
-            if event_trace is not None:
-                opv = op_values[pc]
-                event_trace.emit(fetch, EV_FETCH, pc, opv)
-                event_trace.emit(issue, EV_ISSUE, pc, opv)
-                event_trace.emit(complete, EV_COMPLETE, pc, opv)
-                event_trace.emit(commit, EV_RETIRE, pc, opv)
-            technique_on_commit(dyn, commit, complete)
-            i += 1
-            if fire_hooks:
-                obs.maybe_fire(i, prev_commit, publish_live)
-            if warmup and i == warmup:
-                warmup_snapshot = self._snapshot(
-                    prev_commit,
-                    full_rob_stall_cycles,
-                    stall_episodes,
-                    commit_block_cycles,
-                    cpi_buckets,
-                )
-
-        return self._finalize(
-            instructions=i,
-            prev_commit=prev_commit,
-            full_rob_stall_cycles=full_rob_stall_cycles,
-            stall_episodes=stall_episodes,
-            commit_block_cycles=commit_block_cycles,
-            cpi_buckets=cpi_buckets,
-            warmup=warmup,
-            warmup_snapshot=warmup_snapshot,
-            event_trace=event_trace,
-        )
-
-    # -- shared epilogue -------------------------------------------------------
+    # -- epilogue --------------------------------------------------------------
 
     def _finalize(
         self,
@@ -1407,12 +686,12 @@ class OoOCore:
         event_trace,
         sched: Optional[Dict[str, int]] = None,
     ) -> SimulationResult:
-        """ROI adjustment + counter publication, shared by all kernels.
+        """ROI adjustment + counter publication.
 
-        ``sched`` carries the event kernels' scheduler accounting (the
-        reference passes None and publishes no ``core.sched.*`` family —
-        which is also how the differential suite knows to exclude that
-        prefix when comparing counter snapshots).
+        ``sched`` carries the kernel's scheduler accounting. The reference
+        oracle in ``tests/oracles`` shares this epilogue, passes None and
+        so publishes no ``core.sched.*`` family; the differential suites
+        exclude that prefix when they compare counter snapshots.
         """
         technique = self.technique
         hierarchy = self.hierarchy
@@ -1469,16 +748,15 @@ class OoOCore:
             buckets=buckets,
         )
         if sched is not None:
+            # Every retired instruction is one fired event; cycles in
+            # which nothing retired were skipped, not ticked through.
             commit_cycles = sched["commit_cycles"]
             if in_roi:
-                commit_cycles -= sched.get("commit_cycles_at_warmup", 0)
-            publish_sched_counters(
-                registry,
-                fired=instructions,
-                commit_cycles=commit_cycles,
-                skipped=cycles - commit_cycles,
-                retire_violations=sched.get("retire_violations", 0),
-            )
+                commit_cycles -= sched["commit_cycles_at_warmup"]
+            registry.set("core.sched.events.fired", instructions)
+            registry.set("core.sched.commit_cycles", commit_cycles)
+            registry.set("core.sched.cycles.skipped", cycles - commit_cycles)
+            registry.set("core.sched.retire_violations", sched["retire_violations"])
         hierarchy.publish_counters(
             registry,
             cycles=max(1, prev_commit),

@@ -59,8 +59,8 @@ _KIND_OF = {
     Opcode.HALT: K_HALT,
 }
 
-# Functional-unit classes (canonical home; ``core.ooo`` re-exports these
-# under its historical ``_FU_*``/``_OP_CLASS`` names).
+# Functional-unit classes (canonical home; ``core.ooo`` maps them to
+# dense integer codes).
 FU_INT = "int"
 FU_MUL = "mul"
 FU_DIV = "div"

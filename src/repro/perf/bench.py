@@ -26,31 +26,20 @@ Kernels:
 ``trace_replay``
     :class:`~repro.perf.trace.ReplaySource` consumption — the cost of
     a cached-stream timing run's front-end.
-``ooo_loop``
-    The full OoO timing core on the plain baseline — functional step +
-    dataflow model + memory hierarchy — via the tick-driven
-    :meth:`OoOCore.run_reference` loop (the executable spec, and the
-    kernel the historical ``BENCH_core.json`` baselines measured).
 ``ooo_event_loop``
-    Its successor: the event-driven flat-array kernel behind
-    :meth:`OoOCore.run`, differentially tested to be bit-identical to
-    ``ooo_loop``'s loop (``tests/test_ooo_event_kernel.py``).
-``cycle_loop`` / ``cycle_event_loop``
-    The literal cycle-by-cycle core (:class:`CycleCore`), tick-driven
-    reference vs. the event-driven kernel that skips idle spans. The
-    ratio between these two is the headline idle-skipping win — the
-    cycle core is where stall cycles actually get ticked.
+    The full OoO timing core on the plain baseline — functional step +
+    event-driven dataflow model + memory hierarchy — via
+    :meth:`OoOCore.run`, the one timing kernel.
 ``hierarchy``
     The timed memory hierarchy access path alone.
 ``demand_translated``
     The same sweep through the fused demand path with the TLB enabled:
     L1-TLB hits, misses, and timed page-table walks in the mix — what
     translation costs the simulator (not the simulated machine).
-``vector_engine`` / ``vector_engine_reference``
+``vector_engine``
     Vector Runahead's timed vector-chain executor (VIR/gather model)
     over a two-level stride-indirect chain: the slice-based chaining
-    engine vs. the kept flat-gather reference executor
-    (differentially tested in ``tests/test_vector_slice_engine.py``).
+    engine.
 ``batch_dispatch``
     The sweep fabric's per-spec overhead: ``run_batch`` over a spec
     list that is 100% cache hits, so the measured cost is spec
@@ -65,6 +54,7 @@ documents the schema and the regression policy.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 import time
@@ -154,55 +144,18 @@ def _trace_replay(n: int) -> Tuple[int, float]:
     return work, time.perf_counter() - t0
 
 
-def _make_ooo_core(n: int):
+def _ooo_event_loop(n: int) -> Tuple[int, float]:
     from ..core.ooo import OoOCore
     from ..techniques import make_technique
 
     wl = build_workload(_BENCH_WORKLOAD)
-    return OoOCore(
+    core = OoOCore(
         wl.program,
         wl.memory,
         SimConfig().with_max_instructions(n),
         technique=make_technique("ooo"),
         workload_name="bench",
     )
-
-
-def _ooo_loop(n: int) -> Tuple[int, float]:
-    core = _make_ooo_core(n)
-    t0 = time.perf_counter()
-    result = core.run_reference()
-    return result.instructions, time.perf_counter() - t0
-
-
-def _ooo_event_loop(n: int) -> Tuple[int, float]:
-    core = _make_ooo_core(n)
-    t0 = time.perf_counter()
-    result = core.run()
-    return result.instructions, time.perf_counter() - t0
-
-
-def _make_cycle_core(n: int):
-    from ..core.cycle import CycleCore
-
-    wl = build_workload(_BENCH_WORKLOAD)
-    return CycleCore(
-        wl.program,
-        wl.memory,
-        SimConfig().with_max_instructions(n),
-        workload_name="bench",
-    )
-
-
-def _cycle_loop(n: int) -> Tuple[int, float]:
-    core = _make_cycle_core(n)
-    t0 = time.perf_counter()
-    result = core.run_reference()
-    return result.instructions, time.perf_counter() - t0
-
-
-def _cycle_event_loop(n: int) -> Tuple[int, float]:
-    core = _make_cycle_core(n)
     t0 = time.perf_counter()
     result = core.run()
     return result.instructions, time.perf_counter() - t0
@@ -238,7 +191,7 @@ def _demand_translated(n: int) -> Tuple[int, float]:
     return n, time.perf_counter() - t0
 
 
-def _vector_engine_kernel(n: int, engine: str) -> Tuple[int, float]:
+def _vector_engine(n: int) -> Tuple[int, float]:
     from ..runahead.vector_engine import VectorChainRun
 
     rng = np.random.default_rng(1)
@@ -277,7 +230,6 @@ def _vector_engine_kernel(n: int, engine: str) -> Tuple[int, float]:
             stop_pcs=(0,),
             vector_width=8,
             timeout=200,
-            engine=engine,
         )
         run.run_to_completion()
         work += max(1, run.prefetches)
@@ -313,14 +265,6 @@ def _batch_dispatch(n: int) -> Tuple[int, float]:
     return n, seconds
 
 
-def _vector_engine(n: int) -> Tuple[int, float]:
-    return _vector_engine_kernel(n, "slice")
-
-
-def _vector_engine_reference(n: int) -> Tuple[int, float]:
-    return _vector_engine_kernel(n, "reference")
-
-
 #: name -> (kernel, default work units, unit label)
 KERNELS: Dict[str, Tuple[Callable[[int], Tuple[int, float]], int, str]] = {
     "functional_reference": (_functional_reference, 40_000, "instr"),
@@ -328,14 +272,10 @@ KERNELS: Dict[str, Tuple[Callable[[int], Tuple[int, float]], int, str]] = {
     "functional_bulk": (_functional_bulk, 40_000, "instr"),
     "functional_pooled": (_functional_pooled, 40_000, "instr"),
     "trace_replay": (_trace_replay, 40_000, "instr"),
-    "ooo_loop": (_ooo_loop, 15_000, "instr"),
     "ooo_event_loop": (_ooo_event_loop, 15_000, "instr"),
-    "cycle_loop": (_cycle_loop, 8_000, "instr"),
-    "cycle_event_loop": (_cycle_event_loop, 8_000, "instr"),
     "hierarchy": (_hierarchy, 40_000, "access"),
     "demand_translated": (_demand_translated, 40_000, "access"),
     "vector_engine": (_vector_engine, 8_000, "prefetch"),
-    "vector_engine_reference": (_vector_engine_reference, 8_000, "prefetch"),
     "batch_dispatch": (_batch_dispatch, 1_500, "spec"),
 }
 
@@ -411,8 +351,8 @@ def check_regression(
     baseline: Dict,
     tolerance: float = 0.30,
     absolute: bool = False,
-) -> List[str]:
-    """Compare two bench payloads; return failure messages (empty = ok).
+) -> Tuple[List[str], int]:
+    """Compare two bench payloads: ``(failure messages, kernels compared)``.
 
     By default compares ``rel`` (throughput normalised to the reference
     interpreter measured on the *same* host), which is stable across
@@ -420,10 +360,12 @@ def check_regression(
     ``absolute=True`` to gate on raw per-second throughput instead
     (only meaningful against a baseline from the same machine). The
     reference kernel itself is skipped in relative mode (its rel is
-    1.0 by construction).
+    1.0 by construction). A kernel missing the metric on either side is
+    not compared: ``rel`` exists only when ``functional_reference`` ran.
     """
     metric = "ips" if absolute else "rel"
     failures: List[str] = []
+    compared = 0
     baseline_kernels = baseline.get("kernels", {})
     for name, entry in current.get("kernels", {}).items():
         if not absolute and name == "functional_reference":
@@ -431,13 +373,14 @@ def check_regression(
         base_entry = baseline_kernels.get(name)
         if base_entry is None or metric not in base_entry or metric not in entry:
             continue
+        compared += 1
         floor = base_entry[metric] * (1.0 - tolerance)
         if entry[metric] < floor:
             failures.append(
                 f"{name}: {metric} {entry[metric]:,.2f} is more than "
                 f"{tolerance:.0%} below baseline {base_entry[metric]:,.2f}"
             )
-    return failures
+    return failures, compared
 
 
 def write_payload(payload: Dict, path: str) -> None:
@@ -460,25 +403,61 @@ def load_payload(path: str) -> Dict:
     return payload
 
 
+def _check_writable(path: str) -> None:
+    """Fail before any kernel runs if ``path`` cannot be written."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+        raise ReproError(
+            f"cannot write bench file {path!r}: {directory!r} is not a "
+            f"writable directory"
+        )
+
+
 def main_bench(args) -> int:
-    """Back end of the ``repro bench`` CLI subcommand."""
+    """Back end of the ``repro bench`` CLI subcommand.
+
+    Exit codes: 0 ok, 1 a regression (or a ``--check`` that compared no
+    kernel), 2 a usage error (unknown kernel, unwritable ``--json``,
+    unreadable baseline), reported before any kernel runs.
+    """
     kernels = args.kernels.split(",") if args.kernels else None
-    payload = run_bench(kernels=kernels, scale=args.scale, repeats=args.repeats)
+    try:
+        if args.json:
+            _check_writable(args.json)
+        baseline = load_payload(args.check) if args.check else None
+        payload = run_bench(kernels=kernels, scale=args.scale, repeats=args.repeats)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(render_table(payload))
     if args.json:
-        write_payload(payload, args.json)
+        try:
+            write_payload(payload, args.json)
+        except OSError as exc:
+            print(f"error: cannot write bench file {args.json!r}: {exc}", file=sys.stderr)
+            return 2
         print(f"bench file   : {args.json}", file=sys.stderr)
-    if args.check:
-        baseline = load_payload(args.check)
-        failures = check_regression(
+    if baseline is not None:
+        failures, compared = check_regression(
             payload, baseline, tolerance=args.tolerance, absolute=args.absolute
         )
         if failures:
             for failure in failures:
                 print(f"REGRESSION {failure}", file=sys.stderr)
             return 1
+        if not compared:
+            metric = "ips" if args.absolute else "rel"
+            print(
+                f"bench check  : FAILED, compared no kernels against "
+                f"{args.check}: none of them has {metric!r} on both sides"
+                + ("" if args.absolute else
+                   " (rel needs functional_reference in --kernels)"),
+                file=sys.stderr,
+            )
+            return 1
         print(
-            f"bench check  : ok (within {args.tolerance:.0%} of {args.check})",
+            f"bench check  : ok ({compared} compared, all within "
+            f"{args.tolerance:.0%} of {args.check})",
             file=sys.stderr,
         )
     return 0

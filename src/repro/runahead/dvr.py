@@ -114,7 +114,6 @@ class DecoupledVectorRunahead(EngineCounterMixin, Technique):
         self.discovery_enabled = cfg.discovery_enabled
         self.nested_enabled = cfg.nested_enabled
         self.reconvergence_enabled = cfg.reconvergence_enabled
-        self.vector_engine = cfg.vector_engine
         self.vector_chaining = cfg.vector_chaining
         self.issue_width = cfg.subthread_issue_width
 
@@ -127,7 +126,6 @@ class DecoupledVectorRunahead(EngineCounterMixin, Technique):
         return {
             "chaining": self.vector_chaining,
             "issue_width": self.issue_width,
-            "engine": self.vector_engine,
         }
 
     # -- decoupled progress ---------------------------------------------------------

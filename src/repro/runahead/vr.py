@@ -63,7 +63,6 @@ class VectorRunahead(EngineCounterMixin, Technique):
         self.lanes = runahead_cfg.vr_lanes
         self.vector_width = runahead_cfg.vector_width
         self.timeout = runahead_cfg.instruction_timeout
-        self.vector_engine = runahead_cfg.vector_engine
         self.vector_chaining = runahead_cfg.vector_chaining
         self.issue_width = runahead_cfg.subthread_issue_width
 
@@ -146,7 +145,6 @@ class VectorRunahead(EngineCounterMixin, Technique):
             max_scalar_run=16,
             chaining=self.vector_chaining,
             issue_width=self.issue_width,
-            engine=self.vector_engine,
         )
         self.emit_event(start, EV_VECTOR_DISPATCH, stride_pc, self.lanes)
         run.run_to_completion()

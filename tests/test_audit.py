@@ -42,7 +42,6 @@ EXPECTED_CHECKS = [
     "mshr.reclamation",
     "cache.inclusion",
     "core.conservation",
-    "sched.conservation",
     "sched.retire-order",
     "sched.skip-accounting",
     "vector.lane-conservation",
@@ -127,14 +126,9 @@ class TestBugReintroduction:
             return self.mshrs.lookup(line, cycle) is None  # old side effect
 
         monkeypatch.setattr(MemoryHierarchy, "load_needs_mshr", buggy)
-        # The reference executor still schedules gathers through the
+        # Classic runahead still schedules its prefetches through the
         # unfused load_needs_mshr query — the path this bug lived in.
-        spec = RunSpec(
-            "camel",
-            technique="dvr",
-            max_instructions=3000,
-            overrides=(("runahead.vector_engine", "reference"),),
-        )
+        spec = RunSpec("camel", technique="runahead", max_instructions=3000)
         with pytest.raises(AuditError) as excinfo:
             run_simulation(spec, audit=True)
         record = excinfo.value.record
@@ -244,14 +238,7 @@ class TestRunnerIntegration:
             return self.mshrs.lookup(line, cycle) is None
 
         monkeypatch.setattr(MemoryHierarchy, "load_needs_mshr", buggy)
-        specs = [
-            RunSpec(
-                "camel",
-                technique="dvr",
-                max_instructions=3000,
-                overrides=(("runahead.vector_engine", "reference"),),
-            )
-        ]
+        specs = [RunSpec("camel", technique="runahead", max_instructions=3000)]
         results = run_batch(specs, audit=True)
         assert isinstance(results[0], BatchFailure)
         assert results[0].error_type == "AuditError"

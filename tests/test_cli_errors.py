@@ -1,8 +1,12 @@
 """CLI argument handling and error paths."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+BASELINE = str(Path(__file__).resolve().parents[1] / "BENCH_core.json")
 
 
 class TestArgumentValidation:
@@ -78,3 +82,46 @@ class TestSmallCommands:
         out = capsys.readouterr().out
         for name in ("continuous", "emc", "dvr-offload"):
             assert name in out
+
+
+class TestBenchErrors:
+    """`repro bench` fails with one error line and an exit code."""
+
+    @pytest.mark.parametrize(
+        "kernel", ["nope", "ooo_loop", "cycle_loop", "cycle_event_loop",
+                   "vector_engine_reference"],
+    )
+    def test_unknown_kernel(self, kernel, capsys):
+        assert main(["bench", "--kernels", kernel, "--repeats", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert kernel in lines[0]
+
+    def test_unwritable_json_fails_before_any_kernel(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "b.json"
+        code = main(["bench", "--kernels", "hierarchy", "--scale", "0.01",
+                     "--repeats", "1", "--json", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no kernel ran, so no table
+        assert captured.err.startswith("error: cannot write bench file")
+        assert not path.exists()
+
+    def test_check_that_compares_nothing_fails(self, capsys):
+        # Without functional_reference no kernel carries `rel`, so the
+        # relative gate has nothing to compare.
+        code = main(["bench", "--kernels", "hierarchy", "--scale", "0.01",
+                     "--repeats", "1", "--check", BASELINE])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "compared no kernels" in err
+        assert "bench check  : ok" not in err
+
+    def test_check_reports_how_many_kernels_it_compared(self, capsys):
+        code = main(["bench", "--kernels", "functional_reference,hierarchy",
+                     "--scale", "0.01", "--repeats", "1",
+                     "--check", BASELINE, "--tolerance", "1.0"])
+        assert code == 0
+        assert "bench check  : ok (1 compared" in capsys.readouterr().err

@@ -1,5 +1,5 @@
 """Cross-validation of the mechanistic OoO model against the literal
-per-cycle model (`repro.core.cycle.CycleCore`).
+per-cycle model (the `CycleCore` oracle in `tests/oracles/cycle.py`).
 
 The two models share the functional front-end, branch predictor, and
 timed memory hierarchy but compute timing completely differently
@@ -13,10 +13,11 @@ import pytest
 
 from repro.config import CoreConfig, SimConfig
 from repro.core import OoOCore
-from repro.core.cycle import CycleCore
+from repro.experiments.spec import apply_override
 from repro.workloads import build_workload
 
 from conftest import build_counted_loop, build_indirect_kernel, quick_config
+from oracles.cycle import CycleCore
 
 # The acceptable IPC band between the two models.
 TOLERANCE = 0.30
@@ -46,6 +47,22 @@ class TestTimingAgreement:
         fast = OoOCore(wl_fast.program, wl_fast.memory, quick_config(2000)).run()
         wl_slow = build_workload(name, size="tiny")
         slow = CycleCore(wl_slow.program, wl_slow.memory, quick_config(2000)).run()
+        assert fast.ipc == pytest.approx(slow.ipc, rel=TOLERANCE)
+
+    # bfs at its tiny size: the default graph takes ~0.4 s to build.
+    @pytest.mark.parametrize("name,size", [("camel", "default"), ("bfs", "tiny")])
+    def test_translated_workloads(self, name, size):
+        """With the TLB on, both models walk the same pages."""
+        cfg = apply_override(quick_config(3000), "memory.tlb.enable", True)
+        wl_fast = build_workload(name, size=size)
+        fast = OoOCore(wl_fast.program, wl_fast.memory, cfg).run()
+        wl_slow = build_workload(name, size=size)
+        slow = CycleCore(wl_slow.program, wl_slow.memory, cfg).run()
+        assert fast.instructions == slow.instructions
+        assert fast.demand_loads == slow.demand_loads
+        walks = fast.counters["mem.tlb.walks"]
+        assert walks > 0
+        assert slow.counters["mem.tlb.walks"] == walks
         assert fast.ipc == pytest.approx(slow.ipc, rel=TOLERANCE)
 
     def test_rob_scaling_trend_agrees(self):

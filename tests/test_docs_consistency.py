@@ -1,10 +1,12 @@
 """Documentation consistency guards: the markdown must keep up with the
 code. These catch doc rot mechanically."""
 
+import re
 from pathlib import Path
 
 import pytest
 
+from repro.audit.checks import CHECKS
 from repro.techniques import technique_names
 from repro.workloads import WORKLOAD_NAMES
 
@@ -48,6 +50,32 @@ class TestTopLevelDocs:
         experiments = read("EXPERIMENTS.md")
         assert "reproduced" in experiments
         assert "1139" in experiments  # the Section 4.4 constant
+
+
+class TestAuditDocs:
+    def _check_rows(self):
+        """Check names from the per-run table of docs/audit.md.
+
+        The standalone snapshot checks below it name their function in
+        parentheses, which keeps them out of this set.
+        """
+        names = []
+        for line in read("docs/audit.md").splitlines():
+            match = re.match(r"\| `([a-z][\w.-]*)` \|", line)
+            if match:
+                names.append(match.group(1))
+        return names
+
+    def test_every_registered_check_has_a_row(self):
+        rows = set(self._check_rows())
+        missing = [name for name in CHECKS if name not in rows]
+        assert not missing, f"checks missing from docs/audit.md: {missing}"
+
+    def test_every_check_row_names_a_registered_check(self):
+        rows = self._check_rows()
+        assert rows
+        unknown = [name for name in rows if name not in CHECKS]
+        assert not unknown, f"docs/audit.md rows for unregistered checks: {unknown}"
 
 
 class TestTechniqueDocs:

@@ -1,13 +1,12 @@
-"""Differential equivalence: event-driven kernels vs tick-driven references.
+"""Differential equivalence: the OoO event kernel vs the reference oracle.
 
-The event kernels (``OoOCore.run``, ``CycleCore.run``) must be
-*bit-identical* to the reference loops they replace — same cycle
-counts, same retired-instruction counts, same ``core.*``/``mem.*``
-counter books, same golden trace digests — over the full
-workload x technique matrix. The only permitted delta is the
-``core.sched.*`` family, which only the event kernels publish and
-whose internal laws are asserted here (and by the ``sched.*`` audit
-checks).
+``OoOCore.run`` must be *bit-identical* to the loop it was restructured
+from (``tests/oracles/ooo_reference.py``) — same cycle counts, same
+retired-instruction counts, same ``core.*``/``mem.*`` counter books,
+same golden trace digests — over the workload x technique matrix. The
+only permitted delta is the ``core.sched.*`` family, which only the
+event kernel publishes and whose internal laws are asserted here (and
+by the ``sched.*`` audit checks).
 """
 
 from __future__ import annotations
@@ -15,18 +14,17 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SimConfig
-from repro.core.cycle import CycleCore
 from repro.core.ooo import OoOCore
 from repro.observability.probes import Observability
 from repro.techniques import make_technique
 from repro.workloads.registry import build_workload
 
+from oracles import SCHED_PREFIX, assert_same_run
+from oracles.ooo_reference import run_reference
+
 WORKLOADS = ("camel", "nas_is")
 TECHNIQUES = ("ooo", "vr", "dvr", "dvr-offload", "runahead", "pre")
 LIMIT = 2000
-
-#: Counter families the event kernels add on top of the reference books.
-_SCHED_PREFIX = "core.sched."
 
 
 def _run_ooo(workload_name: str, technique_name: str, reference: bool):
@@ -41,66 +39,20 @@ def _run_ooo(workload_name: str, technique_name: str, reference: bool):
         observability=Observability(trace=True),
     )
     if reference:
-        return core.run_reference(max_instructions=LIMIT)
+        return run_reference(core, max_instructions=LIMIT)
     return core.run(max_instructions=LIMIT)
-
-
-def _run_cycle(workload_name: str, reference: bool):
-    wl = build_workload(workload_name)
-    core = CycleCore(
-        wl.program,
-        wl.memory,
-        SimConfig(),
-        workload_name=workload_name,
-        observability=Observability(trace=True),
-    )
-    if reference:
-        return core.run_reference(max_instructions=LIMIT)
-    return core.run(max_instructions=LIMIT)
-
-
-def _split_counters(result):
-    plain = {
-        k: v for k, v in result.counters.items() if not k.startswith(_SCHED_PREFIX)
-    }
-    sched = {k: v for k, v in result.counters.items() if k.startswith(_SCHED_PREFIX)}
-    return plain, sched
-
-
-def _assert_identical(ref, new):
-    assert new.cycles == ref.cycles
-    assert new.instructions == ref.instructions
-    assert ref.trace_digest is not None
-    assert new.trace_digest == ref.trace_digest
-    assert new.trace_events == ref.trace_events
-    ref_plain, ref_sched = _split_counters(ref)
-    new_plain, new_sched = _split_counters(new)
-    assert not ref_sched, "reference loop must not publish core.sched.*"
-    assert new_plain == ref_plain
-    return new_sched
 
 
 def _assert_sched_laws(result, sched):
     assert sched, "event kernel must publish core.sched.*"
-    commit_cycles = sched["core.sched.commit_cycles"]
-    skipped = sched["core.sched.cycles.skipped"]
     assert sched["core.sched.retire_violations"] == 0
-    assert commit_cycles + skipped <= result.cycles
-    ticked = sched.get("core.sched.cycles.ticked")
-    if ticked is not None:
-        # The cycle kernel's clock partition: every cycle was either
-        # simulated or proven idle and skipped.
-        assert ticked + skipped == result.cycles
-        assert commit_cycles <= ticked
-        assert sched["core.sched.events.scheduled"] == (
-            sched["core.sched.events.fired"]
-            + sched["core.sched.events.cancelled"]
-            + sched["core.sched.events.pending"]
-        )
-        assert sched["core.sched.events.pending"] == 0
-    else:
-        # The analytic OoO kernel: stall spans are the skipped cycles.
-        assert commit_cycles + skipped == result.cycles
+    assert sched["core.sched.events.fired"] == result.instructions
+    # Stall spans are the skipped cycles: together with the cycles that
+    # retired something they partition the run.
+    assert (
+        sched["core.sched.commit_cycles"] + sched["core.sched.cycles.skipped"]
+        == result.cycles
+    )
 
 
 @pytest.mark.parametrize("workload_name", WORKLOADS)
@@ -108,33 +60,24 @@ def _assert_sched_laws(result, sched):
 def test_ooo_event_kernel_matches_reference(workload_name, technique_name):
     ref = _run_ooo(workload_name, technique_name, reference=True)
     new = _run_ooo(workload_name, technique_name, reference=False)
-    sched = _assert_identical(ref, new)
-    _assert_sched_laws(new, sched)
+    assert ref.trace_digest is not None
+    assert not any(k.startswith(SCHED_PREFIX) for k in ref.counters), (
+        "reference loop must not publish core.sched.*"
+    )
+    _assert_sched_laws(new, assert_same_run(ref, new))
 
 
-@pytest.mark.parametrize("workload_name", WORKLOADS)
-def test_cycle_event_kernel_matches_reference(workload_name):
-    ref = _run_cycle(workload_name, reference=True)
-    new = _run_cycle(workload_name, reference=False)
-    sched = _assert_identical(ref, new)
-    _assert_sched_laws(new, sched)
-    # The kernel must actually skip idle spans, not degenerate into a
-    # renamed tick loop (camel/nas_is are both stall-dominated).
-    assert sched["core.sched.cycles.skipped"] > ref.cycles // 2
-
-
-def test_cycle_event_kernel_skips_dram_stalls():
-    """On the miss-heavy hash chain most cycles are provably idle."""
-    new = _run_cycle("camel", reference=False)
-    sched = {
-        k: v for k, v in new.counters.items() if k.startswith(_SCHED_PREFIX)
-    }
-    assert sched["core.sched.cycles.ticked"] < new.cycles // 2
+def test_ooo_event_kernel_skips_dram_stalls():
+    """On the miss-heavy hash chain most cycles are skipped stall spans."""
+    new = _run_ooo("camel", "ooo", reference=False)
+    assert new.counters["core.sched.cycles.skipped"] > new.cycles // 2
 
 
 def test_event_kernels_run_once_guard():
     wl = build_workload("camel")
-    core = CycleCore(wl.program, wl.memory, SimConfig(), workload_name="camel")
+    core = OoOCore(wl.program, wl.memory, SimConfig(), workload_name="camel")
     core.run(max_instructions=200)
     with pytest.raises(Exception):
         core.run(max_instructions=200)
+    with pytest.raises(Exception):
+        run_reference(core, max_instructions=200)

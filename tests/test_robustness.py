@@ -24,9 +24,11 @@ from conftest import quick_config
 _TECHNIQUES = ["pre", "runahead", "imp", "vr", "dvr", "continuous"]
 
 
-def _random_program(rng, n_instructions, n_segments, seg_words):
+def _random_program(rng, n_instructions, n_segments, seg_words, striding=False):
     """A random but *terminating* program: a bounded counted loop whose
-    body is random ALU/memory/branch soup."""
+    body is random ALU/memory/branch soup. With ``striding`` the body
+    opens with a striding load the soup can chain indirect loads off —
+    the shape Vector Runahead vectorises."""
     mem = MemoryImage()
     bases = []
     for k in range(n_segments):
@@ -38,6 +40,11 @@ def _random_program(rng, n_instructions, n_segments, seg_words):
     b.li("r1", 0)
     b.li("r2", 300)  # trip count
     b.label("loop")
+    if striding:
+        b.andi("r14", "r1", seg_words - 1)
+        b.shli("r14", "r14", 3)
+        b.add("r14", "r20", "r14")
+        b.load("r3", "r14")
     label_count = 0
     for k in range(n_instructions):
         choice = rng.integers(0, 8)

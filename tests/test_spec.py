@@ -212,6 +212,19 @@ class TestNormalization:
         )
         assert drop.key(FINGERPRINT) != plain.key(FINGERPRINT)
 
+    def test_retired_vector_engine_stays_in_the_wire_format(self):
+        # Rule 7: the retired knob is still written, in its old slot,
+        # so every key and saved document that embeds it survives.
+        runahead = SimConfig().to_dict()["runahead"]
+        names = list(runahead)
+        assert runahead["vector_engine"] == "slice"
+        assert names.index("vector_engine") == names.index("subthread_issue_width") + 1
+        assert names.index("vector_chaining") == names.index("vector_engine") + 1
+        # A document written while the field existed round-trips exactly
+        # (other values are rejected: test_vector_slice_engine.py).
+        legacy = json.loads(json.dumps(SimConfig(max_instructions=900).to_dict()))
+        assert SimConfig.from_dict(legacy).to_dict() == legacy
+
     def test_arch_trace_key_is_technique_independent(self):
         base = arch_trace_key(RunSpec("camel", max_instructions=800).stream_projection())
         dvr = arch_trace_key(

@@ -250,9 +250,10 @@ def test_tlb_on_drop_policy_audit():
     )
 
 
-def test_tlb_on_cycle_core():
-    # The runahead technique runs on CycleCore — its issue path must
-    # survive translated demand loads too.
+def test_tlb_on_classic_runahead_audit():
+    # Classic runahead's full-ROB trigger path must survive translated
+    # demand loads too (the TLB-on CycleCore row lives in
+    # tests/test_cross_validation.py).
     spec = RunSpec(
         "camel",
         technique="runahead",

@@ -1,13 +1,13 @@
 """Differential equivalence and laws for the slice-based vector engine.
 
-The slice engine (``engine="slice"``) must be *bit-identical* to the
-kept reference executor when chaining is off — same end-to-end cycle
-counts, same counter books (including the ``vr.engine.*`` family), same
-golden trace digests — over the workload x technique matrix. On top of
-that, chained mode must obey its own laws: no copy issues before its
-operands are ready, no cycle issues more copies than
-``subthread_issue_width``, and the engine's accounting books always
-balance (the ``vector.*`` audit checks).
+The slice engine must be *bit-identical* to the reference executor
+(``tests/oracles/vector_reference.py``) when chaining is off — same
+end-to-end cycle counts, same counter books (including the
+``vr.engine.*`` family), same golden trace digests — over the
+workload x technique matrix. On top of that, chained mode must obey
+its own laws: no copy issues before its operands are ready, no cycle
+issues more copies than ``subthread_issue_width``, and the engine's
+accounting books always balance (the ``vector.*`` audit checks).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.audit.checks import CHECKS, AuditContext
 from repro.config import MemoryConfig, RunaheadConfig, SimConfig
 from repro.core.ooo import OoOCore
 from repro.errors import ConfigError
+from repro.experiments.spec import apply_override
 from repro.isa import ProgramBuilder
 from repro.memory import MemoryHierarchy, MemoryImage
 from repro.observability.probes import Observability
@@ -32,9 +33,14 @@ from repro.runahead.vector_engine import ENGINE_COUNTER_KEYS, VectorChainRun
 from repro.techniques import make_technique
 from repro.workloads.registry import build_workload
 
+from oracles.vector_reference import ReferenceVectorChainRun, use_reference_engine
+
 WORKLOADS = ("camel", "nas_is")
 TECHNIQUES = ("vr", "dvr", "dvr-offload", "dvr-noreconv")
 LIMIT = 2000
+
+#: The product engine and its oracle, by the names the tests use.
+ENGINES = {"slice": VectorChainRun, "reference": ReferenceVectorChainRun}
 
 
 # -- full-simulation differential matrix --------------------------------------
@@ -44,17 +50,20 @@ def _run_full(workload_name: str, technique_name: str, engine: str, **overrides)
     wl = build_workload(workload_name)
     cfg = SimConfig()
     cfg = cfg.with_runahead(
-        replace(cfg.runahead, vector_engine=engine, vector_chaining=False, **overrides)
+        replace(cfg.runahead, vector_chaining=False, **overrides)
     )
-    core = OoOCore(
-        wl.program,
-        wl.memory,
-        cfg,
-        technique=make_technique(technique_name, cfg),
-        workload_name=workload_name,
-        observability=Observability(trace=True),
-    )
-    return core.run(max_instructions=LIMIT)
+    with pytest.MonkeyPatch.context() as mp:
+        if engine == "reference":
+            use_reference_engine(mp)
+        core = OoOCore(
+            wl.program,
+            wl.memory,
+            cfg,
+            technique=make_technique(technique_name, cfg),
+            workload_name=workload_name,
+            observability=Observability(trace=True),
+        )
+        return core.run(max_instructions=LIMIT)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -102,7 +111,6 @@ def _run_chained(issue_width: int):
     cfg = cfg.with_runahead(
         replace(
             cfg.runahead,
-            vector_engine="slice",
             vector_chaining=True,
             subthread_issue_width=issue_width,
         )
@@ -137,8 +145,15 @@ def test_chaining_beats_serialized_issue():
 
 
 def test_unknown_vector_engine_rejected():
-    with pytest.raises(ConfigError):
-        RunaheadConfig(vector_engine="hyperthreaded")
+    """The retired engine knob accepts only its legacy wire value."""
+    for engine in ("hyperthreaded", "reference"):
+        doc = SimConfig().to_dict()
+        doc["runahead"]["vector_engine"] = engine
+        with pytest.raises(ConfigError):
+            SimConfig.from_dict(doc)
+    for engine in ("slice", "reference"):
+        with pytest.raises(ConfigError):
+            apply_override(SimConfig(), "runahead.vector_engine", engine)
 
 
 def test_nonpositive_issue_width_rejected():
@@ -152,13 +167,14 @@ def test_nonpositive_vector_width_rejected():
 
 
 def test_engine_ctor_rejects_unknown_engine():
+    """``engine=`` is retired: the slice engine is the only executor."""
     mem = MemoryImage()
     seg = mem.allocate("A", list(range(16)))
     hierarchy = MemoryHierarchy(MemoryConfig.scaled())
     builder = ProgramBuilder()
     builder.halt()
     program = builder.build()
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         VectorChainRun(
             program,
             mem,
@@ -196,7 +212,7 @@ def chain_setup(n=512, seed=1):
     return program, mem, hierarchy, regs, a, bseg
 
 
-def make_run(program, mem, hierarchy, regs, lane_addresses, **kwargs):
+def make_run(program, mem, hierarchy, regs, lane_addresses, engine="slice", **kwargs):
     defaults = dict(
         start_pc=0,
         start_cycle=0,
@@ -207,7 +223,7 @@ def make_run(program, mem, hierarchy, regs, lane_addresses, **kwargs):
         timeout=200,
     )
     defaults.update(kwargs)
-    return VectorChainRun(
+    return ENGINES[engine](
         program, mem, hierarchy, regs, lane_addresses=lane_addresses, **defaults
     )
 
