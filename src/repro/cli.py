@@ -487,7 +487,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.json:
             from .experiments.spec import SPEC_SCHEMA
             from .techniques import technique_pins
-            from .workloads.registry import workload_accepts_input_name
+            from .workloads.registry import SIZES, workload_accepts_input_name
 
             print(json.dumps(
                 {
@@ -497,7 +497,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         for name in WORKLOAD_NAMES
                     },
                     "graph_inputs": sorted(GRAPH_PROFILES),
-                    "sizes": ["default", "tiny"],
+                    "sizes": list(SIZES),
                     "techniques": {
                         name: {"pins": dict(technique_pins(name))}
                         for name in technique_names() + ["swpf"]
@@ -577,7 +577,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             if isinstance(exc, AuditError):
                 print(f"AUDIT FAILED : {exc}", file=sys.stderr)
                 return 1
-            raise
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if args.audit and result.audit is not None:
             print(f"audit        : {len(result.audit['checks'])} checks ok")
         print(f"workload     : {result.workload}")

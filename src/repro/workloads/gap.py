@@ -21,34 +21,62 @@ the simulated region is a realistic mid-traversal snapshot.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import functools
+from dataclasses import replace
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..isa.program import ProgramBuilder
 from ..memory.memory_image import MemoryImage
 from .base import Workload
-from .graphs import Graph, add_weights, bfs_frontier, make_graph
+from .graphs import (
+    GRAPH_PROFILES,
+    Graph,
+    add_weights,
+    bfs_frontier,
+    graph_profile,
+    make_graph,
+    rmat_graph,
+    uniform_random_graph,
+)
 
 _DEFAULT_INPUT = "KR"
 
+GraphInput = Tuple[Graph, np.ndarray, np.ndarray]
 
-def _graph_for(input_name: Optional[str], size: str, seed: Optional[int] = None) -> Graph:
+
+def _graph_for(input_name: Optional[str], size: str, seed: Optional[int] = None) -> GraphInput:
     profile = input_name or _DEFAULT_INPUT
+    graph_profile(profile)  # unknown names raise before the size branch
+    return _graph_input(profile, size, seed)
+
+
+@functools.lru_cache(maxsize=len(GRAPH_PROFILES))
+def _graph_input(profile: str, size: str, seed: Optional[int]) -> GraphInput:
+    """``(graph, frontier, depth)``: one input and its widest BFS level.
+
+    Built once per process per key and shared by all six GAP builders,
+    so every array is read-only and :class:`Graph` is frozen: a stray
+    write raises instead of leaking into the next build. Images stay
+    per build, because ``MemoryImage.allocate`` copies what it is given.
+    """
     if size == "tiny":
         # A small but well-connected stand-in (truncating a large graph
         # would leave a near-empty BFS frontier).
-        from .graphs import rmat_graph, uniform_random_graph
-
         tiny_seed = seed if seed is not None else sum(map(ord, profile))
         if profile == "UR":
             graph = uniform_random_graph(1 << 10, 8, seed=tiny_seed)
         else:
             graph = rmat_graph(1 << 10, 8, seed=tiny_seed)
-        graph.name = profile
+        graph = replace(graph, name=profile)
         graph.validate()
-        return graph
-    return make_graph(profile, seed=seed)
+    else:
+        graph = make_graph(profile, seed=seed)
+    frontier, depth = bfs_frontier(graph)
+    for array in (graph.row_offsets, graph.col_indices, frontier, depth):
+        array.flags.writeable = False
+    return graph, frontier, depth
 
 
 def _load_graph_csr(mem: MemoryImage, graph: Graph):
@@ -64,8 +92,7 @@ def _emit_indexed_load(b: ProgramBuilder, dst: str, base: str, idx: str, tmp: st
 
 
 def build_bfs(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph = _graph_for(input_name, size, seed)
-    frontier, depth = bfs_frontier(graph)
+    graph, frontier, depth = _graph_for(input_name, size, seed)
     level = int(depth[frontier[0]]) if len(frontier) else 0
     visited = (depth >= 0) & (depth <= level)
 
@@ -120,14 +147,13 @@ def build_bfs(input_name: Optional[str] = None, size: str = "default", seed: Opt
             "frontier": len(frontier),
             "nodes": graph.num_nodes,
             "edges": graph.num_edges,
-            "build_args": {"input_name": graph.name, "size": size},
+            "build_args": {"input_name": graph.name, "size": size, "seed": seed},
         },
     )
 
 
 def build_graph500(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph = _graph_for(input_name or "KR", size, seed)
-    frontier, depth = bfs_frontier(graph)
+    graph, frontier, depth = _graph_for(input_name, size, seed)
     level = int(depth[frontier[0]]) if len(frontier) else 0
     parent = np.where((depth >= 0) & (depth <= level), np.int64(1), np.int64(-1))
 
@@ -183,14 +209,13 @@ def build_graph500(input_name: Optional[str] = None, size: str = "default", seed
             "frontier": len(frontier),
             "nodes": graph.num_nodes,
             "edges": graph.num_edges,
-            "build_args": {"input_name": graph.name, "size": size},
+            "build_args": {"input_name": graph.name, "size": size, "seed": seed},
         },
     )
 
 
 def build_bc(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph = _graph_for(input_name, size, seed)
-    frontier, depth = bfs_frontier(graph)
+    graph, frontier, depth = _graph_for(input_name, size, seed)
     level = int(depth[frontier[0]]) if len(frontier) else 0
     rng = np.random.default_rng(31)
     sigma = rng.integers(1, 16, graph.num_nodes)
@@ -246,13 +271,13 @@ def build_bc(input_name: Optional[str] = None, size: str = "default", seed: Opti
             "frontier": len(frontier),
             "nodes": graph.num_nodes,
             "edges": graph.num_edges,
-            "build_args": {"input_name": graph.name, "size": size},
+            "build_args": {"input_name": graph.name, "size": size, "seed": seed},
         },
     )
 
 
 def build_cc(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph = _graph_for(input_name, size, seed)
+    graph = _graph_for(input_name, size, seed)[0]
     comp = np.arange(graph.num_nodes, dtype=np.int64)
 
     mem = MemoryImage()
@@ -297,13 +322,13 @@ def build_cc(input_name: Optional[str] = None, size: str = "default", seed: Opti
             "input": graph.name,
             "nodes": graph.num_nodes,
             "edges": graph.num_edges,
-            "build_args": {"input_name": graph.name, "size": size},
+            "build_args": {"input_name": graph.name, "size": size, "seed": seed},
         },
     )
 
 
 def build_pr(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph = _graph_for(input_name, size, seed)
+    graph = _graph_for(input_name, size, seed)[0]
     degrees = np.maximum(1, graph.degrees())
     rng = np.random.default_rng(33)
     rank = rng.random(graph.num_nodes)
@@ -350,14 +375,14 @@ def build_pr(input_name: Optional[str] = None, size: str = "default", seed: Opti
             "input": graph.name,
             "nodes": graph.num_nodes,
             "edges": graph.num_edges,
-            "build_args": {"input_name": graph.name, "size": size},
+            "build_args": {"input_name": graph.name, "size": size, "seed": seed},
         },
     )
 
 
 def build_sssp(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph = add_weights(_graph_for(input_name, size, seed))
-    frontier, depth = bfs_frontier(graph)
+    graph, frontier, depth = _graph_for(input_name, size, seed)
+    graph = add_weights(graph)
     dist = np.where(depth >= 0, depth * 32, np.int64(1 << 40))
 
     mem = MemoryImage()
@@ -409,7 +434,7 @@ def build_sssp(input_name: Optional[str] = None, size: str = "default", seed: Op
             "frontier": len(frontier),
             "nodes": graph.num_nodes,
             "edges": graph.num_edges,
-            "build_args": {"input_name": graph.name, "size": size},
+            "build_args": {"input_name": graph.name, "size": size, "seed": seed},
         },
     )
 

@@ -13,7 +13,7 @@ scaled cache hierarchy (DESIGN.md, "Substitutions"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -21,9 +21,13 @@ import numpy as np
 from ..errors import WorkloadError
 
 
-@dataclass
+@dataclass(frozen=True)
 class Graph:
-    """Compressed sparse row representation."""
+    """Compressed sparse row representation.
+
+    Frozen because GAP builds share one instance per input (see
+    ``repro.workloads.gap``); derive variants with ``dataclasses.replace``.
+    """
 
     name: str
     num_nodes: int
@@ -55,13 +59,14 @@ class Graph:
 
 
 def _csr_from_edges(name: str, n: int, src: np.ndarray, dst: np.ndarray) -> Graph:
-    order = np.argsort(src, kind="stable")
-    src = src[order]
-    dst = dst[order]
+    # Sort the narrowest key that holds every node id: up to 65,536
+    # nodes that is 16 bits, which numpy radix-sorts. The sort is
+    # stable, so the edge order equals an int64 argsort's.
+    order = np.argsort(src.astype(np.min_scalar_type(n - 1)), kind="stable")
     counts = np.bincount(src, minlength=n)
     row_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=row_offsets[1:])
-    return Graph(name, n, row_offsets, dst.astype(np.int64))
+    return Graph(name, n, row_offsets, dst[order].astype(np.int64, copy=False))
 
 
 def uniform_random_graph(n: int, avg_degree: int, seed: int = 1) -> Graph:
@@ -91,27 +96,36 @@ def rmat_graph(
     dst = np.zeros(m, dtype=np.int64)
     for _ in range(levels):
         r = rng.random(m)
-        src_bit = (r >= a + b).astype(np.int64)
-        dst_bit = (((r >= a) & (r < a + b)) | (r >= a + b + c)).astype(np.int64)
-        src = (src << 1) | src_bit
-        dst = (dst << 1) | dst_bit
+        src <<= 1
+        src |= r >= a + b
+        dst <<= 1
+        dst |= ((r >= a) & (r < a + b)) | (r >= a + b + c)
     # Permute IDs so high-degree vertices are scattered (as in GAP).
+    # Rebinding frees each unpermuted array before the CSR sort runs.
     perm = rng.permutation(n)
-    return _csr_from_edges("rmat", n, perm[src], perm[dst])
+    src = perm[src]
+    dst = perm[dst]
+    return _csr_from_edges("rmat", n, src, dst)
 
 
 def add_weights(graph: Graph, seed: int = 7, max_weight: int = 64) -> Graph:
+    """A copy of ``graph`` with random edge weights; ``graph`` is untouched."""
     rng = np.random.default_rng(seed)
-    graph.weights = rng.integers(1, max_weight, graph.num_edges, dtype=np.int64)
-    return graph
+    return replace(
+        graph, weights=rng.integers(1, max_weight, graph.num_edges, dtype=np.int64)
+    )
 
 
 def bfs_frontier(graph: Graph, source: int = 0) -> Tuple[np.ndarray, np.ndarray]:
     """Run BFS functionally; return (largest frontier, depth array).
 
     The GAP kernels operate on a frontier worklist; using the widest BFS
-    level gives a realistic mid-traversal snapshot.
+    level gives a realistic mid-traversal snapshot. Each level is built
+    in the order a queue-based BFS discovers it (the first level that
+    reaches the widest size wins), because that order lays out the
+    kernels' worklist.
     """
+    row, col = graph.row_offsets, graph.col_indices
     depth = np.full(graph.num_nodes, -1, dtype=np.int64)
     depth[source] = 0
     frontier = np.array([source], dtype=np.int64)
@@ -120,15 +134,17 @@ def bfs_frontier(graph: Graph, source: int = 0) -> Tuple[np.ndarray, np.ndarray]
     while len(frontier):
         if len(frontier) > len(best):
             best = frontier
-        next_nodes = []
-        for u in frontier:
-            s, e = graph.row_offsets[u], graph.row_offsets[u + 1]
-            for v in graph.col_indices[s:e]:
-                if depth[v] < 0:
-                    depth[v] = level + 1
-                    next_nodes.append(v)
-        frontier = np.array(next_nodes, dtype=np.int64)
+        # Every frontier node's neighbour list, concatenated in visiting order.
+        starts = row[frontier]
+        lengths = row[frontier + 1] - starts
+        firsts = np.cumsum(lengths) - lengths
+        neighbours = col[np.repeat(starts - firsts, lengths) + np.arange(lengths.sum())]
+        neighbours = neighbours[depth[neighbours] < 0]
+        # Keep each newly reached node once, at its first discovery.
+        _, first = np.unique(neighbours, return_index=True)
+        frontier = neighbours[np.sort(first)]
         level += 1
+        depth[frontier] = level
     return best, depth
 
 
@@ -145,14 +161,19 @@ GRAPH_PROFILES: Dict[str, Dict] = {
 }
 
 
-def make_graph(profile: str, seed: Optional[int] = None) -> Graph:
-    """Build one of the named Table 2 stand-in inputs."""
+def graph_profile(profile: str) -> Dict:
+    """The generator settings of a Table 2 input; unknown names raise."""
     try:
-        spec = dict(GRAPH_PROFILES[profile])
+        return GRAPH_PROFILES[profile]
     except KeyError:
         raise WorkloadError(
             f"unknown graph profile {profile!r}; choose from {sorted(GRAPH_PROFILES)}"
         ) from None
+
+
+def make_graph(profile: str, seed: Optional[int] = None) -> Graph:
+    """Build one of the named Table 2 stand-in inputs."""
+    spec = dict(graph_profile(profile))
     kind = spec.pop("kind")
     if seed is not None:
         spec["seed"] = seed
@@ -163,6 +184,6 @@ def make_graph(profile: str, seed: Optional[int] = None) -> Graph:
         )
     else:
         graph = uniform_random_graph(spec["n"], spec["avg_degree"], seed=spec["seed"])
-    graph.name = profile
+    graph = replace(graph, name=profile)
     graph.validate()
     return graph

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import inspect
-from typing import Dict, List
+import numbers
+from typing import Dict, List, Tuple
 
 from ..errors import WorkloadError
 from .base import Workload
@@ -23,6 +24,8 @@ HPC_DB_WORKLOADS: List[str] = [
 ]
 #: The paper's 13 benchmarks (Section 5).
 WORKLOAD_NAMES: List[str] = GAP_WORKLOADS + HPC_DB_WORKLOADS
+#: Input sizes every builder takes ("tiny" is for fast tests).
+SIZES: Tuple[str, ...] = ("default", "tiny")
 
 _BUILDERS: Dict[str, object] = {}
 _BUILDERS.update(hpc_db_builders())
@@ -42,10 +45,17 @@ def build_workload(name: str, **kwargs) -> Workload:
     """Construct a fresh workload (program + initialised memory) by name.
 
     Graph kernels accept ``input_name`` (one of the Table 2 profiles:
-    KR, LJN, ORK, TW, UR) and every workload accepts ``size`` ("default"
-    or "tiny" for fast tests).
+    KR, LJN, ORK, TW, UR) and every workload accepts ``size`` (one of
+    :data:`SIZES`) and a non-negative integer data ``seed``.
     """
-    return _get_builder(name)(**kwargs)
+    builder = _get_builder(name)
+    size = kwargs.get("size", "default")
+    if size not in SIZES:
+        raise WorkloadError(f"unknown size {size!r}; choose from {list(SIZES)}")
+    seed = kwargs.get("seed")
+    if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise WorkloadError(f"seed must be a non-negative integer, got {seed!r}")
+    return builder(**kwargs)
 
 
 def workload_accepts_input_name(name: str) -> bool:

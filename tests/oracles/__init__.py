@@ -9,6 +9,8 @@ a fast path in ``src/``:
   cross-validates the mechanistic model.
 * ``vector_reference.ReferenceVectorChainRun`` — the flat-gather vector
   executor the slice engine was rebuilt from.
+* ``graphs`` — the per-edge BFS, RMAT bit loop and int64-argsort CSR
+  builder the graph set-up was vectorised from.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """CLI argument handling and error paths."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,18 @@ class TestArgumentValidation:
     def test_unknown_input_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--workload", "bfs", "--input", "REDDIT"])
+
+    @pytest.mark.parametrize("entry", [
+        {"workload": "camel", "size": "Tiny"},
+        {"workload": "bfs", "size": "tiny", "input_name": "bogus"},
+    ])
+    def test_bad_workload_identity_in_spec_is_one_error_line(self, entry, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"schema": "repro.spec/1", **entry}))
+        assert main(["run", "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_sweep_requires_param_and_values(self):
         with pytest.raises(SystemExit):

@@ -1,5 +1,7 @@
 """Tests for the graph generators and Table 2 input profiles."""
 
+from dataclasses import replace
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ class TestCSRInvariants:
 
     def test_validate_rejects_bad_offsets(self):
         graph = uniform_random_graph(64, 2, seed=1)
-        graph.row_offsets = graph.row_offsets[:-1]
+        graph = replace(graph, row_offsets=graph.row_offsets[:-1])
         with pytest.raises(WorkloadError):
             graph.validate()
 

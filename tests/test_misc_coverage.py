@@ -77,11 +77,14 @@ class TestFigureSeries:
 
 
 class TestWorkloadMetaContracts:
-    @pytest.mark.parametrize("name", ["camel", "nas_cg", "bfs"])
+    @pytest.mark.parametrize(
+        "name", ["bc", "bfs", "cc", "graph500", "pr", "sssp", "camel", "nas_cg"]
+    )
     def test_build_args_allow_fresh(self, name):
-        wl = build_workload(name, size="tiny")
+        wl = build_workload(name, size="tiny", seed=5)
         again = wl.fresh()
         assert len(again.program) == len(wl.program)
+        assert again.memory.digest() == wl.memory.digest()
 
     def test_indirection_levels_documented(self):
         assert build_workload("hj8", size="tiny").meta["indirection_levels"] == 8

@@ -138,6 +138,21 @@ class TestFailureDocuments:
         assert health["counters"]["serve.failures"] == 1
         assert health["conservation"]["passed"]
 
+    @pytest.mark.parametrize("entry", [
+        {"schema": "repro.spec/1", "workload": "camel", "size": "Tiny"},
+        {"schema": "repro.spec/1", "workload": "bfs", "size": "tiny", "input_name": "bogus"},
+    ])
+    def test_bad_workload_identity_is_a_structured_failure(self, entry):
+        with ServerThread(pool_size=1) as server:
+            status, served, body = _post_run(server.address, _dump(entry), 60)
+            health = _get_json(server.address, "/healthz")
+        doc = json.loads(body)
+        assert (status, served) == (422, "miss")
+        assert doc["schema"] == "repro.batch-result/1"
+        assert doc["failure"]["error_type"] == "WorkloadError"
+        assert health["status"] == "ok"
+        assert health["conservation"]["passed"]
+
     def test_unparsable_body_is_a_classified_miss(self):
         with ServerThread() as server:
             status, served, body = _post_run(server.address, b"{not json", 60)

@@ -5,18 +5,25 @@ timing core, and (at tiny sizes) it runs functionally to completion and
 produces the algorithmically expected memory contents.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import FunctionalCore, OoOCore
 from repro.errors import WorkloadError
+from repro.experiments import RunSpec, run_simulation
 from repro.isa.semantics import hash64
+from repro.observability.export import stats_payload
 from repro.workloads import (
     GAP_WORKLOADS,
     HPC_DB_WORKLOADS,
     WORKLOAD_NAMES,
     build_workload,
 )
+from repro.workloads.gap import _graph_input
+from repro.workloads.graphs import add_weights
 
 from conftest import quick_config
 
@@ -50,6 +57,74 @@ class TestRegistry:
         again = wl.fresh()
         assert again.name == wl.name
         assert again.memory is not wl.memory
+
+    @pytest.mark.parametrize("name, size", [("camel", "Tiny"), ("camel", "huge"),
+                                            ("bfs", "TINY"), ("bfs", None)])
+    def test_unknown_size_rejected(self, name, size):
+        with pytest.raises(WorkloadError, match=r"'default', 'tiny'"):
+            build_workload(name, size=size)
+
+    def test_unknown_size_rejected_through_a_spec(self):
+        with pytest.raises(WorkloadError, match="size"):
+            run_simulation(RunSpec("camel", size="huge", max_instructions=500))
+
+    @pytest.mark.parametrize("name", ["bfs", "camel"])
+    @pytest.mark.parametrize("seed", [[1, 2], -1, 5.0, "5"])
+    def test_malformed_seed_rejected(self, name, seed):
+        with pytest.raises(WorkloadError, match="seed"):
+            build_workload(name, size="tiny", seed=seed)
+
+    @pytest.mark.parametrize("size", ["default", "tiny"])
+    def test_unknown_input_rejected_at_every_size(self, size):
+        with pytest.raises(WorkloadError, match="bogus"):
+            build_workload("bfs", input_name="bogus", size=size)
+
+
+class TestGraphInputMemo:
+    """The per-process graph memo cannot carry state between builds."""
+
+    def test_entries_are_read_only(self):
+        graph, frontier, depth = _graph_input("KR", "tiny", None)
+        for array in (graph.row_offsets, graph.col_indices, frontier, depth):
+            with pytest.raises(ValueError):
+                array[0] = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.weights = np.ones(graph.num_edges, dtype=np.int64)
+
+    def test_add_weights_leaves_its_argument_alone(self):
+        graph = _graph_input("KR", "tiny", None)[0]
+        weighted = add_weights(graph)
+        assert graph.weights is None
+        assert weighted.weights is not None
+        assert weighted.col_indices is graph.col_indices
+
+    def test_a_run_cannot_change_the_next_build(self):
+        digest = build_workload("bfs", size="tiny").memory.digest()
+        hits = _graph_input.cache_info().hits
+        # The run writes VISITED and OUTWL into its own image.
+        run_simulation("bfs", "dvr", size="tiny", max_instructions=3000, replay="off")
+        wl = build_workload("bfs", size="tiny")
+        assert wl.memory.digest() == digest
+        assert _graph_input.cache_info().hits > hits
+        # Nor can a write to a built image's copy of the CSR.
+        wl.memory.segment("COL").data[:] = 0
+        assert build_workload("bfs", size="tiny").memory.digest() == digest
+
+    @pytest.mark.parametrize("order", [("sssp", "bfs"), ("bfs", "sssp")], ids="-".join)
+    def test_shared_graph_runs_match_cold_runs(self, order):
+        def run(name):
+            result = run_simulation(
+                name, "dvr", size="tiny", max_instructions=2000, replay="off"
+            )
+            return json.dumps(stats_payload(result), indent=2, sort_keys=True)
+
+        _graph_input.cache_clear()
+        shared = [run(name) for name in order]
+        cold = []
+        for name in order:
+            _graph_input.cache_clear()
+            cold.append(run(name))
+        assert shared == cold
 
 
 class TestFunctionalCorrectness:
