@@ -759,6 +759,39 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 1  # pragma: no cover
 
 
+def _load_spec_list(path: str) -> Optional[list]:
+    """A spec file's JSON list of objects, or ``None`` after printing why not."""
+    try:
+        with open(path) as handle:
+            raw = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: cannot read spec file {path!r}: {exc}", file=sys.stderr)
+        return None
+    if not isinstance(raw, list) or not all(isinstance(s, dict) for s in raw):
+        print("error: spec file must hold a JSON list of objects", file=sys.stderr)
+        return None
+    return raw
+
+
+def _print_outcomes(outcomes, fmt: str) -> int:
+    """Print a batch's outcomes as JSON or ``ok``/``FAIL`` lines; the failure count."""
+    failures = sum(isinstance(r, BatchFailure) for r in outcomes)
+    if fmt == "json":
+        print(json.dumps([r.to_dict() for r in outcomes], indent=2))
+        return failures
+    for result in outcomes:
+        if isinstance(result, BatchFailure):
+            print(f"FAIL {result.summary()}")
+        else:
+            print(
+                f"ok   {result.workload}/{result.technique}: "
+                f"ipc={result.ipc:.3f} cycles={result.cycles} "
+                f"instructions={result.instructions}"
+            )
+    print(f"{len(outcomes) - failures}/{len(outcomes)} specs succeeded")
+    return failures
+
+
 def _run_batch_command(args) -> int:
     """``repro batch SPECS.json``: fault-tolerant spec-list execution."""
     if args.specs is not None and args.specs_opt is not None:
@@ -771,14 +804,8 @@ def _run_batch_command(args) -> int:
     if path is None:
         print("error: a spec file is required (SPECS or --specs FILE)", file=sys.stderr)
         return 2
-    try:
-        with open(path) as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read spec file {path!r}: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(raw, list) or not all(isinstance(s, dict) for s in raw):
-        print("error: spec file must hold a JSON list of objects", file=sys.stderr)
+    raw = _load_spec_list(path)
+    if raw is None:
         return 2
     if args.dump_spec:
         from .errors import ReproError
@@ -793,28 +820,11 @@ def _run_batch_command(args) -> int:
             return 2
     # Entries go to run_batch unresolved: a malformed entry becomes a
     # BatchFailure in its slot (exit 1) instead of sinking the batch.
-    specs = raw
     cache = _make_cache(args)
     results = run_batch(
-        specs, jobs=args.jobs, cache=cache, retries=args.retries, audit=args.audit
+        raw, jobs=args.jobs, cache=cache, retries=args.retries, audit=args.audit
     )
-    failures = 0
-    if args.format == "json":
-        payload = [r.to_dict() for r in results]
-        failures = sum(isinstance(r, BatchFailure) for r in results)
-        print(json.dumps(payload, indent=2))
-    else:
-        for spec, result in zip(specs, results):
-            if isinstance(result, BatchFailure):
-                failures += 1
-                print(f"FAIL {result.summary()}")
-            else:
-                print(
-                    f"ok   {result.workload}/{result.technique}: "
-                    f"ipc={result.ipc:.3f} cycles={result.cycles} "
-                    f"instructions={result.instructions}"
-                )
-        print(f"{len(results) - failures}/{len(results)} specs succeeded")
+    failures = _print_outcomes(results, args.format)
     if cache is not None:
         _emit_batch_stats()
     return 1 if failures else 0
@@ -870,14 +880,8 @@ def _run_campaign_command(args) -> int:
 
     # campaign run
     if args.specs is not None:
-        try:
-            with open(args.specs) as handle:
-                specs = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read spec file {args.specs!r}: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(specs, list) or not all(isinstance(s, dict) for s in specs):
-            print("error: spec file must hold a JSON list of objects", file=sys.stderr)
+        specs = _load_spec_list(args.specs)
+        if specs is None:
             return 2
     elif args.manifest is not None and CampaignManifest.exists(args.manifest):
         specs = CampaignManifest.load(args.manifest).specs
@@ -912,25 +916,12 @@ def _run_campaign_command(args) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    failures = len(campaign.failures)
-    if args.format == "json":
-        print(json.dumps([r.to_dict() for r in campaign.outcomes], indent=2))
-    else:
-        for result in campaign.outcomes:
-            if isinstance(result, BatchFailure):
-                print(f"FAIL {result.summary()}")
-            else:
-                print(
-                    f"ok   {result.workload}/{result.technique}: "
-                    f"ipc={result.ipc:.3f} cycles={result.cycles} "
-                    f"instructions={result.instructions}"
-                )
-        print(f"{len(campaign.outcomes) - failures}/{len(campaign.outcomes)} specs succeeded")
-        completions = " ".join(
-            f"{worker}={count}" for worker, count in sorted(campaign.worker_completions.items())
-        )
-        if completions:
-            print(f"workers      : {completions}", file=sys.stderr)
+    failures = _print_outcomes(campaign.outcomes, args.format)
+    completions = " ".join(
+        f"{worker}={count}" for worker, count in sorted(campaign.worker_completions.items())
+    )
+    if completions and args.format != "json":
+        print(f"workers      : {completions}", file=sys.stderr)
     _emit_fabric_stats(campaign.fabric)
     if cache is not None:
         _emit_batch_stats()

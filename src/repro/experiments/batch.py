@@ -21,17 +21,20 @@ Guarantees, in order of importance:
   completion order and are bit-identical to serial execution (workers
   return whole :class:`SimulationResult` objects; nothing is reduced
   in a nondeterministic order).
-* **Retry** — transient worker-pool death (OOM-killed child, broken
-  pipe) re-runs only the unfinished specs, with bounded exponential
-  backoff; after ``retries`` extra attempts the survivors are reported
-  as failures rather than hanging or sinking the batch.
-* **Throughput** — ``imap_unordered`` with chunking keeps all workers
-  busy regardless of per-spec runtime skew; identical specs are
-  deduplicated (content-addressed, same keying as the result cache) so
-  e.g. a repeated ``ooo`` baseline simulates once.
+* **Retry** — a pool worker that dies (an OOM-killed child) fails its
+  pool at once; only the unfinished specs re-run on a fresh pool, with
+  bounded exponential backoff, and after ``retries`` extra attempts the
+  survivors are reported as failures rather than hanging the batch.
+* **Dedup** — identical specs are deduplicated (content-addressed,
+  same keying as the result cache) so e.g. a repeated ``ooo`` baseline
+  simulates once.
 * **Caching** — pass ``cache=ResultCache(...)`` to serve clean specs
   from disk and persist fresh results, so a re-run after an edit or a
   crash re-simulates only what changed (``--resume``).
+
+:class:`SpecSet` (resolution, dedup, the :func:`cacheable` rule) and
+:class:`WorkerPool` (the local process pool) are the dispatch core that
+``run_batch``, the campaign coordinator and ``repro serve`` share.
 
 Progress and health are published into the ``batch.*`` counter family
 (:data:`~repro.experiments.cache.BATCH_COUNTERS`).
@@ -42,6 +45,8 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback as traceback_module
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -127,136 +132,197 @@ def _execute_spec(item: BatchItem) -> BatchOutcome:
         )
 
 
-def _pool_worker(item: Tuple[str, BatchItem]) -> Tuple[str, BatchOutcome]:
-    key, payload = item
-    return key, _execute_spec(payload)
+def cacheable(runtime: Dict) -> bool:
+    """The one cache rule every front end applies.
 
-
-def _run_pool(
-    items: Sequence[Tuple[str, BatchItem]], jobs: int
-) -> Iterable[Tuple[str, BatchOutcome]]:
-    """One pool pass over ``items``; yields (key, outcome) as they finish.
-
-    Factored out so the retry loop (and tests) can treat "the pool blew
-    up" as a single fallible operation.
+    An audited run must execute (its laws are checked against a live
+    run, never a stored payload) and a run feeding the caller's live
+    ``Observability`` facade must populate it, so neither reads nor
+    writes the result cache.
     """
-    # Prefer fork where available: it does not re-import __main__, so
-    # run_batch works from scripts, notebooks, and the REPL alike.
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    context = multiprocessing.get_context(method)
-    chunksize = max(1, len(items) // (jobs * 4))
-    with context.Pool(min(jobs, len(items))) as pool:
-        yield from pool.imap_unordered(_pool_worker, items, chunksize=chunksize)
+    return runtime.get("observability") is None and not runtime.get("audit")
 
 
-def _run_pending_parallel(
-    pending: List[Tuple[str, BatchItem]],
-    jobs: int,
-    outcomes: Dict[str, BatchOutcome],
-    retries: int,
-    retry_backoff: float,
-) -> None:
-    """Drive the pool over ``pending``, retrying transient pool death.
+class SpecSet:
+    """One spec list resolved once, for every front end that dispatches it.
+
+    Each entry is parsed (a malformed one becomes a :class:`BatchFailure`
+    in its own slot) and deduped by content address, so identical specs
+    simulate once. :meth:`resolve_cached` answers cacheable specs from
+    ``cache``, :meth:`run_local` runs facade specs in this process (a
+    live facade cannot cross a process boundary), :meth:`resolve`
+    records every other outcome and stores cacheable successes, and
+    :meth:`results` reassembles the outcomes in spec order.
+    :func:`run_batch` dispatches :meth:`pending` to a :class:`WorkerPool`,
+    the campaign coordinator to its TCP workers.
+    """
+
+    def __init__(
+        self,
+        specs: Sequence[Union[RunSpec, Dict]],
+        *,
+        cache: Optional[ResultCache] = None,
+        audit: bool = False,
+    ) -> None:
+        self.cache = cache
+        #: Per input slot: the key of its distinct spec, or its parse failure.
+        self.slots: List[Union[str, BatchFailure]] = []
+        #: One item per distinct spec, in input order.
+        self.items: Dict[str, BatchItem] = {}
+        self.outcomes: Dict[str, BatchOutcome] = {}
+        for index, raw in enumerate(specs):
+            try:
+                spec, runtime = parse_spec_entry(raw)
+            except Exception as exc:  # noqa: BLE001 — the isolation boundary
+                self.slots.append(BatchFailure(
+                    spec=canonical_spec(dict(raw)) if isinstance(raw, dict) else {},
+                    error_type=type(exc).__name__,
+                    message=str(exc),
+                    traceback=traceback_module.format_exc(),
+                ))
+                continue
+            if audit:
+                runtime = dict(runtime, audit=True)
+            # Facade specs are never deduped: each caller's facade must
+            # be populated by its own run.
+            if runtime.get("observability") is None:
+                key = spec.key()
+            else:
+                key = f"uncacheable-{index}"
+            self.items.setdefault(key, (spec, runtime))
+            self.slots.append(key)
+        self.parse_failures = sum(isinstance(s, BatchFailure) for s in self.slots)
+        #: Parsed slots that repeat an earlier spec and share its outcome.
+        self.reused = len(self.slots) - self.parse_failures - len(self.items)
+
+    @property
+    def remaining(self) -> int:
+        return len(self.items) - len(self.outcomes)
+
+    def pending(self) -> List[Tuple[str, BatchItem]]:
+        """Distinct specs still without an outcome, in input order."""
+        return [(k, item) for k, item in self.items.items() if k not in self.outcomes]
+
+    def resolve_cached(self) -> List[str]:
+        """Resolve every cacheable pending spec the cache holds; their keys."""
+        hits = []
+        if self.cache is not None:
+            for key, (_spec, runtime) in self.pending():
+                hit = self.cache.get(key) if cacheable(runtime) else None
+                if hit is not None:
+                    self.outcomes[key] = hit
+                    hits.append(key)
+        return hits
+
+    def run_local(self) -> List[str]:
+        """Run every pending facade spec in this process; their keys."""
+        local = [
+            key for key, (_spec, runtime) in self.pending()
+            if runtime.get("observability") is not None
+        ]
+        for key in local:
+            self.resolve(key, _execute_spec(self.items[key]))
+        return local
+
+    def resolve(self, key: str, outcome: BatchOutcome) -> None:
+        """Record ``key``'s outcome; a cacheable success is also stored."""
+        self.outcomes[key] = outcome
+        if (
+            self.cache is not None
+            and isinstance(outcome, SimulationResult)
+            and cacheable(self.items[key][1])
+        ):
+            self.cache.put(key, outcome)
+
+    def results(self) -> List[Optional[BatchOutcome]]:
+        """One outcome per input slot, in spec order (``None`` = unresolved)."""
+        return [
+            slot if isinstance(slot, BatchFailure) else self.outcomes.get(slot)
+            for slot in self.slots
+        ]
+
+
+# Fork where available: it does not re-import __main__ (so batches work
+# from scripts, notebooks and the REPL), and workers inherit the state
+# installed before they start, such as the trace directory.
+_POOL_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+)
+
+
+class WorkerPool:
+    """The local process pool ``run_batch`` and ``repro serve`` share.
+
+    A :class:`~concurrent.futures.ProcessPoolExecutor` running
+    :func:`_execute_spec`. A worker that dies (an OOM kill, say) fails
+    every pending future with ``BrokenProcessPool`` at once, never a
+    hang; the broken executor is dropped and the next :meth:`submit`
+    builds a fresh one.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self._executor: Optional[ProcessPoolExecutor] = None
+
+    def submit(self, item: BatchItem) -> Future:
+        if self._executor is not None:
+            try:
+                return self._executor.submit(_execute_spec, item)
+            except BrokenProcessPool:
+                self.close()
+        self._executor = ProcessPoolExecutor(self.size, mp_context=_POOL_CONTEXT)
+        return self._executor.submit(_execute_spec, item)
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=False, cancel_futures=True)
+            self._executor = None
+
+
+#: Seconds before the first re-dispatch after a worker death; doubles
+#: with every further retry.
+RETRY_BACKOFF = 0.25
+
+
+def _run_pooled(spec_set: SpecSet, jobs: int, retries: int) -> None:
+    """Run the pending specs on a :class:`WorkerPool`, retrying worker death.
 
     Spec-level exceptions never reach this layer (workers catch them
-    into BatchFailures); an exception here means the pool machinery
-    itself broke — a killed worker, a broken pipe — so only the specs
-    without an outcome yet are re-dispatched.
+    into BatchFailures); a future that raises means the pool itself
+    broke, so only the specs without an outcome yet are re-dispatched,
+    at most ``retries`` times, before they become failures.
     """
-    remaining = list(pending)
+    remaining = dict(spec_set.pending())
+    pool = WorkerPool(min(jobs, len(remaining)))
     attempt = 0
-    while remaining:
-        try:
-            for key, outcome in _run_pool(remaining, jobs):
-                outcomes[key] = outcome
-            remaining = [item for item in remaining if item[0] not in outcomes]
-            if not remaining:
-                return
-            raise ReproError(
-                f"worker pool finished but left {len(remaining)} specs without results"
-            )
-        except Exception as exc:  # noqa: BLE001 — pool-level fault domain
-            remaining = [item for item in remaining if item[0] not in outcomes]
+    try:
+        while remaining:
+            futures = {pool.submit(item): key for key, item in remaining.items()}
+            for future in as_completed(futures):
+                try:
+                    outcome = future.result()
+                except Exception as exc:  # noqa: BLE001 — pool-level fault domain
+                    fault, trace = exc, traceback_module.format_exc()
+                    continue
+                spec_set.resolve(futures[future], outcome)
+                del remaining[futures[future]]
             if not remaining:
                 return
             attempt += 1
             if attempt > retries:
-                trace = traceback_module.format_exc()
-                for key, (spec, runtime) in remaining:
-                    outcomes[key] = BatchFailure(
+                for key, (spec, runtime) in remaining.items():
+                    spec_set.resolve(key, BatchFailure(
                         spec=_failure_payload(spec, runtime),
-                        error_type=type(exc).__name__,
-                        message=(
-                            f"worker pool failed {attempt} times; giving up: {exc}"
-                        ),
+                        error_type=type(fault).__name__,
+                        message=f"worker pool failed {attempt} times; giving up: {fault}",
                         traceback=trace,
                         attempts=attempt,
-                    )
+                    ))
                 return
             BATCH_COUNTERS.inc("batch.retries")
-            time.sleep(retry_backoff * (2 ** (attempt - 1)))
-
-
-def normalize_specs(
-    specs: Sequence[Union[RunSpec, Dict]], audit: bool = False
-) -> Tuple[List[Optional[BatchItem]], Dict[int, BatchFailure]]:
-    """Normalize raw batch entries onto the canonical spec type.
-
-    Returns one slot per input: the parsed :data:`BatchItem`, or
-    ``None`` for a slot whose entry could not even be parsed — such a
-    spec is isolated exactly like one that fails to run, via a
-    :class:`BatchFailure` in the second mapping (index → failure).
-    Shared by :func:`run_batch` and the fabric coordinator.
-    """
-    items: List[Optional[BatchItem]] = []
-    parse_failures: Dict[int, BatchFailure] = {}
-    for index, raw in enumerate(specs):
-        try:
-            spec, runtime = parse_spec_entry(raw)
-            if audit:
-                runtime = dict(runtime, audit=True)
-            items.append((spec, runtime))
-        except Exception as exc:  # noqa: BLE001 — the isolation boundary
-            parse_failures[index] = BatchFailure(
-                spec=canonical_spec(dict(raw)) if isinstance(raw, dict) else {},
-                error_type=type(exc).__name__,
-                message=str(exc),
-                traceback=traceback_module.format_exc(),
-            )
-            items.append(None)
-    return items, parse_failures
-
-
-def dedup_items(
-    items: Sequence[Optional[BatchItem]],
-    counters=None,
-) -> Tuple[Dict[str, List[int]], List[Tuple[str, BatchItem]]]:
-    """Content-addressed dedup: identical specs simulate once.
-
-    Returns ``positions`` (key → every input slot holding that spec)
-    and ``unique`` (one ``(key, item)`` per distinct spec, input
-    order). Specs carrying a live observability facade are never
-    deduped (the caller wants per-run side-band state populated).
-    """
-    if counters is None:
-        counters = BATCH_COUNTERS
-    positions: Dict[str, List[int]] = {}
-    unique: List[Tuple[str, BatchItem]] = []
-    for index, item in enumerate(items):
-        if item is None:
-            continue
-        spec, runtime = item
-        if runtime.get("observability") is None:
-            key = spec.key()
-        else:
-            key = f"uncacheable-{index}"
-        slots = positions.setdefault(key, [])
-        if slots:
-            counters.inc("batch.dedup.reused")
-        else:
-            unique.append((key, item))
-        slots.append(index)
-    return positions, unique
+            time.sleep(RETRY_BACKOFF * 2 ** (attempt - 1))
+    finally:
+        pool.close()
 
 
 def _validate_jobs(jobs: Optional[int]) -> None:
@@ -274,7 +340,6 @@ def run_batch(
     *,
     cache: Optional[ResultCache] = None,
     retries: int = 2,
-    retry_backoff: float = 0.25,
     strict: bool = False,
     audit: bool = False,
 ) -> List[BatchOutcome]:
@@ -300,28 +365,18 @@ def run_batch(
     sanitizer: audited specs bypass the result cache (the laws are
     checked against a live run, never a stored payload) and a broken
     invariant surfaces as an ``AuditError`` :class:`BatchFailure`.
+    Specs that carry an ``observability`` facade run in this process,
+    whatever ``jobs`` is, so the caller's facade is populated.
     """
     _validate_jobs(jobs)
     BATCH_COUNTERS.inc("batch.batches")
     BATCH_COUNTERS.inc("batch.specs", len(specs))
+    spec_set = SpecSet(specs, cache=cache, audit=audit)
+    if spec_set.reused:
+        BATCH_COUNTERS.inc("batch.dedup.reused", spec_set.reused)
+    spec_set.resolve_cached()
 
-    # Normalize every entry onto the canonical spec type (a spec that
-    # cannot be parsed carries a BatchFailure in its slot), then dedup
-    # content-addressed so identical specs simulate once.
-    items, parse_failures = normalize_specs(specs, audit=audit)
-    positions, unique = dedup_items(items)
-
-    outcomes: Dict[str, BatchOutcome] = {}
-    pending: List[Tuple[str, BatchItem]] = []
-    for key, item in unique:
-        cacheable = item[1].get("observability") is None and not item[1].get("audit")
-        hit = cache.get(key) if cache is not None and cacheable else None
-        if hit is not None:
-            outcomes[key] = hit
-        else:
-            pending.append((key, item))
-
-    if pending:
+    if spec_set.remaining:
         # With a cache attached, captured architectural traces persist
         # next to the results (cache.root/traces). The module-level
         # trace dir is installed before the pool forks, so workers
@@ -333,29 +388,15 @@ def run_batch(
             else nullcontext()
         )
         with trace_ctx:
+            spec_set.run_local()
+            pending = spec_set.pending()
             if jobs is None or jobs <= 1 or len(pending) <= 1:
                 for key, item in pending:
-                    outcomes[key] = _execute_spec(item)
+                    spec_set.resolve(key, _execute_spec(item))
             else:
-                _run_pending_parallel(pending, jobs, outcomes, retries, retry_backoff)
-        if cache is not None:
-            for key, item in pending:
-                outcome = outcomes.get(key)
-                cacheable = (
-                    item[1].get("observability") is None
-                    and not item[1].get("audit")
-                )
-                if isinstance(outcome, SimulationResult) and cacheable:
-                    cache.put(key, outcome)
+                _run_pooled(spec_set, jobs, retries)
 
-    results: List[Optional[BatchOutcome]] = [None] * len(specs)
-    for index, failure in parse_failures.items():
-        results[index] = failure
-    for key, slots in positions.items():
-        outcome = outcomes[key]
-        for index in slots:
-            results[index] = outcome
-
+    results = spec_set.results()
     failures = [r for r in results if isinstance(r, BatchFailure)]
     if failures:
         BATCH_COUNTERS.inc("batch.failures", len(failures))

@@ -156,13 +156,6 @@ def resolved_spec_key(spec) -> str:
     return RunSpec.from_any(spec).key()
 
 
-def spec_cacheable(spec) -> bool:
-    """A spec carrying a live observability facade must run fresh."""
-    if isinstance(spec, dict):
-        return spec.get("observability") is None
-    return True
-
-
 # -- result (de)serialisation -------------------------------------------------
 
 def result_to_payload(result: SimulationResult) -> Dict:

@@ -6,10 +6,11 @@ and one host's process pool (:func:`~repro.experiments.batch.run_batch`)
 is the ceiling. This module turns the already-serializable,
 order-independent spec pipeline into throughput:
 
-* a **coordinator** owns the campaign: it normalizes and dedups the
-  spec list exactly like ``run_batch``, serves anything clean from the
-  (sharded) :class:`~repro.experiments.cache.ResultCache`, and queues
-  the rest;
+* a **coordinator** owns the campaign: it resolves the spec list with
+  ``run_batch``'s :class:`~repro.experiments.batch.SpecSet` (dedup,
+  cache hits from the sharded
+  :class:`~repro.experiments.cache.ResultCache`, one cache rule) and
+  queues the rest;
 * **workers** pull specs over a small length-prefixed JSON socket
   protocol (:mod:`repro.experiments.protocol`; localhost TCP is the
   default, but nothing below binds to an interface), simulate locally,
@@ -39,6 +40,7 @@ model; the CLI surface is ``repro campaign run/worker/status``.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -60,10 +62,9 @@ from .batch import (
     BatchFailure,
     BatchItem,
     BatchOutcome,
+    SpecSet,
     _execute_spec,
     _failure_payload,
-    dedup_items,
-    normalize_specs,
 )
 from .cache import ResultCache
 from .protocol import (
@@ -286,7 +287,6 @@ class Coordinator:
         audit: bool = False,
         counters: Optional[CounterRegistry] = None,
     ) -> None:
-        self.cache = cache
         self.manifest = manifest
         self.retries = retries
         self.lease_timeout = lease_timeout
@@ -299,6 +299,8 @@ class Coordinator:
 
         self._lock = threading.RLock()
         self._done = threading.Event()
+        # Set on completion and by stop(): ends the lease monitor's wait.
+        self._halt = threading.Event()
         self._stopping = False
         self._server: Optional[socket.socket] = None
         self._threads: List[threading.Thread] = []
@@ -307,48 +309,34 @@ class Coordinator:
         self._leases: Dict[int, _Lease] = {}
         self._attempts: Dict[str, int] = {}
         self._queue: Deque[Tuple[str, BatchItem]] = deque()
-        self._outcomes: Dict[str, BatchOutcome] = {}
         self.worker_completions: Dict[str, int] = {}
 
-        items, self._parse_failures = normalize_specs(specs, audit=audit)
-        self._positions, unique = dedup_items(items, self.counters)
-        self._spec_count = len(specs)
-        parsable = sum(1 for item in items if item is not None)
+        self._specs = SpecSet(specs, cache=cache, audit=audit)
         inc = self.counters.inc
         inc("fabric.specs", len(specs))
-        inc("fabric.unique", len(unique))
-        inc("fabric.parse_failures", len(self._parse_failures))
-        inc("fabric.dedup.reused", parsable - len(unique))
+        inc("fabric.unique", len(self._specs.items))
+        inc("fabric.parse_failures", self._specs.parse_failures)
+        inc("fabric.dedup.reused", self._specs.reused)
 
         ledgered = manifest.completed() if manifest is not None else {}
-        resumed_keys = {k for k, s in ledgered.items() if s == "ok"}
-        for key, item in unique:
-            spec, runtime = item
-            if runtime.get("observability") is not None:
-                # A live observability facade cannot cross a socket;
-                # run it in-process, like run_batch runs it unpooled.
-                outcome = _execute_spec(item)
-                self._outcomes[key] = outcome
-                inc("fabric.local")
-                if manifest is not None and key not in ledgered:
-                    manifest.record(
-                        key, "fail" if isinstance(outcome, BatchFailure) else "ok"
-                    )
-                continue
-            hit = cache.get(key) if cache is not None and not runtime.get("audit") else None
-            if hit is not None:
-                self._outcomes[key] = hit
-                if key in resumed_keys:
-                    inc("fabric.resumed")
-                else:
-                    # A cold cache hit completes the spec just as a worker
-                    # result would — the ledger must say so, or status/
-                    # resume would believe it never finished.
-                    inc("fabric.cache.hits")
-                    if manifest is not None:
-                        manifest.record(key, "ok")
-                continue
-            self._queue.append((key, item))
+        for key in self._specs.run_local():
+            inc("fabric.local")
+            if manifest is not None and key not in ledgered:
+                outcome = self._specs.outcomes[key]
+                manifest.record(
+                    key, "fail" if isinstance(outcome, BatchFailure) else "ok"
+                )
+        for key in self._specs.resolve_cached():
+            if ledgered.get(key) == "ok":
+                inc("fabric.resumed")
+            else:
+                # A cold cache hit completes the spec just as a worker
+                # result would — the ledger must say so, or status/
+                # resume would believe it never finished.
+                inc("fabric.cache.hits")
+                if manifest is not None:
+                    manifest.record(key, "ok")
+        self._queue.extend(self._specs.pending())
         self._check_done()
 
     # -- lifecycle ------------------------------------------------------------
@@ -361,7 +349,6 @@ class Coordinator:
 
     def start(self) -> "Coordinator":
         self._server = socket.create_server((self._host, self._port))
-        self._server.settimeout(0.5)
         accept = threading.Thread(target=self._accept_loop, daemon=True)
         monitor = threading.Thread(target=self._lease_monitor, daemon=True)
         self._threads += [accept, monitor]
@@ -371,22 +358,16 @@ class Coordinator:
 
     def stop(self) -> None:
         self._stopping = True
-        if self._server is not None:
-            try:
-                self._server.close()
-            except OSError:
-                pass
+        self._halt.set()
         with self._lock:
             conns = list(self._conns)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+        # Shutting the listening socket down wakes the blocked accept.
+        sockets = conns if self._server is None else [self._server] + conns
+        for sock in sockets:
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
+            with contextlib.suppress(OSError):
+                sock.close()
         for thread in list(self._threads):
             thread.join(timeout=2.0)
         if self.manifest is not None:
@@ -403,18 +384,11 @@ class Coordinator:
 
     def remaining(self) -> int:
         with self._lock:
-            return len(self._positions) - len(self._outcomes)
+            return self._specs.remaining
 
     def results(self) -> List[BatchOutcome]:
         with self._lock:
-            results: List[Optional[BatchOutcome]] = [None] * self._spec_count
-            for index, failure in self._parse_failures.items():
-                results[index] = failure
-            for key, slots in self._positions.items():
-                outcome = self._outcomes.get(key)
-                for index in slots:
-                    results[index] = outcome
-            return results
+            return self._specs.results()
 
     # -- server loops ---------------------------------------------------------
 
@@ -422,8 +396,6 @@ class Coordinator:
         while not self._stopping:
             try:
                 conn, _addr = self._server.accept()
-            except socket.timeout:
-                continue
             except OSError:
                 return
             with self._lock:
@@ -436,8 +408,7 @@ class Coordinator:
 
     def _lease_monitor(self) -> None:
         interval = max(0.05, min(1.0, self.lease_timeout / 4.0))
-        while not self._stopping and not self._done.is_set():
-            time.sleep(interval)
+        while not self._halt.wait(interval):
             now = time.monotonic()
             with self._lock:
                 expired = [
@@ -572,14 +543,14 @@ class Coordinator:
                 self.counters.inc("fabric.late")
             key = lease.key if lease is not None else message.get("key")
             ok = isinstance(outcome, SimulationResult)
-            if key not in self._positions or key in self._outcomes:
+            if key not in self._specs.items or key in self._specs.outcomes:
                 # Late result for a spec that was requeued and has
                 # since completed elsewhere (or an unknown key): the
                 # work is acknowledged but not double-recorded.
                 self.counters.inc("fabric.ignored.ok" if ok else "fabric.ignored.fail")
                 self.counters.set("fabric.leased", len(self._leases))
                 return
-            self._outcomes[key] = outcome
+            self._specs.resolve(key, outcome)
             self.counters.inc("fabric.completed" if ok else "fabric.failed")
             if late:
                 # A late result that still lands first resolves the
@@ -597,15 +568,13 @@ class Coordinator:
                         entry for entry in self._queue if entry[0] != key
                     )
             self.counters.set("fabric.leased", len(self._leases))
-            if ok and self.cache is not None:
-                self.cache.put(key, outcome)
             if self.manifest is not None:
                 self.manifest.record(key, "ok" if ok else "fail", worker_id)
             self._check_done()
 
     def _requeue(self, lease: _Lease, reason: str) -> None:
         """Return a dead worker's lease to the queue (lock held)."""
-        if lease.key in self._outcomes:
+        if lease.key in self._specs.outcomes:
             self.counters.inc("fabric.cancelled")
             self.counters.set("fabric.leased", len(self._leases))
             return
@@ -613,7 +582,7 @@ class Coordinator:
         self._attempts[lease.key] = attempts
         if attempts > self.retries:
             spec, runtime = lease.item
-            self._outcomes[lease.key] = BatchFailure(
+            self._specs.resolve(lease.key, BatchFailure(
                 spec=_failure_payload(spec, runtime),
                 error_type="WorkerDeath",
                 message=(
@@ -622,7 +591,7 @@ class Coordinator:
                 ),
                 traceback="",
                 attempts=attempts,
-            )
+            ))
             self.counters.inc("fabric.lost")
             if self.manifest is not None:
                 self.manifest.record(lease.key, "fail", lease.worker)
@@ -633,8 +602,9 @@ class Coordinator:
         self.counters.set("fabric.leased", len(self._leases))
 
     def _check_done(self) -> None:
-        if len(self._outcomes) >= len(self._positions):
+        if not self._specs.remaining:
             self._done.set()
+            self._halt.set()
 
     # -- reporting ------------------------------------------------------------
 

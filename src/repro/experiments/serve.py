@@ -10,11 +10,11 @@ requests onto ONE in-flight simulation (single-flight keyed on
 Late joiners await the same future and every caller receives the
 bit-identical ``repro.stats/1`` document.
 
-Simulations execute in a bounded process pool through
-:func:`repro.experiments.batch._execute_spec` — the same isolation
-boundary the batch runner uses — so a poisoned spec comes back as a
-structured ``repro.batch-result/1`` failure document instead of killing
-the server.
+Simulations execute in the :class:`~repro.experiments.batch.WorkerPool`
+``run_batch`` uses, through the same :func:`_execute_spec` isolation
+boundary, so a poisoned spec comes back as a structured
+``repro.batch-result/1`` failure document instead of killing the
+server, and a killed pool worker fails only the requests in flight.
 
 The server publishes a ``serve.*`` counter book into
 :data:`BATCH_COUNTERS` and its request law is checkable at any instant
@@ -29,7 +29,6 @@ guide.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import http.client
 import json
 import threading
@@ -41,7 +40,7 @@ from ..core.ooo import SimulationResult
 from ..errors import ReproError
 from ..observability.counters import CounterRegistry
 from ..observability.export import stats_payload
-from .batch import BatchFailure, _execute_spec, _failure_payload
+from .batch import BatchFailure, WorkerPool, _failure_payload, cacheable
 from .cache import BATCH_COUNTERS, ResultCache
 from .protocol import outcome_to_payload
 from .runner import run_simulation
@@ -129,7 +128,7 @@ class SimulationServer:
         self._flights: Dict[str, _Flight] = {}
         self._tasks: set = set()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        self._workers = WorkerPool(pool_size)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -151,21 +150,12 @@ class SimulationServer:
             await self._server.wait_closed()
         for task in list(self._tasks):
             task.cancel()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        self._workers.close()
 
     async def serve_forever(self) -> None:
         if self._server is None:
             await self.start()
         await self._server.serve_forever()
-
-    def _pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.pool_size
-            )
-        return self._executor
 
     # -- http plumbing --------------------------------------------------------
 
@@ -281,7 +271,7 @@ class SimulationServer:
             outcome = await asyncio.shield(flight.future)
             return self._respond(key, outcome, "coalesced", audit)
 
-        if not audit and self.cache is not None:
+        if self.cache is not None and cacheable(runtime):
             hit = self.cache.get(key)
             if hit is not None:
                 self.counters.inc("serve.cache_hits")
@@ -295,29 +285,24 @@ class SimulationServer:
         # The flight is a server-owned task: if the requesting client
         # disconnects mid-simulation, coalesced waiters still get their
         # result and the cache still gets warmed.
-        task = loop.create_task(self._fly(flight_key, spec, runtime, audit))
+        task = loop.create_task(self._fly(flight_key, spec, runtime))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
         outcome = await asyncio.shield(flight.future)
         return self._respond(key, outcome, "miss", audit)
 
-    async def _fly(self, flight_key: str, spec: RunSpec, runtime: Dict, audit: bool):
+    async def _fly(self, flight_key: str, spec: RunSpec, runtime: Dict):
         flight = self._flights[flight_key]
-        loop = asyncio.get_running_loop()
-        item = (spec, dict(runtime))
         try:
-            outcome = await loop.run_in_executor(self._pool(), _execute_spec, item)
+            outcome = await asyncio.wrap_future(self._workers.submit((spec, runtime)))
         except asyncio.CancelledError:
             if not flight.future.done():
                 flight.future.cancel()
             raise
         except Exception as exc:  # noqa: BLE001 — e.g. BrokenProcessPool
-            # The pool itself died (a worker was OOM-killed, say):
-            # rebuild it for the next request and hand the waiters a
+            # The pool itself died (a worker was OOM-killed, say): the
+            # next request gets a rebuilt pool, and the waiters get a
             # structured failure rather than an exception.
-            if self._executor is not None:
-                self._executor.shutdown(wait=False, cancel_futures=True)
-                self._executor = None
             outcome = BatchFailure(
                 spec=_failure_payload(spec, runtime),
                 error_type=type(exc).__name__,
@@ -326,7 +311,7 @@ class SimulationServer:
             )
         if isinstance(outcome, BatchFailure):
             self.counters.inc("serve.failures")
-        elif self.cache is not None and not audit:
+        elif self.cache is not None and cacheable(runtime):
             self.cache.put(flight.key, outcome)
         self._flights.pop(flight_key, None)
         self.counters.set("serve.inflight", len(self._flights))

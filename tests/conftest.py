@@ -139,3 +139,52 @@ def indirect_kernel():
 @pytest.fixture
 def nested_kernel():
     return build_nested_loop_kernel()
+
+
+@pytest.fixture
+def kill_pool_workers(monkeypatch, tmp_path):
+    """Arm a real worker death inside the shared process pool.
+
+    ``arm(once=True, victim=None, after=None)`` replaces
+    ``batch.run_simulation`` with a wrapper that forked pool workers
+    inherit. The wrapper logs ``start``/``done`` lines per workload to
+    the returned log file and SIGKILLs the worker running ``victim``
+    (any workload when ``None``): only the first time when ``once``,
+    and only after the log shows ``after`` finished when given. It
+    never kills the test process itself.
+    """
+    import os
+    import signal
+    import time
+
+    from repro.experiments import batch
+
+    real = batch.run_simulation
+    test_pid = os.getpid()
+    log = tmp_path / "runs.log"
+    marker = tmp_path / "killed"
+
+    def note(line):
+        with open(log, "a") as handle:
+            handle.write(line + "\n")
+
+    def arm(once=True, victim=None, after=None):
+        def run_simulation(spec, **runtime):
+            assert os.getpid() != test_pid, "the spec ran outside the pool"
+            note(f"start {spec.workload}")
+            if victim in (None, spec.workload) and not (once and marker.exists()):
+                for _ in range(1000 if after else 0):
+                    if f"done {after}" in log.read_text():
+                        time.sleep(0.2)  # let that result reach the parent
+                        break
+                    time.sleep(0.01)
+                marker.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            result = real(spec, **runtime)
+            note(f"done {spec.workload}")
+            return result
+
+        monkeypatch.setattr(batch, "run_simulation", run_simulation)
+        return log
+
+    return arm

@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 import time
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from repro.experiments import (
     BATCH_COUNTERS,
     BatchFailure,
     ResultCache,
+    RunSpec,
     batch_failures,
     reset_batch_counters,
     run_batch,
@@ -25,6 +27,7 @@ from repro.experiments import (
 )
 from repro.experiments import batch as batch_module
 from repro.experiments import cache as cache_module
+from repro.observability import Observability
 
 
 @pytest.fixture(autouse=True)
@@ -78,55 +81,75 @@ class TestIsolation:
         direct = run_simulation("camel", "ooo", max_instructions=800)
         assert results[0].to_dict() == direct.to_dict()
 
+    def test_facade_spec_runs_in_the_caller_under_jobs(self):
+        # A live Observability cannot be pickled into a pool worker;
+        # the spec runs here and populates the caller's facade.
+        serial = Observability(trace=True)
+        run_batch([_spec(observability=serial)], jobs=1)
+        facade = Observability(trace=True)
+        results = run_batch(
+            [_spec(observability=facade), _spec("nas_is"), _spec(technique="dvr")],
+            jobs=2,
+        )
+        assert [type(r).__name__ for r in results] == ["SimulationResult"] * 3
+        assert facade.trace.digest() == serial.trace.digest()
+        assert BATCH_COUNTERS.get("batch.retries") == 0
+
+
+def _bounded(fn, seconds=30.0):
+    """``fn()``, failing instead of hanging if it blocks past ``seconds``."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # noqa: BLE001 — re-raised below
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still blocked after {seconds:g}s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
 
 class TestRetry:
-    def test_transient_pool_death_is_retried(self, monkeypatch):
-        calls = {"n": 0}
+    """A pool worker SIGKILLed mid-spec, as an OOM kill would."""
 
-        def flaky(items, jobs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise OSError("worker died")
-            return [(key, batch_module._execute_spec(spec)) for key, spec in items]
+    SPECS = [
+        RunSpec("camel", max_instructions=800),
+        RunSpec("nas_is", max_instructions=800),
+    ]
 
-        monkeypatch.setattr(batch_module, "_run_pool", flaky)
-        monkeypatch.setattr(batch_module.time, "sleep", lambda s: None)
-        results = run_batch([_spec(), _spec("nas_is")], jobs=2)
-        assert calls["n"] == 2
+    def test_transient_pool_death_is_retried(self, kill_pool_workers):
+        serial = [run_simulation(spec).to_dict() for spec in self.SPECS]
+        kill_pool_workers(once=True)
+        results = _bounded(lambda: run_batch(self.SPECS, jobs=2))
         assert not batch_failures(results)
+        assert [r.to_dict() for r in results] == serial
         assert BATCH_COUNTERS.get("batch.retries") == 1
 
-    def test_retry_reruns_only_unfinished_specs(self, monkeypatch):
-        executed = []
-
-        def flaky(items, jobs):
-            def gen():
-                key, spec = items[0]
-                executed.append(key)
-                yield key, batch_module._execute_spec(spec)
-                if len(executed) == 1:
-                    raise OSError("died mid-batch")
-
-            return gen()
-
-        monkeypatch.setattr(batch_module, "_run_pool", flaky)
-        monkeypatch.setattr(batch_module.time, "sleep", lambda s: None)
-        results = run_batch([_spec(), _spec("nas_is")], jobs=2)
+    def test_retry_reruns_only_unfinished_specs(self, kill_pool_workers):
+        # nas_is's worker dies once camel's result is in: the retry
+        # re-runs nas_is only.
+        log = kill_pool_workers(once=True, victim="nas_is", after="camel")
+        results = _bounded(lambda: run_batch(self.SPECS, jobs=2))
         assert not batch_failures(results)
-        # First attempt finished spec 0 then died; the retry ran only spec 1.
-        assert len(executed) == 2
-        assert executed[0] != executed[1]
+        starts = [line for line in log.read_text().splitlines() if line.startswith("start")]
+        assert sorted(starts) == ["start camel", "start nas_is", "start nas_is"]
+        assert BATCH_COUNTERS.get("batch.retries") == 1
 
-    def test_exhausted_retries_become_failures_not_hangs(self, monkeypatch):
-        def always_dead(items, jobs):
-            raise OSError("pool is cursed")
-
-        monkeypatch.setattr(batch_module, "_run_pool", always_dead)
-        monkeypatch.setattr(batch_module.time, "sleep", lambda s: None)
-        results = run_batch([_spec(), _spec("nas_is")], jobs=2, retries=2)
+    def test_exhausted_retries_become_failures_not_hangs(
+        self, kill_pool_workers, monkeypatch
+    ):
+        monkeypatch.setattr(batch_module, "RETRY_BACKOFF", 0.0)
+        kill_pool_workers(once=False)
+        results = _bounded(lambda: run_batch(self.SPECS, jobs=2, retries=2))
         assert len(batch_failures(results)) == 2
         failure = results[0]
-        assert failure.error_type == "OSError"
+        assert failure.error_type == "BrokenProcessPool"
         assert failure.attempts == 3  # initial + 2 retries
         assert "giving up" in failure.message
         assert BATCH_COUNTERS.get("batch.retries") == 2

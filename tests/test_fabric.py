@@ -341,6 +341,27 @@ class TestCampaign:
         lines = (tmp_path / "camp" / "ledger.jsonl").read_text().splitlines()
         assert len(lines) == 3
 
+    def test_audited_campaign_leaves_the_cache_untouched(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        spec = RunSpec("camel", max_instructions=500)
+        campaign = _campaign([spec], cache=cache, audit=True)
+        assert not campaign.failures
+        assert campaign.outcomes[0].audit is not None
+        assert cache.get(spec.key()) is None
+        plain = run_batch([spec], cache=cache)[0]
+        assert plain.audit is None
+        assert plain.to_dict() == run_simulation(spec).to_dict()
+
+    def test_stop_on_an_unfinished_coordinator_is_prompt(self):
+        # The default 30 s lease ticks the monitor once a second; stop()
+        # must not wait for that tick, nor for an accept poll.
+        coordinator = Coordinator(_specs(1)).start()
+        time.sleep(0.05)
+        started = time.monotonic()
+        coordinator.stop()
+        assert time.monotonic() - started < 0.3
+        assert coordinator.remaining() == 1
+
     def test_manifest_digest_mismatch_refuses_to_resume(self, tmp_path):
         _campaign(_payloads(2), manifest_dir=tmp_path)
         with pytest.raises(ReproError, match="different .* list"):

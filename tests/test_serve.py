@@ -153,6 +153,21 @@ class TestFailureDocuments:
         assert health["status"] == "ok"
         assert health["conservation"]["passed"]
 
+    def test_killed_pool_worker_is_a_422_and_the_pool_rebuilds(
+        self, kill_pool_workers
+    ):
+        kill_pool_workers(once=True)
+        body = _dump(_spec().to_payload())
+        with ServerThread(pool_size=1) as server:
+            status, served, first = _post_run(server.address, body, 60)
+            assert (status, served) == (422, "miss")
+            assert json.loads(first)["failure"]["error_type"] == "BrokenProcessPool"
+            status, served, _body = _post_run(server.address, body, 60)
+            assert (status, served) == (200, "miss")
+            health = _get_json(server.address, "/healthz")
+        assert health["status"] == "ok"
+        assert health["counters"]["serve.failures"] == 1
+
     def test_unparsable_body_is_a_classified_miss(self):
         with ServerThread() as server:
             status, served, body = _post_run(server.address, b"{not json", 60)
