@@ -15,34 +15,73 @@ Quickstart::
     from repro import run_simulation
     result = run_simulation("camel", "dvr", max_instructions=20_000)
     print(result.ipc, result.technique_stats)
+
+The public names below are imported from their modules on first access
+(PEP 562), so ``import repro`` loads only what the caller goes on to use.
 """
+
+import importlib
 
 __version__ = "1.0.0"
 
-from .config import (
-    BranchPredictorConfig,
-    CacheConfig,
-    CoreConfig,
-    MemoryConfig,
-    RunaheadConfig,
-    SimConfig,
-)
-from .core import DynInstr, FunctionalCore, OoOCore, SimulationResult
-from .errors import ReproError
-from .experiments import RunSpec, run_simulation
-from .isa import Instruction, Opcode, Program, ProgramBuilder
-from .memory import MemoryHierarchy, MemoryImage
-from .observability import (
-    CounterRegistry,
-    EventTrace,
-    Observability,
-    STATS_SCHEMA,
-    stats_payload,
-    validate_stats,
-    write_stats,
-)
-from .techniques import make_technique, technique_names
-from .workloads import WORKLOAD_NAMES, Workload, build_workload, make_graph
+
+def _lazy_exports(package, exports, namespace):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for ``package``.
+
+    ``exports`` maps each module (relative to ``package``) to the public
+    names it defines. A name is imported from its module on first access
+    and then kept in ``namespace``; any other name is tried as a
+    submodule, so ``import repro; repro.experiments.run_batch`` works.
+    """
+    origin = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name):
+        if name in origin:
+            value = getattr(importlib.import_module(origin[name], package), name)
+        else:
+            try:
+                value = importlib.import_module(f"{package}.{name}")
+            except ModuleNotFoundError as exc:
+                if exc.name != f"{package}.{name}":
+                    raise
+                raise AttributeError(
+                    f"module {package!r} has no attribute {name!r}"
+                ) from None
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(origin))
+
+    return __getattr__, __dir__
+
+
+#: Each public name, under the module that defines it.
+_EXPORTS = {
+    ".config": (
+        "BranchPredictorConfig", "CacheConfig", "CoreConfig", "MemoryConfig",
+        "RunaheadConfig", "SimConfig",
+    ),
+    ".core.dyninstr": ("DynInstr",),
+    ".core.functional": ("FunctionalCore",),
+    ".core.ooo": ("OoOCore", "SimulationResult"),
+    ".errors": ("ReproError",),
+    ".experiments.runner": ("run_simulation",),
+    ".experiments.spec": ("RunSpec",),
+    ".isa.instructions": ("Instruction", "Opcode"),
+    ".isa.program": ("Program", "ProgramBuilder"),
+    ".memory.hierarchy": ("MemoryHierarchy",),
+    ".memory.memory_image": ("MemoryImage",),
+    ".observability.counters": ("CounterRegistry",),
+    ".observability.export": ("STATS_SCHEMA", "stats_payload", "validate_stats", "write_stats"),
+    ".observability.probes": ("Observability",),
+    ".observability.trace": ("EventTrace",),
+    ".techniques": ("make_technique", "technique_names"),
+    ".workloads.base": ("Workload",),
+    ".workloads.graphs": ("make_graph",),
+    ".workloads.registry": ("WORKLOAD_NAMES", "build_workload"),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS, globals())
 
 __all__ = [
     "BranchPredictorConfig",

@@ -17,48 +17,29 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
-from . import __version__
-from .experiments import (
-    BatchFailure,
-    compare_techniques,
-    figure2,
-    hardware_cost_table,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure_lanes,
-    figure_tlb,
-    run_batch,
-    run_simulation,
-    run_sweep,
-    table1_rows,
-    table2_rows,
-)
+from . import __version__, experiments
 from .techniques import technique_names
 from .workloads import GRAPH_PROFILES, WORKLOAD_NAMES
 
+# Each subcommand imports what it runs inside its handler, so `repro run`
+# never loads the batch pool, the campaign fabric or the HTTP server.
+# Figure and table names map to their generators in repro.experiments.
 _FIGURES = {
-    "figure2": figure2,
-    "figure7": figure7,
-    "figure8": figure8,
-    "figure9": figure9,
-    "figure10": figure10,
-    "figure11": figure11,
-    "figure12": figure12,
-    "lanes": figure_lanes,
-    "tlb": figure_tlb,
+    "figure2": "figure2",
+    "figure7": "figure7",
+    "figure8": "figure8",
+    "figure9": "figure9",
+    "figure10": "figure10",
+    "figure11": "figure11",
+    "figure12": "figure12",
+    "lanes": "figure_lanes",
+    "tlb": "figure_tlb",
 }
-_TABLES = {
-    "table1": lambda **kw: table1_rows(),
-    "table2": table2_rows,
-    "hwcost": lambda **kw: hardware_cost_table(),
-}
+_TABLES = {"table1": "table1_rows", "table2": "table2_rows", "hwcost": "hardware_cost_table"}
 
 
 def _add_dump_spec_flag(parser: argparse.ArgumentParser) -> None:
@@ -483,6 +464,19 @@ def _dump_specs_and_exit(specs, single: bool = False) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        status = _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`repro run ... | head`). As in
+        # the Python docs' recipe, point stdout at devnull so the flush at
+        # exit cannot raise again, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _dispatch(args) -> int:
     if args.command == "list":
         if args.json:
             from .experiments.spec import SPEC_SCHEMA
@@ -515,8 +509,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("tables: " + " ".join(sorted(_TABLES)))
         return 0
     if args.command == "run":
-        from .errors import ReproError
-        from .experiments import RunSpec
+        from .errors import ReproError, check_writable
+        from .experiments import RunSpec, run_simulation
         from .observability import Observability, write_stats
 
         replay = "auto"
@@ -561,12 +555,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         if args.dump_spec:
             return _dump_specs_and_exit([spec], single=True)
+        # Refuse before simulating: an output file that cannot be created
+        # or an event ring that cannot hold an event is one error line.
         obs = None
-        if spec.trace or args.trace_out or args.stats_out or args.counters:
-            obs = Observability(
-                trace=bool(spec.trace or args.trace_out),
-                trace_capacity=spec.trace_capacity,
-            )
+        try:
+            for path, what in ((args.stats_out, "stats file"), (args.trace_out, "trace file")):
+                if path:
+                    check_writable(path, what)
+            if spec.trace or args.trace_out or args.stats_out or args.counters:
+                obs = Observability(
+                    trace=bool(spec.trace or args.trace_out),
+                    trace_capacity=spec.trace_capacity,
+                )
+        except (ReproError, ValueError) as exc:  # ValueError: trace capacity < 1
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         try:
             result = run_simulation(
                 spec, observability=obs, replay=replay, audit=args.audit
@@ -578,6 +581,22 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"AUDIT FAILED : {exc}", file=sys.stderr)
                 return 1
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        # Write the files before printing the report, so a reader that
+        # closes stdout early cannot cost them.
+        written = []
+        try:
+            if args.trace_out and obs is not None and obs.trace is not None:
+                if args.trace_out.endswith(".csv"):
+                    events = obs.trace.write_csv(args.trace_out)
+                else:
+                    events = obs.trace.write_jsonl(args.trace_out)
+                written.append(f"trace file   : {args.trace_out} ({events} events)")
+            if args.stats_out:
+                write_stats(result, args.stats_out)
+                written.append(f"stats file   : {args.stats_out}")
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
             return 2
         if args.audit and result.audit is not None:
             print(f"audit        : {len(result.audit['checks'])} checks ok")
@@ -607,22 +626,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("counters     :")
             for name, value in sorted(result.counters.items()):
                 print(f"  {name} = {value:g}")
-        if args.trace_out and obs is not None and obs.trace is not None:
-            if args.trace_out.endswith(".csv"):
-                written = obs.trace.write_csv(args.trace_out)
-            else:
-                written = obs.trace.write_jsonl(args.trace_out)
-            print(f"trace file   : {args.trace_out} ({written} events)")
-        if args.stats_out:
-            write_stats(result, args.stats_out)
-            print(f"stats file   : {args.stats_out}")
+        for line in written:
+            print(line)
         return 0
     if args.command == "figure":
         import tempfile
 
-        from .experiments import ResultCache, figure_specs, use_cache
+        from .experiments import ResultCache, figure_specs, run_batch, use_cache
 
-        generator = _FIGURES[args.name]
+        generator = getattr(experiments, _FIGURES[args.name])
         kwargs = {"instructions": args.instructions}
         if args.workloads:
             kwargs["workloads"] = args.workloads
@@ -653,15 +665,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             _emit_batch_stats()
         return 0
     if args.command == "table":
-        generator = _TABLES[args.name]
-        result = generator(instructions=args.instructions)
+        generator = getattr(experiments, _TABLES[args.name])
+        if args.name == "table2":
+            result = generator(instructions=args.instructions)
+        else:
+            result = generator()
         print(_render(result, args.format))
         return 0
     if args.command == "sweep":
+        from .experiments import run_sweep, sweep_specs
+
         values = [_parse_value(v) for v in args.values]
         if args.dump_spec:
-            from .experiments import sweep_specs
-
             return _dump_specs_and_exit(sweep_specs(
                 args.workload,
                 args.technique,
@@ -687,9 +702,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             _emit_batch_stats()
         return 0
     if args.command == "compare":
-        if args.dump_spec:
-            from .experiments import compare_specs
+        from .experiments import compare_specs, compare_techniques
 
+        if args.dump_spec:
             return _dump_specs_and_exit(compare_specs(
                 args.workloads,
                 args.techniques,
@@ -775,6 +790,8 @@ def _load_spec_list(path: str) -> Optional[list]:
 
 def _print_outcomes(outcomes, fmt: str) -> int:
     """Print a batch's outcomes as JSON or ``ok``/``FAIL`` lines; the failure count."""
+    from .experiments import BatchFailure
+
     failures = sum(isinstance(r, BatchFailure) for r in outcomes)
     if fmt == "json":
         print(json.dumps([r.to_dict() for r in outcomes], indent=2))
@@ -818,6 +835,8 @@ def _run_batch_command(args) -> int:
         except ReproError as exc:
             print(f"error: bad spec in {path!r}: {exc}", file=sys.stderr)
             return 2
+    from .experiments import run_batch
+
     # Entries go to run_batch unresolved: a malformed entry becomes a
     # BatchFailure in its slot (exit 1) instead of sinking the batch.
     cache = _make_cache(args)

@@ -34,26 +34,6 @@ class DynInstr:
         self.taken = taken  # conditional branches only
         self.next_pc = next_pc
 
-    def reset(
-        self,
-        seq: int,
-        pc: int,
-        instr: Instruction,
-        value: Union[int, float, None] = None,
-        addr: Optional[int] = None,
-        taken: Optional[bool] = None,
-        next_pc: int = 0,
-    ) -> "DynInstr":
-        """Re-initialise in place (pool support); returns self."""
-        self.seq = seq
-        self.pc = pc
-        self.instr = instr
-        self.value = value
-        self.addr = addr
-        self.taken = taken
-        self.next_pc = next_pc
-        return self
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         extra = ""
         if self.addr is not None:
@@ -61,47 +41,3 @@ class DynInstr:
         if self.taken is not None:
             extra += f" taken={self.taken}"
         return f"<#{self.seq} pc={self.pc} {self.instr}{extra}>"
-
-
-class DynInstrPool:
-    """Free-list of reusable :class:`DynInstr` records.
-
-    Allocation of a fresh ``DynInstr`` per dynamic instruction is a
-    measurable slice of the functional kernel (see ``repro bench``'s
-    ``functional_pooled`` kernel). A pool amortises it for drivers whose
-    record lifetime is bounded and explicit — the caller must
-    :meth:`release` an instance before it can be handed out again, and
-    released records must not be retained.
-
-    The timing cores deliberately do **not** pool: a ``DynInstr``
-    escapes into technique hooks (``on_commit``, ``on_full_rob_stall``)
-    and the ROB blame ring, where its lifetime is not statically
-    bounded. Pooling there would risk silent aliasing; the bench and
-    trace-capture drivers own the full lifetime and can.
-    """
-
-    __slots__ = ("_free",)
-
-    def __init__(self, prealloc: int = 0) -> None:
-        self._free = [DynInstr(0, 0, None) for _ in range(prealloc)]
-
-    def take(
-        self,
-        seq: int,
-        pc: int,
-        instr: Instruction,
-        value: Union[int, float, None] = None,
-        addr: Optional[int] = None,
-        taken: Optional[bool] = None,
-        next_pc: int = 0,
-    ) -> DynInstr:
-        free = self._free
-        if free:
-            return free.pop().reset(seq, pc, instr, value, addr, taken, next_pc)
-        return DynInstr(seq, pc, instr, value, addr, taken, next_pc)
-
-    def release(self, dyn: DynInstr) -> None:
-        self._free.append(dyn)
-
-    def __len__(self) -> int:
-        return len(self._free)

@@ -2,9 +2,13 @@
 
 Every error raised deliberately by this package derives from
 :class:`ReproError`, so callers can catch one type at the API boundary.
+:func:`check_writable` raises one for an output path before a command
+starts its work.
 """
 
 from __future__ import annotations
+
+import os
 
 
 class ReproError(Exception):
@@ -46,3 +50,13 @@ class AuditError(ReproError):
     def __init__(self, message: str, record=None) -> None:
         super().__init__(message)
         self.record = record
+
+
+def check_writable(path: str, what: str) -> None:
+    """Raise :class:`ReproError` if the ``what`` file ``path`` cannot be
+    created, so a command can refuse it before doing any work."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+        raise ReproError(
+            f"cannot write {what} {path!r}: {directory!r} is not a writable directory"
+        )

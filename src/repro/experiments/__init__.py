@@ -10,57 +10,36 @@ fault-tolerant parallel runner) and :mod:`repro.experiments.cache`
 ``docs/experiments.md`` for the operator's guide.
 """
 
-from .batch import BatchFailure, batch_failures, run_batch, speedup_matrix, successful
-from .cache import (
-    BATCH_COUNTERS,
-    ResultCache,
-    reset_batch_counters,
-    use_cache,
-)
-from .fabric import (
-    CAMPAIGN_SCHEMA,
-    FABRIC_COUNTER_NAMES,
-    CampaignManifest,
-    CampaignResult,
-    Coordinator,
-    Worker,
-    run_campaign,
-)
-from .figures import (
-    figure2,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure_lanes,
-    figure_tlb,
-    figure_specs,
-)
-from .report import ExperimentResult, format_table, harmonic_mean
-from .runner import run_simulation
-from .serve import (
-    SERVE_COUNTER_NAMES,
-    LoadTestReport,
-    ServerThread,
-    SimulationServer,
-    run_load_test,
-)
-from .spec import (
-    RUNTIME_KEYS,
-    SPEC_SCHEMA,
-    RunSpec,
-    apply_override,
-    coerce_bool,
-    dump_specs,
-    load_specs,
-    parse_spec_entry,
-    specs_digest,
-    split_run_kwargs,
-)
-from .sweep import compare_specs, compare_techniques, run_sweep, sweep_specs
-from .tables import hardware_cost_table, table1_rows, table2_rows
+from .. import _lazy_exports
+
+# Public names resolve from their modules on first access (see
+# ``repro._lazy_exports``): a caller of ``run_simulation`` never loads
+# the batch pool, the campaign fabric or the HTTP server.
+_EXPORTS = {
+    ".batch": ("BatchFailure", "batch_failures", "run_batch", "speedup_matrix", "successful"),
+    ".cache": ("BATCH_COUNTERS", "ResultCache", "reset_batch_counters", "use_cache"),
+    ".fabric": (
+        "CAMPAIGN_SCHEMA", "FABRIC_COUNTER_NAMES", "CampaignManifest", "CampaignResult",
+        "Coordinator", "Worker", "run_campaign",
+    ),
+    ".figures": (
+        "figure2", "figure7", "figure8", "figure9", "figure10", "figure11", "figure12",
+        "figure_lanes", "figure_tlb", "figure_specs",
+    ),
+    ".report": ("ExperimentResult", "format_table", "harmonic_mean"),
+    ".runner": ("run_simulation",),
+    ".serve": (
+        "SERVE_COUNTER_NAMES", "LoadTestReport", "ServerThread", "SimulationServer",
+        "run_load_test",
+    ),
+    ".spec": (
+        "RUNTIME_KEYS", "SPEC_SCHEMA", "RunSpec", "apply_override", "coerce_bool",
+        "dump_specs", "load_specs", "parse_spec_entry", "specs_digest", "split_run_kwargs",
+    ),
+    ".sweep": ("compare_specs", "compare_techniques", "run_sweep", "sweep_specs"),
+    ".tables": ("hardware_cost_table", "table1_rows", "table2_rows"),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS, globals())
 
 __all__ = [
     "BATCH_COUNTERS",

@@ -20,9 +20,6 @@ Kernels:
 ``functional_bulk``
     :meth:`FunctionalCore.run_to_completion` — the alloc-free handler
     loop (no DynInstr records at all).
-``functional_pooled``
-    The handler loop with pooled :class:`~repro.core.dyninstr.DynInstr`
-    records (isolates the per-step allocation cost).
 ``trace_replay``
     :class:`~repro.perf.trace.ReplaySource` consumption — the cost of
     a cached-stream timing run's front-end.
@@ -54,7 +51,6 @@ documents the schema and the regression policy.
 from __future__ import annotations
 
 import json
-import os
 import platform
 import sys
 import time
@@ -63,9 +59,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..config import SimConfig
-from ..core.dyninstr import DynInstrPool
 from ..core.functional import FunctionalCore
-from ..errors import ReproError, SimulationError
+from ..errors import ReproError, SimulationError, check_writable
 from ..isa.program import ProgramBuilder
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.memory_image import MemoryImage
@@ -107,30 +102,6 @@ def _functional_bulk(n: int) -> Tuple[int, float]:
     except SimulationError:
         pass  # budget reached — exactly n instructions executed
     return core.executed, time.perf_counter() - t0
-
-
-def _functional_pooled(n: int) -> Tuple[int, float]:
-    wl = build_workload(_BENCH_WORKLOAD)
-    core = FunctionalCore(wl.program, wl.memory)
-    decoded = wl.program.decoded()
-    handlers = decoded.handlers
-    instrs = decoded.instrs
-    regs = core.regs
-    memory = core.memory
-    pool = DynInstrPool(prealloc=1)
-    take = pool.take
-    release = pool.release
-    pc = 0
-    t0 = time.perf_counter()
-    done = 0
-    for i in range(n):
-        value, addr, taken, next_pc = handlers[pc](regs, memory)
-        release(take(i, pc, instrs[pc], value, addr, taken, next_pc))
-        done += 1
-        if next_pc is None:
-            break
-        pc = next_pc
-    return done, time.perf_counter() - t0
 
 
 def _trace_replay(n: int) -> Tuple[int, float]:
@@ -270,7 +241,6 @@ KERNELS: Dict[str, Tuple[Callable[[int], Tuple[int, float]], int, str]] = {
     "functional_reference": (_functional_reference, 40_000, "instr"),
     "functional_step": (_functional_step, 40_000, "instr"),
     "functional_bulk": (_functional_bulk, 40_000, "instr"),
-    "functional_pooled": (_functional_pooled, 40_000, "instr"),
     "trace_replay": (_trace_replay, 40_000, "instr"),
     "ooo_event_loop": (_ooo_event_loop, 15_000, "instr"),
     "hierarchy": (_hierarchy, 40_000, "access"),
@@ -403,16 +373,6 @@ def load_payload(path: str) -> Dict:
     return payload
 
 
-def _check_writable(path: str) -> None:
-    """Fail before any kernel runs if ``path`` cannot be written."""
-    directory = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(directory) or not os.access(directory, os.W_OK):
-        raise ReproError(
-            f"cannot write bench file {path!r}: {directory!r} is not a "
-            f"writable directory"
-        )
-
-
 def main_bench(args) -> int:
     """Back end of the ``repro bench`` CLI subcommand.
 
@@ -423,7 +383,7 @@ def main_bench(args) -> int:
     kernels = args.kernels.split(",") if args.kernels else None
     try:
         if args.json:
-            _check_writable(args.json)
+            check_writable(args.json, "bench file")
         baseline = load_payload(args.check) if args.check else None
         payload = run_bench(kernels=kernels, scale=args.scale, repeats=args.repeats)
     except ReproError as exc:

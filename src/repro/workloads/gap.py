@@ -49,7 +49,16 @@ GraphInput = Tuple[Graph, np.ndarray, np.ndarray]
 def _graph_for(input_name: Optional[str], size: str, seed: Optional[int] = None) -> GraphInput:
     profile = input_name or _DEFAULT_INPUT
     graph_profile(profile)  # unknown names raise before the size branch
-    return _graph_input(profile, size, seed)
+    # Key the memo on the seed the graph is built from, so ``None`` and
+    # the profile's own seed share one entry.
+    return _graph_input(profile, size, _input_seed(profile, size, seed))
+
+
+def _input_seed(profile: str, size: str, seed: Optional[int]) -> int:
+    """The data seed an input is built from: ``seed`` or the profile's own."""
+    if seed is not None:
+        return seed
+    return sum(map(ord, profile)) if size == "tiny" else graph_profile(profile)["seed"]
 
 
 @functools.lru_cache(maxsize=len(GRAPH_PROFILES))
@@ -61,14 +70,14 @@ def _graph_input(profile: str, size: str, seed: Optional[int]) -> GraphInput:
     write raises instead of leaking into the next build. Images stay
     per build, because ``MemoryImage.allocate`` copies what it is given.
     """
+    seed = _input_seed(profile, size, seed)
     if size == "tiny":
         # A small but well-connected stand-in (truncating a large graph
         # would leave a near-empty BFS frontier).
-        tiny_seed = seed if seed is not None else sum(map(ord, profile))
         if profile == "UR":
-            graph = uniform_random_graph(1 << 10, 8, seed=tiny_seed)
+            graph = uniform_random_graph(1 << 10, 8, seed=seed)
         else:
-            graph = rmat_graph(1 << 10, 8, seed=tiny_seed)
+            graph = rmat_graph(1 << 10, 8, seed=seed)
         graph = replace(graph, name=profile)
         graph.validate()
     else:

@@ -1,13 +1,19 @@
 """CLI argument handling and error paths."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.observability import validate_stats
 
-BASELINE = str(Path(__file__).resolve().parents[1] / "BENCH_core.json")
+ROOT = Path(__file__).resolve().parents[1]
+BASELINE = str(ROOT / "BENCH_core.json")
+SRC = ROOT / "src"
 
 
 class TestArgumentValidation:
@@ -138,3 +144,55 @@ class TestBenchErrors:
                      "--check", BASELINE, "--tolerance", "1.0"])
         assert code == 0
         assert "bench check  : ok (1 compared" in capsys.readouterr().err
+
+
+class TestRunFailureSurfaces:
+    """`repro run` fails with one error line and an exit code, and a
+    reader that closes stdout early costs no output file."""
+
+    RUN = ["run", "--workload", "camel", "-n", "1000"]
+
+    @pytest.mark.parametrize("flag", ["--stats-out", "--trace-out"])
+    def test_output_into_missing_directory_fails_before_simulating(
+        self, flag, tmp_path, capsys
+    ):
+        path = tmp_path / "missing" / "out.json"
+        assert main(self.RUN + [flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran, so no report
+        assert captured.err.startswith("error: cannot write")
+        assert captured.err.count("\n") == 1
+        assert not path.parent.exists()
+
+    def test_output_path_that_is_a_directory(self, tmp_path, capsys):
+        assert main(self.RUN + ["--stats-out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+    def test_zero_trace_capacity(self, capsys):
+        assert main(self.RUN + ["--trace", "--trace-capacity", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trace capacity must be positive\n"
+
+    # Buffered, the report is still queued at exit; unbuffered, the first
+    # print fails. Either way the run ends quietly with its files written.
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_keeps_the_output_files(self, tmp_path, unbuffered):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the run starts
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "run", "--workload", "camel",
+                 "--technique", "dvr", "-n", "2000", "--counters",
+                 "--stats-out", "s.json", "--trace-out", "t.jsonl"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                cwd=tmp_path, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == ""
+        validate_stats((tmp_path / "s.json").read_text())
+        assert (tmp_path / "t.jsonl").read_text().count("\n") > 0

@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FunctionalCore
-from repro.core.dyninstr import DynInstr, DynInstrPool
 from repro.errors import SimulationError
 from repro.experiments.cache import BATCH_COUNTERS
 from repro.experiments.runner import run_simulation
@@ -265,19 +264,3 @@ def test_replay_source_returns_none_after_halt():
     while source.step() is not None:
         pass
     assert source.step() is None  # stays exhausted, no raise
-
-
-def test_dyninstr_pool_reuses_released_records():
-    pool = DynInstrPool(prealloc=2)
-    assert len(pool) == 2
-    first = pool.take(0, 0, None, value=7, next_pc=1)
-    assert (first.seq, first.value, first.next_pc) == (0, 7, 1)
-    assert len(pool) == 1
-    pool.release(first)
-    again = pool.take(1, 3, None, addr=64, next_pc=4)
-    assert again is first  # same object, fully re-initialised
-    assert (again.seq, again.pc, again.value, again.addr) == (1, 3, None, 64)
-    # An empty pool allocates rather than failing.
-    empty = DynInstrPool()
-    assert len(empty) == 0
-    assert isinstance(empty.take(0, 0, None), DynInstr)

@@ -110,6 +110,20 @@ class TestGraphInputMemo:
         wl.memory.segment("COL").data[:] = 0
         assert build_workload("bfs", size="tiny").memory.digest() == digest
 
+    # KR's own seed is 11 at default size; tiny inputs default to
+    # sum(map(ord, "KR")) == 157.
+    @pytest.mark.parametrize("size,own_seed", [("default", 11), ("tiny", 157)])
+    def test_default_seed_shares_the_profile_seed_entry(self, size, own_seed):
+        _graph_input.cache_clear()
+        implicit = build_workload("bfs", size=size, seed=None)
+        explicit = build_workload("bfs", size=size, seed=own_seed)
+        info = _graph_input.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        for name in ("ROW", "COL"):
+            assert np.array_equal(
+                implicit.memory.segment(name).data, explicit.memory.segment(name).data
+            )
+
     @pytest.mark.parametrize("order", [("sssp", "bfs"), ("bfs", "sssp")], ids="-".join)
     def test_shared_graph_runs_match_cold_runs(self, order):
         def run(name):
