@@ -100,19 +100,20 @@ def apply_override(config: SimConfig, path: str, value) -> SimConfig:
     coerced to the field's current type; boolean fields parse
     ``true/false`` tokens strictly (see :func:`coerce_bool`).
     """
-    parts = path.split(".")
+    return _rebuild(config, path, path.split("."), value)
 
-    def rebuild(node, remaining: List[str]):
-        name = remaining[0]
-        if not is_dataclass(node) or not hasattr(node, name):
-            raise ConfigError(f"no config field {path!r} (failed at {name!r})")
-        if len(remaining) == 1:
-            current = getattr(node, name)
-            return replace(node, **{name: _coerce(path, current, value)})
-        child = rebuild(getattr(node, name), remaining[1:])
-        return replace(node, **{name: child})
 
-    return rebuild(config, parts)
+def _rebuild(node, path: str, remaining: List[str], value):
+    # Module-level rather than a closure: a self-recursive nested
+    # function is a reference cycle that only the cyclic collector frees.
+    name = remaining[0]
+    if not is_dataclass(node) or not hasattr(node, name):
+        raise ConfigError(f"no config field {path!r} (failed at {name!r})")
+    if len(remaining) == 1:
+        current = getattr(node, name)
+        return replace(node, **{name: _coerce(path, current, value)})
+    child = _rebuild(getattr(node, name), path, remaining[1:], value)
+    return replace(node, **{name: child})
 
 
 @dataclass(frozen=True)

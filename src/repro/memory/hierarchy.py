@@ -107,7 +107,7 @@ class MemoryHierarchy:
         # Address translation (PR 9). Ideal memory is an oracle that
         # bypasses timing, so it gets no TLB either.
         self.tlb: Optional[TLB] = (
-            TLB(config.tlb, self) if config.tlb.enable and not ideal else None
+            TLB(config.tlb) if config.tlb.enable and not ideal else None
         )
         self._walk_speculative = tlb_policy == "walk"
         # line -> source for pending prefetched lines (Figure 11).
@@ -346,7 +346,9 @@ class MemoryHierarchy:
         tlb = self.tlb
         if tlb is not None and not translated:
             if prefetch and source != SOURCE_MAIN:
-                ready = tlb.translate_speculative(addr, cycle, self._walk_speculative)
+                ready = tlb.translate_speculative(
+                    addr, cycle, self._walk_speculative, self
+                )
                 if ready is None:
                     return AccessResult(
                         cycle + tlb.l2_latency,
@@ -355,7 +357,7 @@ class MemoryHierarchy:
                     )
                 cycle = ready
             else:
-                cycle = tlb.translate(addr, cycle)
+                cycle = tlb.translate(addr, cycle, self)
         if fill_to == "l3":
             return self._access_llc_only(addr, cycle, source, prefetch)
         line = int(addr) // self.line_bytes

@@ -22,27 +22,17 @@ _SEGMENT_ALIGN = 64  # keep segments line-aligned and non-adjacent
 class Segment:
     """One named allocation backed by a numpy array."""
 
-    __slots__ = ("name", "base", "data", "is_float", "size_bytes", "_words")
+    __slots__ = ("name", "base", "data", "view", "size_bytes")
 
     def __init__(self, name: str, base: int, data: np.ndarray) -> None:
         self.name = name
         self.base = base
         self.data = data
-        # Cached: the dtype never changes, and the per-read numpy dtype
-        # attribute chase is measurable on the interpreter hot path.
-        self.is_float = data.dtype.kind == "f"
+        # Zero-copy view of ``data``: an item is the same native int or
+        # float ``tolist()`` would give, without numpy scalar extraction
+        # and coercion, and the view sees every write to ``data``.
+        self.view = memoryview(data)
         self.size_bytes = len(data) * WORD_BYTES
-        # Lazy Python-list view of ``data``; numpy scalar extraction plus
-        # the int()/float() coercion dominates speculative reads, while a
-        # list holds native values directly. ``write_word`` (the only
-        # mutation path) drops the cache.
-        self._words: Optional[list] = None
-
-    def words(self) -> list:
-        w = self._words
-        if w is None:
-            w = self._words = self.data.tolist()
-        return w
 
     @property
     def end(self) -> int:
@@ -141,8 +131,7 @@ class MemoryImage:
         if located is None:
             raise MemoryError_(f"read from unmapped address 0x{addr:x}")
         seg, index = located
-        value = seg.data[index]
-        return float(value) if seg.is_float else int(value)
+        return seg.view[index]
 
     def write_word(self, addr: int, value) -> None:
         """Architectural write; raises on an unmapped address.
@@ -158,7 +147,6 @@ class MemoryImage:
         if seg.data.dtype.kind == "i" and isinstance(value, int):
             value = ((value + 2**63) % 2**64) - 2**63
         seg.data[index] = value
-        seg._words = None
 
     def digest(self) -> str:
         """BLAKE2b digest over segment names, bases, and contents."""
@@ -180,22 +168,18 @@ class MemoryImage:
         if addr < 0:
             return 0, False
         addr &= ~(WORD_BYTES - 1)
-        # Inlined _locate repeat-hit fast path over the cached word list.
+        # Inlined _locate repeat-hit fast path (``addr`` and every
+        # segment base are word aligned, so no alignment check).
         seg = self._last_seg
         if seg is not None:
             offset = addr - seg.base
             if 0 <= offset < seg.size_bytes:
-                if offset % WORD_BYTES != 0:
-                    return 0, False
-                words = seg._words
-                if words is None:
-                    words = seg._words = seg.data.tolist()
-                return words[offset // WORD_BYTES], True
+                return seg.view[offset // WORD_BYTES], True
         located = self._locate(addr)
         if located is None:
             return 0, False
         seg, index = located
-        return seg.words()[index], True
+        return seg.view[index], True
 
     def is_mapped(self, addr: int) -> bool:
         if not isinstance(addr, (int, np.integer)) or addr < 0:

@@ -30,9 +30,12 @@ the fill) instead of launching a duplicate walk.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..config import TLBConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .hierarchy import MemoryHierarchy
 
 #: Hierarchy source tag for page-table-walker loads. Not a demand load
 #: and not a prefetch, so the walker perturbs none of the demand-level
@@ -114,14 +117,15 @@ class TLBLevel:
 class TLB:
     """The translation front-end the memory hierarchy consults.
 
-    Holds both TLB levels and the page-table walker; ``hierarchy`` is
-    the owning :class:`MemoryHierarchy`, through which walk loads are
-    issued (with ``translated=True`` so they never re-translate).
+    Holds both TLB levels and the page-table walker. The owning
+    :class:`MemoryHierarchy` passes itself into each translate call,
+    and walk loads are issued through it (with ``translated=True`` so
+    they never re-translate); the TLB keeps no reference to it, so the
+    hierarchy → TLB ownership stays a tree.
     """
 
-    def __init__(self, config: TLBConfig, hierarchy) -> None:
+    def __init__(self, config: TLBConfig) -> None:
         self.config = config
-        self.hierarchy = hierarchy
         self.page_bytes = config.page_bytes
         self.l1 = TLBLevel("L1-TLB", config.l1_entries, config.l1_assoc)
         self.l2 = TLBLevel("L2-TLB", config.l2_entries, config.l2_assoc)
@@ -134,7 +138,7 @@ class TLB:
 
     # -- translation ---------------------------------------------------------
 
-    def translate(self, addr: int, cycle: int) -> int:
+    def translate(self, addr: int, cycle: int, hierarchy: "MemoryHierarchy") -> int:
         """Cycle at which the translation is known; walks on a full miss."""
         page = int(addr) // self.page_bytes
         fill = self.l1.probe(page)
@@ -146,13 +150,13 @@ class TLB:
             ready = t if fill <= t else fill
             self.l1.fill(page, ready)
             return ready
-        ready = self._walk(page, t)
+        ready = self._walk(page, t, hierarchy)
         self.l2.fill(page, ready)
         self.l1.fill(page, ready)
         return ready
 
     def translate_speculative(
-        self, addr: int, cycle: int, allow_walk: bool
+        self, addr: int, cycle: int, allow_walk: bool, hierarchy: "MemoryHierarchy"
     ) -> Optional[int]:
         """Translation for a speculative access; ``None`` means drop it.
 
@@ -174,7 +178,7 @@ class TLB:
         if not allow_walk:
             self.dropped_prefetches += 1
             return None
-        ready = self._walk(page, t)
+        ready = self._walk(page, t, hierarchy)
         self.l2.fill(page, ready)
         self.l1.fill(page, ready)
         return ready
@@ -192,7 +196,7 @@ class TLB:
         index = page >> (_RADIX_BITS * (self.walk_levels - 1 - depth))
         return _PT_BASE + (depth << 36) + index * 8
 
-    def _walk(self, page: int, cycle: int) -> int:
+    def _walk(self, page: int, cycle: int, hierarchy: "MemoryHierarchy") -> int:
         """Timed radix walk: one dependent cached load per level.
 
         The walker is a memory client like any other: each level's load
@@ -200,16 +204,15 @@ class TLB:
         the full hierarchy access path under source ``"ptw"``.
         """
         self.walks += 1
-        h = self.hierarchy
-        mshrs = h.mshrs
+        mshrs = hierarchy.mshrs
         t = cycle
         for depth in range(self.walk_levels):
             pte = self._pte_addr(page, depth)
-            if h.load_needs_mshr(pte, t) and not mshrs.available(t):
+            if hierarchy.load_needs_mshr(pte, t) and not mshrs.available(t):
                 wait = mshrs.next_free(t)
                 if wait > t:
                     t = wait
-            result = h.access(pte, t, source=SOURCE_PTW, translated=True)
+            result = hierarchy.access(pte, t, source=SOURCE_PTW, translated=True)
             t = result.ready + self.walk_latency
         self.walk_cycles += t - cycle
         return t

@@ -13,6 +13,13 @@ The timing core drives techniques through these callbacks:
   progress up to the given cycle; called before each demand access.
 * :attr:`commit_blocked_until` — Vector Runahead's delayed termination:
   the core may not commit past this cycle while runahead completes.
+
+:meth:`Technique.attach` binds the run's parts a technique reads
+(``config``, ``program``, ``memory_image``, ``hierarchy`` and the event
+trace), never the core itself: the core owns its technique, so a
+back-reference would make every finished run a reference cycle that only
+the cyclic garbage collector can free. With no reference pointing back
+up, reference counting frees a run as soon as its caller drops the core.
 """
 
 from __future__ import annotations
@@ -20,10 +27,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..config import RunaheadConfig
+    from ..config import RunaheadConfig, SimConfig
     from ..core.dyninstr import DynInstr
     from ..core.ooo import OoOCore
-    from ..memory.hierarchy import AccessResult
+    from ..isa.program import Program
+    from ..memory.hierarchy import AccessResult, MemoryHierarchy
+    from ..memory.memory_image import MemoryImage
     from ..observability.counters import CounterRegistry
     from ..observability.trace import EventTrace
 
@@ -42,7 +51,11 @@ class Technique:
     config_pins: Mapping[str, object] = {}
 
     def __init__(self) -> None:
-        self.core: Optional["OoOCore"] = None
+        # Bound by attach().
+        self.config: Optional["SimConfig"] = None
+        self.program: Optional["Program"] = None
+        self.memory_image: Optional["MemoryImage"] = None
+        self.hierarchy: Optional["MemoryHierarchy"] = None
         self.commit_blocked_until = 0
         #: Classic runahead's exit flush: fetch may not resume before this.
         self.fetch_blocked_until = 0
@@ -50,8 +63,16 @@ class Technique:
         self._trace: Optional["EventTrace"] = None
 
     def attach(self, core: "OoOCore") -> None:
-        """Called once by the core before simulation starts."""
-        self.core = core
+        """Called once by the core before simulation starts.
+
+        Binds the core's parts, not the core (see the module docstring).
+        An override calls ``super().attach(core)`` and must not store
+        ``core``.
+        """
+        self.config = core.config
+        self.program = core.program
+        self.memory_image = core.memory_image
+        self.hierarchy = core.hierarchy
         obs = getattr(core, "observability", None)
         self._trace = obs.trace if obs is not None else None
 

@@ -157,8 +157,8 @@ class IndirectMemoryPrefetcher(Technique):
         ]
         if not patterns:
             return
-        hierarchy = self.core.hierarchy
-        memory = self.core.memory_image
+        hierarchy = self.hierarchy
+        memory = self.memory_image
         for k in range(1, self.prefetch_distance + 1):
             index_addr = addr + stream.stride * k
             index_value, ok = memory.read_word_speculative(index_addr)

@@ -40,12 +40,12 @@ class ClassicRunahead(Technique):
             return
         self.triggers += 1
         self.emit_event(start, EV_RUNAHEAD_ENTER, self.shadow.next_pc)
-        config = self.core.config
+        config = self.config
         width = config.core.width
-        hierarchy = self.core.hierarchy
-        memory = self.core.memory_image
+        hierarchy = self.hierarchy
+        memory = self.memory_image
         interp = SpeculativeInterpreter(
-            self.core.program,
+            self.program,
             memory,
             self.shadow.next_pc,
             self.shadow.snapshot_values(),

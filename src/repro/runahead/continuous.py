@@ -72,7 +72,7 @@ class ContinuousRunahead(Technique):
 
     def _chain_for(self, load_pc: int) -> frozenset:
         """Static backward slice of the delinquent load, plus control."""
-        program = self.core.program
+        program = self.program
         relevant = set()
         if program[load_pc].rs1 is not None:
             relevant.add(program[load_pc].rs1)
@@ -101,7 +101,7 @@ class ContinuousRunahead(Technique):
         self.shadow.update(dyn, cycle, complete)
 
     def advance_to(self, cycle: int) -> None:
-        if self.core is None or self._target_pc is None:
+        if self.hierarchy is None or self._target_pc is None:
             self._last_cycle = cycle
             return
         elapsed = max(0, cycle - self._last_cycle)
@@ -113,8 +113,8 @@ class ContinuousRunahead(Technique):
             self._seed(cycle)
             if self._interp is None:
                 return
-        hierarchy = self.core.hierarchy
-        memory = self.core.memory_image
+        hierarchy = self.hierarchy
+        memory = self.memory_image
 
         def load_cb(pc: int, addr: int):
             value, mapped = memory.read_word_speculative(addr)
@@ -169,8 +169,8 @@ class ContinuousRunahead(Technique):
         self.reseeds += 1
         self._executed_since_seed = 0
         self._interp = SpeculativeInterpreter(
-            self.core.program,
-            self.core.memory_image,
+            self.program,
+            self.memory_image,
             self.shadow.next_pc,
             self.shadow.snapshot_values(),
         )

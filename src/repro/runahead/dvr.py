@@ -101,7 +101,7 @@ class DecoupledVectorRunahead(EngineCounterMixin, Technique):
 
     def attach(self, core) -> None:
         super().attach(core)
-        cfg = self.resolved_runahead(core.config.runahead)
+        cfg = self.resolved_runahead(self.config.runahead)
         self.detector = StrideDetector(
             entries=cfg.stride_detector_entries,
             confidence_threshold=cfg.stride_confidence,
@@ -276,9 +276,9 @@ class DecoupledVectorRunahead(EngineCounterMixin, Technique):
     ) -> None:
         lane_addresses = [dyn.addr + stride * (l + 1) for l in range(lanes)]
         run = VectorChainRun(
-            program=self.core.program,
-            memory=self.core.memory_image,
-            hierarchy=self.core.hierarchy,
+            program=self.program,
+            memory=self.memory_image,
+            hierarchy=self.hierarchy,
             scalar_regs=self.shadow.snapshot_values(),
             start_pc=dyn.pc,
             lane_addresses=lane_addresses,
@@ -307,9 +307,9 @@ class DecoupledVectorRunahead(EngineCounterMixin, Technique):
     # -- Nested Discovery Mode -------------------------------------------------------
 
     def _spawn_nested(self, dyn, cycle: int, stride: int, lanes: int, inference) -> None:
-        program = self.core.program
-        memory = self.core.memory_image
-        hierarchy = self.core.hierarchy
+        program = self.program
+        memory = self.memory_image
+        hierarchy = self.hierarchy
         trigger_pc = dyn.pc
         trigger_instr = dyn.instr
 

@@ -33,7 +33,7 @@ class EnhancedMemoryController(ContinuousRunahead):
     def attach(self, core) -> None:
         super().attach(core)
         self._controller_dram_wait = int(
-            core.config.memory.dram_latency * _CONTROLLER_LATENCY_SHARE
+            self.config.memory.dram_latency * _CONTROLLER_LATENCY_SHARE
         )
 
     def _dependent_wait(self, level: str, full_wait: int) -> int:

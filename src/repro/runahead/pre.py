@@ -42,16 +42,16 @@ class PreciseRunahead(Technique):
 
     def on_full_rob_stall(self, start: int, end: int, head) -> None:
         duration = end - start
-        if duration < self.core.config.runahead.pre_min_interval:
+        if duration < self.config.runahead.pre_min_interval:
             return
         self.triggers += 1
         self.emit_event(start, EV_RUNAHEAD_ENTER, self.shadow.next_pc)
-        width = self.core.config.core.width
-        hierarchy = self.core.hierarchy
-        memory = self.core.memory_image
-        slice_pcs = self.core.program.address_slice_pcs()
+        width = self.config.core.width
+        hierarchy = self.hierarchy
+        memory = self.memory_image
+        slice_pcs = self.program.address_slice_pcs()
         interp = SpeculativeInterpreter(
-            self.core.program,
+            self.program,
             memory,
             self.shadow.next_pc,
             self.shadow.snapshot_values(),

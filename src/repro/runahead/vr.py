@@ -55,7 +55,7 @@ class VectorRunahead(EngineCounterMixin, Technique):
 
     def attach(self, core) -> None:
         super().attach(core)
-        runahead_cfg = core.config.runahead
+        runahead_cfg = self.config.runahead
         self.detector = StrideDetector(
             entries=runahead_cfg.stride_detector_entries,
             confidence_threshold=runahead_cfg.stride_confidence,
@@ -76,10 +76,11 @@ class VectorRunahead(EngineCounterMixin, Technique):
             return  # still finishing the previous vectorised chain
         self.triggers += 1
         self.emit_event(start, EV_RUNAHEAD_ENTER, self.shadow.next_pc)
-        memory = self.core.memory_image
-        hierarchy = self.core.hierarchy
+        program = self.program
+        memory = self.memory_image
+        hierarchy = self.hierarchy
         interp = SpeculativeInterpreter(
-            self.core.program,
+            program,
             memory,
             self.shadow.next_pc,
             self.shadow.snapshot_values(),
@@ -100,14 +101,14 @@ class VectorRunahead(EngineCounterMixin, Technique):
         for _ in range(_SCAN_BUDGET):
             pc = interp.pc
             if (
-                self.core.program[pc].is_load
-                if 0 <= pc < len(self.core.program)
-                else False
-            ) and self.detector.is_striding(pc):
+                0 <= pc < len(program)
+                and program[pc].is_load
+                and self.detector.is_striding(pc)
+            ):
                 stride_pc = pc
-                base = interp.regs[self.core.program[pc].rs1]
-                if isinstance(base, int) and interp.valid[self.core.program[pc].rs1]:
-                    stride_addr = base + self.core.program[pc].imm
+                base = interp.regs[program[pc].rs1]
+                if isinstance(base, int) and interp.valid[program[pc].rs1]:
+                    stride_addr = base + program[pc].imm
                 break
             if interp.step(load_cb) is None:
                 break
@@ -124,7 +125,7 @@ class VectorRunahead(EngineCounterMixin, Technique):
         lane_addresses = [stride_addr + stride * (l + 1) for l in range(self.lanes)]
         self._coverage[stride_pc] = lane_addresses[-1]
         run = VectorChainRun(
-            program=self.core.program,
+            program=program,
             memory=memory,
             hierarchy=hierarchy,
             scalar_regs=interp.regs,

@@ -105,6 +105,39 @@ class TestAccess:
         seg = mem.allocate("a", [7])
         assert type(mem.read_word(seg.base)) is int
 
+    @pytest.mark.parametrize(
+        "dtype, stored, expected",
+        [(np.int64, 42, 42), (np.int64, -3, -3), (np.float64, 0.75, 0.75),
+         (np.float64, 3, 3.0)],
+    )
+    def test_both_reads_return_the_stored_value_as_a_python_scalar(
+        self, dtype, stored, expected
+    ):
+        mem = MemoryImage()
+        seg = mem.allocate("a", 4, dtype=dtype)
+        addr = seg.base + 8
+        # Read first, so a stale copy of the segment would show below.
+        assert mem.read_word_speculative(addr) == (0, True)
+        mem.write_word(addr, stored)
+        value = mem.read_word(addr)
+        spec_value, ok = mem.read_word_speculative(addr)
+        assert ok
+        assert value == spec_value == expected
+        kind = float if np.dtype(dtype).kind == "f" else int
+        assert type(value) is kind and type(spec_value) is kind
+
+    def test_int_store_wraps_at_2_pow_63(self):
+        mem = MemoryImage()
+        seg = mem.allocate("a", 3)
+        mem.write_word(seg.base, 2**63)
+        mem.write_word(seg.base + 8, 2**64 + 5)
+        mem.write_word(seg.base + 16, -(2**63) - 1)
+        assert mem.read_word(seg.base) == -(2**63)
+        assert mem.read_word(seg.base + 8) == 5
+        assert mem.read_word(seg.base + 16) == 2**63 - 1
+        assert mem.read_word_speculative(seg.base) == (-(2**63), True)
+        assert mem.read_word_speculative(seg.base + 16) == (2**63 - 1, True)
+
 
 class TestSpeculativeAccess:
     def test_mapped_read(self):
@@ -136,6 +169,30 @@ class TestSpeculativeAccess:
         seg = mem.allocate("a", [5, 6])
         value, ok = mem.read_word_speculative(seg.base + 9)
         assert ok and value == 6
+
+    def test_misaligned_or_unmapped_reads_around_a_segment(self):
+        mem = MemoryImage()
+        seg = mem.allocate("a", [5, 6])
+        mem.allocate("b", [7])
+        # A misaligned address rounds down to the word it falls in, so
+        # one just below the segment, or just past its end, is unmapped.
+        assert mem.read_word_speculative(seg.base - 1) == (0, False)
+        assert mem.read_word_speculative(seg.end + 3) == (0, False)
+        assert mem.read_word_speculative(seg.end - 1) == (6, True)
+        assert mem.read_word_speculative(seg.base + 4096) == (0, False)
+        assert mem.read_word_speculative(np.int64(seg.base + 8)) == (6, True)
+
+    def test_reads_see_writes_to_another_segment_and_back(self):
+        mem = MemoryImage()
+        a = mem.allocate("a", [1, 2])
+        b = mem.allocate("b", [3.0], dtype=np.float64)
+        assert mem.read_word_speculative(a.base) == (1, True)
+        assert mem.read_word_speculative(b.base) == (3.0, True)
+        mem.write_word(a.base, 10)
+        mem.write_word(b.base, 0.5)
+        assert mem.read_word_speculative(a.base) == (10, True)
+        assert mem.read_word_speculative(b.base) == (0.5, True)
+        assert mem.read_word(a.base + 8) == 2
 
     def test_is_mapped(self):
         mem = MemoryImage()

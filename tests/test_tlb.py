@@ -84,7 +84,7 @@ class TestTLBLevelProperties:
         ready = {}
         for levels in (shallow_levels, deep_levels):
             h = _tlb_hierarchy(walk_levels=levels)
-            ready[levels] = h.tlb.translate(addr, 0)
+            ready[levels] = h.tlb.translate(addr, 0, h)
         # A deeper radix tree is never faster to walk: each extra level
         # adds at least one dependent cached load.
         assert ready[deep_levels] >= ready[shallow_levels]
@@ -95,22 +95,22 @@ class TestTLBUnits:
     def test_l1_hit_is_free(self):
         h = _tlb_hierarchy()
         tlb = h.tlb
-        done = tlb.translate(0x2000, 0)  # cold: walks
+        done = tlb.translate(0x2000, 0, h)  # cold: walks
         assert tlb.walks == 1
-        assert tlb.translate(0x2010, done) == done  # same page, L1 hit
+        assert tlb.translate(0x2010, done, h) == done  # same page, L1 hit
         assert tlb.walks == 1 and tlb.l1.hits == 1
 
     def test_l2_hit_promotes_into_l1(self):
         h = _tlb_hierarchy(l1_entries=2, l1_assoc=1, page_bytes=4096)
         tlb = h.tlb
-        t0 = tlb.translate(0x0000, 0)
+        t0 = tlb.translate(0x0000, 0, h)
         # Evict page 0 from the 2-entry L1 TLB (pages 2 and 4 map to
         # its set with assoc 1... fill both sets).
-        tlb.translate(0x2000, t0)
-        tlb.translate(0x4000, t0)
+        tlb.translate(0x2000, t0, h)
+        tlb.translate(0x4000, t0, h)
         walks = tlb.walks
         l2_hits = tlb.l2.hits
-        ready = tlb.translate(0x0000, t0)  # L1 miss, L2 hit: no new walk
+        ready = tlb.translate(0x0000, t0, h)  # L1 miss, L2 hit: no new walk
         assert tlb.walks == walks
         assert tlb.l2.hits == l2_hits + 1
         assert ready >= t0 + tlb.l2_latency
@@ -120,11 +120,11 @@ class TestTLBUnits:
     def test_inflight_walk_coalesces(self):
         h = _tlb_hierarchy()
         tlb = h.tlb
-        done = tlb.translate(0x8000, 0)
+        done = tlb.translate(0x8000, 0, h)
         assert done > 0 and tlb.walks == 1
         # A second translate for the same page before the walk finishes
         # counts as a hit and waits for the fill — never a second walk.
-        ready = tlb.translate(0x8040, 1)
+        ready = tlb.translate(0x8040, 1, h)
         assert ready == done
         assert tlb.walks == 1
         assert tlb.l1.hits == 1
@@ -154,14 +154,14 @@ class TestTLBUnits:
 
     def test_walk_loads_go_through_the_caches(self):
         h = _tlb_hierarchy(walk_levels=4)
-        h.tlb.translate(0x0000, 0)
+        h.tlb.translate(0x0000, 0, h)
         # Cold walk: the leaf PTE load (at least) misses to DRAM under
         # the walker's source tag...
         assert h.stats.dram_by_source.get("ptw", 0) >= 1
         dram_after_first = h.stats.dram_by_source["ptw"]
         # ...and a neighbouring page's walk reuses the cached upper
         # levels instead of re-fetching all four.
-        h.tlb.translate(0x1000, 10_000)
+        h.tlb.translate(0x1000, 10_000, h)
         assert h.stats.dram_by_source["ptw"] - dram_after_first < 4
 
     def test_tlb_config_validation(self):
