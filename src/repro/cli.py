@@ -274,8 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cworker_p.add_argument(
         "--connect", required=True, metavar="HOST:PORT",
-        help="coordinator address (printed by 'campaign run --verbose' or"
-        " chosen when starting a Coordinator programmatically)",
+        help="address of a Coordinator started programmatically (its"
+        " .address); 'campaign run' connects its own workers",
     )
     cworker_p.add_argument("--poll", type=float, default=0.1, metavar="SECONDS")
     cworker_p.add_argument(
@@ -401,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench",
         help="measure simulator throughput (instructions simulated per second)",
         description="Times the simulator's hot kernels — functional step"
-        " (reference vs pre-decoded), bulk/pooled loops, trace replay, the"
+        " (reference vs pre-decoded), the bulk loop, trace replay, the"
         " OoO timing loop, the memory hierarchy, and the VR vector engine —"
         " and reports work-units per second plus throughput relative to the"
         " reference interpreter. See docs/performance.md.",
@@ -629,41 +629,6 @@ def _dispatch(args) -> int:
         for line in written:
             print(line)
         return 0
-    if args.command == "figure":
-        import tempfile
-
-        from .experiments import ResultCache, figure_specs, run_batch, use_cache
-
-        generator = getattr(experiments, _FIGURES[args.name])
-        kwargs = {"instructions": args.instructions}
-        if args.workloads:
-            kwargs["workloads"] = args.workloads
-        if args.dump_spec:
-            return _dump_specs_and_exit(figure_specs(args.name, **kwargs))
-        cache = _make_cache(args)
-        ephemeral = None
-        if args.jobs and args.jobs > 1 and cache is None:
-            # Parallelism for a serial generator works by warming a
-            # cache; without --cache, use a throwaway one.
-            ephemeral = tempfile.TemporaryDirectory(prefix="repro-figure-cache-")
-            cache = ResultCache(ephemeral.name)
-        try:
-            if cache is not None:
-                if args.jobs and args.jobs > 1:
-                    run_batch(
-                        figure_specs(args.name, **kwargs), jobs=args.jobs, cache=cache
-                    )
-                with use_cache(cache):
-                    result = generator(**kwargs)
-            else:
-                result = generator(**kwargs)
-        finally:
-            if ephemeral is not None:
-                ephemeral.cleanup()
-        print(_render(result, args.format))
-        if args.cache is not None or args.resume:
-            _emit_batch_stats()
-        return 0
     if args.command == "table":
         generator = getattr(experiments, _TABLES[args.name])
         if args.name == "table2":
@@ -672,59 +637,17 @@ def _dispatch(args) -> int:
             result = generator()
         print(_render(result, args.format))
         return 0
-    if args.command == "sweep":
-        from .experiments import run_sweep, sweep_specs
+    if args.command in ("figure", "sweep", "compare"):
+        from .errors import ReproError
 
-        values = [_parse_value(v) for v in args.values]
-        if args.dump_spec:
-            return _dump_specs_and_exit(sweep_specs(
-                args.workload,
-                args.technique,
-                args.param,
-                values,
-                instructions=args.instructions,
-                seeds=list(range(1, args.seeds + 1)) if args.seeds > 1 else None,
-            ))
-        cache = _make_cache(args)
-        result = run_sweep(
-            args.workload,
-            args.technique,
-            args.param,
-            values,
-            instructions=args.instructions,
-            seeds=list(range(1, args.seeds + 1)) if args.seeds > 1 else None,
-            jobs=args.jobs,
-            cache=cache,
-            audit=args.audit,
-        )
-        print(_render(result, args.format))
-        if cache is not None:
-            _emit_batch_stats()
-        return 0
-    if args.command == "compare":
-        from .experiments import compare_specs, compare_techniques
-
-        if args.dump_spec:
-            return _dump_specs_and_exit(compare_specs(
-                args.workloads,
-                args.techniques,
-                instructions=args.instructions,
-                seeds=list(range(1, args.seeds + 1)) if args.seeds > 1 else None,
-            ))
-        cache = _make_cache(args)
-        result = compare_techniques(
-            args.workloads,
-            args.techniques,
-            instructions=args.instructions,
-            seeds=list(range(1, args.seeds + 1)) if args.seeds > 1 else None,
-            jobs=args.jobs,
-            cache=cache,
-            audit=args.audit,
-        )
-        print(_render(result, args.format))
-        if cache is not None:
-            _emit_batch_stats()
-        return 0
+        try:
+            return _run_experiment_command(args)
+        except ReproError as exc:
+            # A strict batch failure carries the worker traceback after
+            # its summary line; the summary alone is the error.
+            summary = str(exc).partition("\n")[0]
+            print(f"error: {summary}", file=sys.stderr)
+            return 2
     if args.command == "batch":
         return _run_batch_command(args)
     if args.command == "campaign":
@@ -772,6 +695,98 @@ def _dispatch(args) -> int:
         print(hardware_cost_report(cfg))
         return 0
     return 1  # pragma: no cover
+
+
+def _run_experiment_command(args) -> int:
+    """``repro figure/sweep/compare``: run one experiment and render it."""
+    if args.command == "figure":
+        import tempfile
+
+        from .experiments import ResultCache, figure_specs, run_batch, use_cache
+
+        generator = getattr(experiments, _FIGURES[args.name])
+        kwargs = {"instructions": args.instructions}
+        if args.workloads:
+            kwargs["workloads"] = args.workloads
+        if args.dump_spec:
+            return _dump_specs_and_exit(figure_specs(args.name, **kwargs))
+        cache = _make_cache(args)
+        ephemeral = None
+        if args.jobs and args.jobs > 1 and cache is None:
+            # Parallelism for a serial generator works by warming a
+            # cache; without --cache, use a throwaway one.
+            ephemeral = tempfile.TemporaryDirectory(prefix="repro-figure-cache-")
+            cache = ResultCache(ephemeral.name)
+        try:
+            if cache is not None:
+                if args.jobs and args.jobs > 1:
+                    run_batch(
+                        figure_specs(args.name, **kwargs), jobs=args.jobs, cache=cache
+                    )
+                with use_cache(cache):
+                    result = generator(**kwargs)
+            else:
+                result = generator(**kwargs)
+        finally:
+            if ephemeral is not None:
+                ephemeral.cleanup()
+        print(_render(result, args.format))
+        if args.cache is not None or args.resume:
+            _emit_batch_stats()
+        return 0
+    if args.command == "sweep":
+        from .experiments import run_sweep, sweep_specs
+
+        values = [_parse_value(v) for v in args.values]
+        if args.dump_spec:
+            return _dump_specs_and_exit(sweep_specs(
+                args.workload,
+                args.technique,
+                args.param,
+                values,
+                instructions=args.instructions,
+                seeds=list(range(1, args.seeds + 1)) if args.seeds > 1 else None,
+            ))
+        cache = _make_cache(args)
+        result = run_sweep(
+            args.workload,
+            args.technique,
+            args.param,
+            values,
+            instructions=args.instructions,
+            seeds=list(range(1, args.seeds + 1)) if args.seeds > 1 else None,
+            jobs=args.jobs,
+            cache=cache,
+            audit=args.audit,
+        )
+        print(_render(result, args.format))
+        if cache is not None:
+            _emit_batch_stats()
+        return 0
+    # compare
+    from .experiments import compare_specs, compare_techniques
+
+    if args.dump_spec:
+        return _dump_specs_and_exit(compare_specs(
+            args.workloads,
+            args.techniques,
+            instructions=args.instructions,
+            seeds=list(range(1, args.seeds + 1)) if args.seeds > 1 else None,
+        ))
+    cache = _make_cache(args)
+    result = compare_techniques(
+        args.workloads,
+        args.techniques,
+        instructions=args.instructions,
+        seeds=list(range(1, args.seeds + 1)) if args.seeds > 1 else None,
+        jobs=args.jobs,
+        cache=cache,
+        audit=args.audit,
+    )
+    print(_render(result, args.format))
+    if cache is not None:
+        _emit_batch_stats()
+    return 0
 
 
 def _load_spec_list(path: str) -> Optional[list]:

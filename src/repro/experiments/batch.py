@@ -47,13 +47,11 @@ import time
 import traceback as traceback_module
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.ooo import SimulationResult
 from ..errors import ReproError
-from ..perf.trace import use_trace_dir
 from .cache import BATCH_COUNTERS, ResultCache, canonical_spec
 from .runner import run_simulation
 from .spec import RunSpec, parse_spec_entry
@@ -243,8 +241,8 @@ class SpecSet:
 
 
 # Fork where available: it does not re-import __main__ (so batches work
-# from scripts, notebooks and the REPL), and workers inherit the state
-# installed before they start, such as the trace directory.
+# from scripts, notebooks and the REPL), and workers inherit what the
+# parent memoised before they start (graph inputs, traces).
 _POOL_CONTEXT = multiprocessing.get_context(
     "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 )
@@ -377,24 +375,13 @@ def run_batch(
     spec_set.resolve_cached()
 
     if spec_set.remaining:
-        # With a cache attached, captured architectural traces persist
-        # next to the results (cache.root/traces). The module-level
-        # trace dir is installed before the pool forks, so workers
-        # inherit it and share streams across processes. Without a
-        # cache, any ambient trace store is left untouched.
-        trace_ctx = (
-            use_trace_dir(cache.root / "traces")
-            if cache is not None
-            else nullcontext()
-        )
-        with trace_ctx:
-            spec_set.run_local()
-            pending = spec_set.pending()
-            if jobs is None or jobs <= 1 or len(pending) <= 1:
-                for key, item in pending:
-                    spec_set.resolve(key, _execute_spec(item))
-            else:
-                _run_pooled(spec_set, jobs, retries)
+        spec_set.run_local()
+        pending = spec_set.pending()
+        if jobs is None or jobs <= 1 or len(pending) <= 1:
+            for key, item in pending:
+                spec_set.resolve(key, _execute_spec(item))
+        else:
+            _run_pooled(spec_set, jobs, retries)
 
     results = spec_set.results()
     failures = [r for r in results if isinstance(r, BatchFailure)]

@@ -109,8 +109,8 @@ def code_fingerprint() -> str:
 #
 # Canonical resolution and normalization live in
 # :class:`repro.experiments.spec.RunSpec`; these helpers are the
-# kwargs-dict compatibility surface plus the low-level content
-# addresser both cache keys and trace keys share.
+# low-level content addresser behind :meth:`RunSpec.key
+# <repro.experiments.spec.RunSpec.key>`.
 
 
 def canonical_spec(spec: Dict) -> Dict:
@@ -124,21 +124,6 @@ def canonical_spec(spec: Dict) -> Dict:
     return out
 
 
-def resolve_spec(spec: Dict) -> Dict:
-    """Normalise a ``run_simulation`` kwargs dict to its cache identity.
-
-    Delegates to :meth:`RunSpec.resolved
-    <repro.experiments.spec.RunSpec.resolved>`, so
-    ``{"workload": "bfs", "max_instructions": 1200}`` and the explicit
-    ``{"workload": "bfs", "config": SimConfig(max_instructions=1200)}``
-    resolve to the same identity payload (and fields the run ignores —
-    an ``input_name`` on a workload that takes none — are dropped).
-    """
-    from .spec import RunSpec
-
-    return RunSpec.from_any(spec).resolved(strict=False).identity_payload()
-
-
 def spec_key(resolved: Dict, fingerprint: Optional[str] = None) -> str:
     """Content address of an already-resolved spec dict."""
     payload = {
@@ -147,13 +132,6 @@ def spec_key(resolved: Dict, fingerprint: Optional[str] = None) -> str:
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
     return hashlib.blake2b(blob.encode(), digest_size=20).hexdigest()
-
-
-def resolved_spec_key(spec) -> str:
-    """Cache key of a raw kwargs dict or a :class:`RunSpec`."""
-    from .spec import RunSpec
-
-    return RunSpec.from_any(spec).key()
 
 
 # -- result (de)serialisation -------------------------------------------------
@@ -191,8 +169,7 @@ class ResultCache:
     Layout: entries live under 256 two-hex-digit shard directories
     keyed on the spec-key prefix (``ab01.../`` → ``ab/ab01....json``),
     so no single directory ever holds a 10k-entry campaign and per-shard
-    listings stay cheap. Entries written by older (flat-layout) caches
-    are still readable and migrate into their shard on first hit.
+    listings stay cheap.
 
     Concurrency: the cache is safe for many simultaneous writer
     *processes* (fabric workers, forked batch pools, a coordinator):
@@ -210,9 +187,7 @@ class ResultCache:
 
     Reads touch the entry's mtime, making mtime an LRU clock;
     :meth:`gc` evicts by age and/or least-recently-used until the
-    cache fits ``max_bytes``. A lazily built per-shard index (one
-    ``scandir`` pass per shard) backs :meth:`stats`, :meth:`__len__`,
-    and eviction ordering without stat'ing every entry individually.
+    cache fits ``max_bytes``.
     """
 
     def __init__(
@@ -227,8 +202,6 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
         self.dup_writes = 0
-        #: key → (size_bytes, mtime) per shard, built lazily by _index().
-        self._index: Optional[Dict[str, Dict[str, Tuple[int, float]]]] = None
 
     # -- layout ---------------------------------------------------------------
 
@@ -241,25 +214,11 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self._shard_dir(key) / f"{key}.json"
 
-    def _flat_path(self, key: str) -> Path:
-        """Pre-shard (flat) location, kept readable for old caches."""
-        return self.root / f"{key}.json"
-
     # -- read / write ---------------------------------------------------------
 
     def get(self, key: str) -> Optional[SimulationResult]:
         path = self._path(key)
         result = self._load(path)
-        if result is None:
-            flat = self._flat_path(key)
-            result = self._load(flat)
-            if result is not None:
-                # Migrate a flat-layout entry into its shard.
-                try:
-                    path.parent.mkdir(exist_ok=True)
-                    os.replace(flat, path)
-                except OSError:
-                    path = flat
         if result is None:
             self.misses += 1
             self.counters.inc("batch.cache.misses")
@@ -287,12 +246,11 @@ class ResultCache:
                 path.unlink()
             except OSError:
                 pass
-            self._drop_index_entry(path)
             return None
 
     def put(self, key: str, result: SimulationResult) -> None:
         path = self._path(key)
-        if path.exists() or self._flat_path(key).exists():
+        if path.exists():
             # Another writer (or a previous attempt) published this key
             # already; identical content by construction, so a hit.
             self.dup_writes += 1
@@ -335,21 +293,13 @@ class ResultCache:
                     pass
         self.stores += 1
         self.counters.inc("batch.cache.stores")
-        self._add_index_entry(key, path)
 
-    # Spec-level conveniences (resolve + key in one step).
-
-    def get_spec(self, spec: Dict) -> Optional[SimulationResult]:
-        return self.get(resolved_spec_key(spec))
-
-    def put_spec(self, spec: Dict, result: SimulationResult) -> None:
-        self.put(resolved_spec_key(spec), result)
-
-    # -- the per-shard index --------------------------------------------------
+    # -- the on-disk state ----------------------------------------------------
 
     def _scan(self) -> Dict[str, Dict[str, Tuple[int, float]]]:
-        """One ``scandir`` pass per shard directory (plus the flat root
-        for legacy entries); never a per-file ``stat`` storm."""
+        """``{shard: {key: (size_bytes, mtime)}}``, read fresh from disk
+        (other processes may have written): one ``scandir`` pass per
+        shard directory, never a per-file ``stat`` storm."""
         index: Dict[str, Dict[str, Tuple[int, float]]] = {}
         try:
             top = list(os.scandir(self.root))
@@ -366,55 +316,26 @@ class ResultCache:
                     if child.name.endswith(".json") and not child.name.startswith("."):
                         st = child.stat()
                         shard[child.name[: -len(".json")]] = (st.st_size, st.st_mtime)
-            elif entry.name.endswith(".json") and not entry.name.startswith("."):
-                key = entry.name[: -len(".json")]
-                st = entry.stat()
-                index.setdefault(self._shard(key), {})[key] = (st.st_size, st.st_mtime)
         return index
 
-    def _ensure_index(self) -> Dict[str, Dict[str, Tuple[int, float]]]:
-        if self._index is None:
-            self._index = self._scan()
-        return self._index
-
-    def refresh(self) -> None:
-        """Re-read the on-disk state (other processes may have written)."""
-        self._index = self._scan()
-
-    def _add_index_entry(self, key: str, path: Path) -> None:
-        if self._index is None:
-            return
-        try:
-            st = path.stat()
-        except OSError:
-            return
-        self._index.setdefault(self._shard(key), {})[key] = (st.st_size, st.st_mtime)
-
-    def _drop_index_entry(self, path: Path) -> None:
-        if self._index is None or not path.name.endswith(".json"):
-            return
-        key = path.name[: -len(".json")]
-        self._index.get(self._shard(key), {}).pop(key, None)
-
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self._ensure_index().values())
+        return sum(len(shard) for shard in self._scan().values())
 
     def total_bytes(self) -> int:
         return sum(
             size
-            for shard in self._ensure_index().values()
+            for shard in self._scan().values()
             for size, _mtime in shard.values()
         )
 
     def stats(self) -> Dict:
         """Entry count, byte total, and the per-shard breakdown."""
-        self.refresh()
         shards = {
             name: {
                 "entries": len(entries),
                 "bytes": sum(size for size, _ in entries.values()),
             }
-            for name, entries in sorted(self._index.items())
+            for name, entries in sorted(self._scan().items())
             if entries
         }
         return {
@@ -443,12 +364,11 @@ class ResultCache:
         deleting. Eviction is safe under concurrent readers/writers:
         a reader losing the race sees a plain miss and re-simulates.
         """
-        self.refresh()
         if now is None:
             now = time.time()
         entries = [
             (mtime, size, key)
-            for shard in self._index.values()
+            for shard in self._scan().values()
             for key, (size, mtime) in shard.items()
         ]
         victims: List[Tuple[float, int, str]] = []
@@ -467,16 +387,10 @@ class ResultCache:
         evicted = 0
         for _mtime, size, key in victims:
             if not dry_run:
-                removed = False
-                for path in (self._path(key), self._flat_path(key)):
-                    try:
-                        path.unlink()
-                        removed = True
-                    except OSError:
-                        pass
-                if not removed:
+                try:
+                    self._path(key).unlink()
+                except OSError:
                     continue
-                self._drop_index_entry(self._path(key))
                 self.counters.inc("batch.cache.evictions")
             evicted += 1
             freed += size

@@ -79,7 +79,8 @@ def run_simulation(
     ``replay`` controls architectural trace sharing (``repro.perf``):
     with the default ``"auto"``, the technique-independent functional
     stream is captured once per stream projection and replayed into
-    every later run of the same stream — so comparing four techniques
+    every later run of the same stream in this process (the trace memo
+    lives in process memory only) — so comparing four techniques
     over one workload executes the program functionally once, not four
     times. Replay is exact: identical ``DynInstr`` fields, identical
     memory-image evolution (stores are re-applied at fetch time),
@@ -176,7 +177,7 @@ def _run_resolved(
     # the core would otherwise build itself.
     functional_source = None
     capture: Optional[CaptureSource] = None
-    stream_key: Optional[str] = None
+    stream_key: Optional[tuple] = None
     if replay != "off":
         limit = cfg.max_instructions
         stream_key = arch_trace_key(spec.stream_projection())

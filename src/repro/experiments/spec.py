@@ -25,10 +25,10 @@ canonical form:
 * ``trace_capacity`` participates in identity only when ``trace`` is
   on.
 
-Both the result-cache key (:meth:`RunSpec.key`) and the architectural
-trace key (:meth:`RunSpec.stream_projection`, consumed by
-:func:`repro.perf.trace.arch_trace_key`) derive from the resolved form
-— one derivation point for every content address in the system. See
+Both the result-cache key (:meth:`RunSpec.key`, a content address) and
+the architectural-trace memo key (:meth:`RunSpec.stream_projection`,
+consumed by :func:`repro.perf.trace.arch_trace_key`) derive from the
+resolved form — one derivation point for run identity. See
 ``docs/spec.md`` for the schema and the normalization rules.
 """
 

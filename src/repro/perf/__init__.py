@@ -3,8 +3,9 @@
 ``repro.perf.trace`` captures the architectural :class:`DynInstr` stream
 once per (program, input, seed) and replays it into any timing core or
 runahead technique — the stream is technique-independent because the
-simulator is execution-driven at fetch (see DESIGN.md), so sweeps,
-comparisons and figures share one functional execution.
+simulator is execution-driven at fetch (see DESIGN.md), so the runs of
+a sweep, comparison or figure in one process share one functional
+execution.
 
 ``repro.perf.bench`` holds the measured kernels behind the
 ``repro bench`` CLI subcommand and ``benchmarks/test_perf_kernel.py``.
@@ -19,7 +20,6 @@ from .trace import (
     clear_trace_memo,
     load_trace,
     store_trace,
-    use_trace_dir,
 )
 
 __all__ = [
@@ -31,5 +31,4 @@ __all__ = [
     "clear_trace_memo",
     "load_trace",
     "store_trace",
-    "use_trace_dir",
 ]

@@ -23,36 +23,25 @@ no register file — while reproducing the exact observable protocol:
   program against memory observe fetch-point values exactly as they
   would against live execution.
 
-Traces are identified by the same content-addressing machinery as
-cached results (:func:`repro.experiments.cache.spec_key`, which embeds
-the package code fingerprint), keyed on the *exact* step budget so a
-replayed stream can never run dry mid-consumption. Persistence is a
-``traces/`` subdirectory of the result cache (atomic writes, corrupt
-entries dropped); a small in-process LRU memo serves repeat runs in
-the same process — e.g. the technique loop of a comparison — without
-touching disk.
+Traces live only in a small in-process LRU memo, which serves repeat
+runs in the same process — e.g. the technique loop of a comparison.
+The memo key is the run spec's stream projection
+(:func:`arch_trace_key`), which pins the *exact* step budget so a
+replayed stream can never run dry mid-consumption.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from collections import OrderedDict
-from contextlib import contextmanager
-from pathlib import Path
-from typing import Iterator, List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from ..core.dyninstr import DynInstr
 from ..errors import SimulationError
 from ..isa.predecode import K_STORE, decode_program
 from ..isa.program import Program
 
-#: Version tag written into every trace file; bump on layout changes.
-TRACE_SCHEMA = "repro.arch-trace/1"
-
-#: Streams longer than this are not worth holding in memory/disk; the
-#: run simply executes functionally (capture is skipped, never replay).
+#: Streams longer than this are not worth holding in memory; the run
+#: simply executes functionally (capture is skipped, never replay).
 CAPTURE_LIMIT = 400_000
 
 #: In-process memo capacity (distinct (workload, seed, limit) streams).
@@ -96,30 +85,6 @@ class ArchTrace:
 
     def __len__(self) -> int:
         return len(self.pcs)
-
-    def to_payload(self) -> dict:
-        return {
-            "schema": TRACE_SCHEMA,
-            "halted": self.halted,
-            "pcs": self.pcs,
-            "values": self.values,
-            "addrs": self.addrs,
-            "takens": self.takens,
-            "next_pcs": self.next_pcs,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ArchTrace":
-        if payload.get("schema") != TRACE_SCHEMA:
-            raise ValueError("trace schema mismatch")
-        return cls(
-            pcs=payload["pcs"],
-            values=payload["values"],
-            addrs=payload["addrs"],
-            takens=payload["takens"],
-            next_pcs=payload["next_pcs"],
-            halted=bool(payload["halted"]),
-        )
 
 
 class CaptureSource:
@@ -247,8 +212,8 @@ def capture_arch_trace(program, memory, limit: int) -> ArchTrace:
 _PROJECTION_FIELDS = ("workload", "input_name", "size", "seed", "limit", "stream")
 
 
-def arch_trace_key(spec) -> str:
-    """Content address of one architectural stream.
+def arch_trace_key(spec) -> Tuple:
+    """Memo key of one architectural stream.
 
     ``spec`` is a :class:`~repro.experiments.spec.RunSpec` (its
     :meth:`~repro.experiments.spec.RunSpec.stream_projection` is the
@@ -257,34 +222,33 @@ def arch_trace_key(spec) -> str:
     ``seed``/``limit``/``stream``. ``stream`` distinguishes program
     transforms over the same workload (``"base"`` vs ``"swpf"`` —
     software prefetching rewrites the program, so its stream differs).
-    The key embeds the package code fingerprint via
-    :func:`~repro.experiments.cache.spec_key`, so any source edit
-    invalidates every trace alongside every result.
+    The key is the projection's values in field order: a memo key, not
+    a content address. The memo never outlives its process, so the
+    code that replays a trace is the code that captured it, and the
+    key needs no code fingerprint.
     """
-    from ..experiments.cache import spec_key
-
     projection = spec if isinstance(spec, dict) else spec.stream_projection()
     missing = [f for f in _PROJECTION_FIELDS if f not in projection]
     if missing:
         raise SimulationError(f"stream projection is missing fields {missing}")
-    payload = {"kind": "arch-trace"}
-    payload.update({f: projection[f] for f in _PROJECTION_FIELDS})
-    return spec_key(payload)
+    return tuple(projection[f] for f in _PROJECTION_FIELDS)
 
 
 # -- in-process memo ----------------------------------------------------------
 
-_MEMO: "OrderedDict[str, ArchTrace]" = OrderedDict()
+_MEMO: "OrderedDict[Tuple, ArchTrace]" = OrderedDict()
 
 
-def _memo_get(key: str) -> Optional[ArchTrace]:
+def load_trace(key: Tuple) -> Optional[ArchTrace]:
+    """The memoised stream under ``key``, or None."""
     trace = _MEMO.get(key)
     if trace is not None:
         _MEMO.move_to_end(key)
     return trace
 
 
-def _memo_put(key: str, trace: ArchTrace) -> None:
+def store_trace(key: Tuple, trace: ArchTrace) -> None:
+    """Memoise ``trace``, evicting the least recently used beyond capacity."""
     _MEMO[key] = trace
     _MEMO.move_to_end(key)
     while len(_MEMO) > _MEMO_CAPACITY:
@@ -294,81 +258,3 @@ def _memo_put(key: str, trace: ArchTrace) -> None:
 def clear_trace_memo() -> None:
     """Drop every memoised trace (tests and long-lived processes)."""
     _MEMO.clear()
-
-
-# -- disk persistence ---------------------------------------------------------
-
-# Module-level (not a contextvar) so forked batch workers inherit the
-# directory installed by the parent before the pool spawned.
-_SHARED_TRACE_DIR: Optional[Path] = None
-
-
-@contextmanager
-def use_trace_dir(path: Optional[os.PathLike]) -> Iterator[Optional[Path]]:
-    """Make ``path`` the trace store for runs within (None disables)."""
-    global _SHARED_TRACE_DIR
-    previous = _SHARED_TRACE_DIR
-    _SHARED_TRACE_DIR = Path(path) if path is not None else None
-    try:
-        yield _SHARED_TRACE_DIR
-    finally:
-        _SHARED_TRACE_DIR = previous
-
-
-def _trace_root() -> Optional[Path]:
-    if _SHARED_TRACE_DIR is not None:
-        return _SHARED_TRACE_DIR
-    from ..experiments.cache import active_cache
-
-    cache = active_cache()
-    if cache is not None:
-        # Subdirectory keeps trace files out of the result cache's
-        # ``*.json`` namespace (len(cache), resume scans, ...).
-        return cache.root / "traces"
-    return None
-
-
-def load_trace(key: str) -> Optional[ArchTrace]:
-    """Memo, then disk; corrupt or stale entries are dropped as misses."""
-    trace = _memo_get(key)
-    if trace is not None:
-        return trace
-    root = _trace_root()
-    if root is None:
-        return None
-    path = root / f"{key}.json"
-    try:
-        trace = ArchTrace.from_payload(json.loads(path.read_text()))
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError, KeyError, TypeError):
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
-    _memo_put(key, trace)
-    return trace
-
-
-def store_trace(key: str, trace: ArchTrace) -> None:
-    """Memoise and (when a trace store is ambient) persist atomically."""
-    _memo_put(key, trace)
-    root = _trace_root()
-    if root is None:
-        return
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=root, prefix=".tmp-", suffix=".json", delete=False
-        )
-        with handle:
-            json.dump(trace.to_payload(), handle)
-        os.replace(handle.name, root / f"{key}.json")
-    except OSError:
-        # Persistence is an optimisation; a full disk or permission
-        # problem must not fail the run that captured the trace.
-        try:
-            os.unlink(handle.name)
-        except (OSError, UnboundLocalError):
-            pass

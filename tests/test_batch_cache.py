@@ -28,6 +28,7 @@ from repro.experiments import (
 from repro.experiments import batch as batch_module
 from repro.experiments import cache as cache_module
 from repro.observability import Observability
+from repro.perf.trace import clear_trace_memo
 
 
 @pytest.fixture(autouse=True)
@@ -170,11 +171,11 @@ class TestDedup:
         assert matrix["nas_is"]["dvr"] > 0
 
     def test_equivalent_explicit_config_and_max_instructions_share_a_key(self):
-        a = cache_module.resolved_spec_key(_spec())
-        b = cache_module.resolved_spec_key(
+        a = RunSpec.from_any(_spec()).key()
+        b = RunSpec.from_any(
             {"workload": "camel", "technique": "ooo",
              "config": SimConfig(max_instructions=800)}
-        )
+        ).key()
         assert a == b
 
 
@@ -273,19 +274,6 @@ class TestShardedCache:
         assert len(entries) == 2
         for entry in entries:
             assert entry.parent.name == entry.stem[:2]
-
-    def test_flat_legacy_entry_is_served_and_migrated(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = _spec()
-        run_batch([spec], cache=cache)
-        sharded = next(tmp_path.rglob("*.json"))
-        flat = tmp_path / sharded.name  # demote to the pre-shard layout
-        sharded.rename(flat)
-        result = run_batch([spec], cache=cache)[0]
-        assert result.ipc > 0
-        assert cache.hits == 1
-        assert not flat.exists()
-        assert (tmp_path / flat.stem[:2] / flat.name).exists()
 
     def test_duplicate_write_is_a_hit_not_a_store(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -443,6 +431,18 @@ class TestShardedCache:
         assert BATCH_COUNTERS.get("batch.cache.evictions") == 0
         for path in paths:
             assert cache.get(path.stem) is not None
+
+    def test_stats_and_gc_cover_every_file_under_the_root(self, tmp_path):
+        # A capturing run (cold trace memo) writes nothing but results:
+        # stats counts every byte on disk, and gc can empty the root.
+        clear_trace_memo()
+        cache = ResultCache(tmp_path)
+        run_batch([_spec(), _spec(technique="dvr")], cache=cache)
+        assert BATCH_COUNTERS.get("batch.trace.captures") == 1
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert cache.stats()["bytes"] == sum(p.stat().st_size for p in files)
+        cache.gc(max_bytes=0)
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     def test_len_and_total_bytes_use_the_index(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -196,3 +196,33 @@ class TestRunFailureSurfaces:
         assert done.stderr == ""
         validate_stats((tmp_path / "s.json").read_text())
         assert (tmp_path / "t.jsonl").read_text().count("\n") > 0
+
+
+class TestExperimentFailureSurfaces:
+    """`repro sweep/compare/figure` end a ReproError with one error line
+    and exit 2, as `repro run` does."""
+
+    SWEEP = ["sweep", "--workload", "camel", "--technique", "dvr",
+             "--instructions", "500"]
+
+    @pytest.mark.parametrize("argv,reason", [
+        (SWEEP + ["--param", "core.bogus", "--values", "1", "2"],
+         "no config field 'core.bogus'"),
+        (SWEEP + ["--param", "core.rob_size", "--values", "abc"],
+         "cannot coerce 'abc' to int"),
+        # A strict batch failure: the message carries the worker
+        # traceback after its summary line, which alone is printed.
+        (["compare", "--workloads", "camel", "--techniques", "bogus",
+          "--instructions", "500"],
+         "unknown technique 'bogus'"),
+        (["figure", "figure9", "--workloads", "bogus", "--instructions", "500"],
+         "unknown workload 'bogus'"),
+    ], ids=["sweep-param", "sweep-value", "compare-technique", "figure-workload"])
+    def test_one_error_line(self, argv, reason, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert reason in captured.err
+        assert "Traceback" not in captured.err
+

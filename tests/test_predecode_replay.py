@@ -28,7 +28,6 @@ from repro.experiments.runner import run_simulation
 from repro.isa import Opcode, ProgramBuilder
 from repro.memory import MemoryImage
 from repro.perf.trace import (
-    ArchTrace,
     ReplaySource,
     capture_arch_trace,
     clear_trace_memo,
@@ -219,28 +218,6 @@ def test_streams_are_technique_independent():
 
 
 # -- unit coverage ------------------------------------------------------------
-
-def test_arch_trace_payload_round_trip():
-    trace = ArchTrace(
-        pcs=[0, 1, 2],
-        values=[None, 5, None],
-        addrs=[None, 64, 72],
-        takens=[None, None, None],
-        next_pcs=[1, 2, 3],
-        halted=True,
-    )
-    clone = ArchTrace.from_payload(trace.to_payload())
-    assert len(clone) == 3
-    for field in ("pcs", "values", "addrs", "takens", "next_pcs", "halted"):
-        assert getattr(clone, field) == getattr(trace, field)
-
-
-def test_arch_trace_rejects_foreign_schema():
-    payload = ArchTrace([], [], [], [], [], True).to_payload()
-    payload["schema"] = "something/else"
-    with pytest.raises(ValueError):
-        ArchTrace.from_payload(payload)
-
 
 def test_replay_source_raises_past_truncated_trace():
     """A budget-truncated trace must never silently run dry."""

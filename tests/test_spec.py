@@ -355,12 +355,17 @@ class TestCLISpecs:
         assert lanes == {16, 32}
 
     def test_conflicting_sweep_dump_fails_eagerly(self, capsys):
-        with pytest.raises(ConfigError):
-            main(
-                ["sweep", "--workload", "camel", "--technique", "dvr-offload",
-                 "--param", "runahead.nested_enabled", "--values", "true",
-                 "--dump-spec"]
-            )
+        # The ConfigError ends the command before any document is
+        # printed: one error line and exit 2.
+        assert main(
+            ["sweep", "--workload", "camel", "--technique", "dvr-offload",
+             "--param", "runahead.nested_enabled", "--values", "true",
+             "--dump-spec"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: technique 'dvr-offload' pins")
+        assert captured.err.count("\n") == 1
 
     def test_list_json_is_machine_readable(self, capsys):
         assert main(["list", "--json"]) == 0
