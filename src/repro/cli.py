@@ -697,12 +697,22 @@ def _dispatch(args) -> int:
     return 1  # pragma: no cover
 
 
+class _WarmResults(dict):
+    """Results by spec key, standing in for the ambient result cache.
+
+    ``repro figure --jobs N`` without ``--cache`` fills one from its
+    parallel warm-up batch; ``run_simulation`` reads it through ``get``
+    and files any spec the batch lost through ``put``.
+    """
+
+    def put(self, key: str, result) -> None:
+        self[key] = result
+
+
 def _run_experiment_command(args) -> int:
     """``repro figure/sweep/compare``: run one experiment and render it."""
     if args.command == "figure":
-        import tempfile
-
-        from .experiments import ResultCache, figure_specs, run_batch, use_cache
+        from .experiments import BatchFailure, figure_specs, run_batch, use_cache
 
         generator = getattr(experiments, _FIGURES[args.name])
         kwargs = {"instructions": args.instructions}
@@ -711,25 +721,20 @@ def _run_experiment_command(args) -> int:
         if args.dump_spec:
             return _dump_specs_and_exit(figure_specs(args.name, **kwargs))
         cache = _make_cache(args)
-        ephemeral = None
-        if args.jobs and args.jobs > 1 and cache is None:
-            # Parallelism for a serial generator works by warming a
-            # cache; without --cache, use a throwaway one.
-            ephemeral = tempfile.TemporaryDirectory(prefix="repro-figure-cache-")
-            cache = ResultCache(ephemeral.name)
-        try:
+        if args.jobs and args.jobs > 1:
+            # Parallelism for a serial generator works by warming the
+            # ambient cache with one parallel batch. Without --cache the
+            # batch's results reach the generator in memory.
+            specs = figure_specs(args.name, **kwargs)
             if cache is not None:
-                if args.jobs and args.jobs > 1:
-                    run_batch(
-                        figure_specs(args.name, **kwargs), jobs=args.jobs, cache=cache
-                    )
-                with use_cache(cache):
-                    result = generator(**kwargs)
+                run_batch(specs, jobs=args.jobs, cache=cache)
             else:
-                result = generator(**kwargs)
-        finally:
-            if ephemeral is not None:
-                ephemeral.cleanup()
+                cache = _WarmResults()
+                for spec, outcome in zip(specs, run_batch(specs, jobs=args.jobs)):
+                    if not isinstance(outcome, BatchFailure):
+                        cache.put(spec.key(), outcome)
+        with use_cache(cache):
+            result = generator(**kwargs)
         print(_render(result, args.format))
         if args.cache is not None or args.resume:
             _emit_batch_stats()

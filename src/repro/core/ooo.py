@@ -352,6 +352,7 @@ class OoOCore:
         functional_step = self.functional.step
         mshr_available = hierarchy.mshr_available
         hierarchy_access = hierarchy.access
+        hierarchy_store = hierarchy.store
         demand_load = hierarchy.demand_load
         is_mapped = self.memory_image.is_mapped
         predict = predictor.predict
@@ -363,8 +364,11 @@ class OoOCore:
         heappushpop = heapq.heappushpop
         trace_limit = self.trace_limit
 
-        fetch_ring = [0] * width
-        commit_ring = [0] * width
+        # Every ring starts at a value that constrains nothing (fetch and
+        # commit cycles are >= 0, the backend constraint starts at 0), so
+        # the first width/ROB-size instructions need no guard.
+        fetch_ring = [-1] * width
+        commit_ring = [-1] * width
         rob_commit_ring = [0] * rob_size
         rob_miss_ring = [False] * rob_size
         # The would-be ROB head, for the full-ROB stall hook only; the
@@ -409,6 +413,7 @@ class OoOCore:
         obs = self.observability
         event_trace = obs.trace if obs is not None else None
         fire_hooks = obs is not None and obs.has_hooks
+        recording = trace_limit > 0 or event_trace is not None
 
         def publish_live(registry: CounterRegistry) -> None:
             publish_core_counters(
@@ -437,17 +442,14 @@ class OoOCore:
             fetch = next_fetch
             if technique.fetch_blocked_until > fetch:
                 fetch = technique.fetch_blocked_until
-            if i >= width:
-                prior = fetch_ring[w_slot] + 1
-                if prior > fetch:
-                    fetch = prior
+            prior = fetch_ring[w_slot] + 1
+            if prior > fetch:
+                fetch = prior
             fetch_ring[w_slot] = fetch
 
             # ---- dispatch (rename + queue allocation) ----
             dispatch = fetch + fe_depth
             backend_constraint = 0
-            head_dyn = None
-            head_was_miss = False
             if iq_count >= iq_size and iq_heap[0] > backend_constraint:
                 backend_constraint = iq_heap[0]
             if kind == K_LOAD:
@@ -457,12 +459,9 @@ class OoOCore:
                 constraint = sq_ring[stores_seen % sq_size]
                 if constraint > backend_constraint:
                     backend_constraint = constraint
-            if i >= rob_size:
-                rob_constraint = rob_commit_ring[r_slot]
-                if rob_constraint > backend_constraint:
-                    backend_constraint = rob_constraint
-                head_was_miss = rob_miss_ring[r_slot]
-                head_dyn = rob_dyn_ring[r_slot]
+            rob_constraint = rob_commit_ring[r_slot]
+            if rob_constraint > backend_constraint:
+                backend_constraint = rob_constraint
             if backend_constraint > dispatch:
                 # Backend-full stall (full ROB, or a full IQ/LQ/SQ with
                 # the same oldest-miss root cause). The wall-clock stall
@@ -477,11 +476,13 @@ class OoOCore:
                     stall_covered_until = backend_constraint
                     # Blame memory when an outstanding demand miss spans
                     # the stall window (the classic runahead trigger).
-                    memory_blamed = head_was_miss or (last_miss_complete > covered_from)
+                    memory_blamed = rob_miss_ring[r_slot] or (
+                        last_miss_complete > covered_from
+                    )
                     if memory_blamed and covered_from >= stall_handled_until:
                         stall_episodes += 1
                         technique.on_full_rob_stall(
-                            covered_from, backend_constraint, head_dyn or dyn
+                            covered_from, backend_constraint, rob_dyn_ring[r_slot] or dyn
                         )
                         stall_handled_until = backend_constraint
                 dispatch = backend_constraint
@@ -537,7 +538,7 @@ class OoOCore:
                 else:
                     heappushpop(lq_heap, complete)
             elif kind == K_STORE:
-                hierarchy_access(dyn.addr, issue, source="main", write=True)
+                hierarchy_store(dyn.addr, issue)
                 complete = issue + 1
             elif kind == K_BNZ or kind == K_BEZ:
                 complete = issue + 1
@@ -566,10 +567,9 @@ class OoOCore:
             commit = complete + 1
             if prev_commit > commit:
                 commit = prev_commit
-            if i >= width:
-                ring_commit = commit_ring[w_slot] + 1
-                if ring_commit > commit:
-                    commit = ring_commit
+            ring_commit = commit_ring[w_slot] + 1
+            if ring_commit > commit:
+                commit = ring_commit
             blocked_until = technique.commit_blocked_until
             technique_blocked = False
             if blocked_until > commit:
@@ -622,17 +622,18 @@ class OoOCore:
             if rd >= 0:
                 reg_ready[rd] = complete
 
-            if i < trace_limit:
-                self.trace.append(
-                    (i, pc, dyn.instr.opcode.name,
-                     fetch, dispatch, ready, issue, complete, commit)
-                )
-            if event_trace is not None:
-                opv = op_values[pc]
-                event_trace.emit(fetch, EV_FETCH, pc, opv)
-                event_trace.emit(issue, EV_ISSUE, pc, opv)
-                event_trace.emit(complete, EV_COMPLETE, pc, opv)
-                event_trace.emit(commit, EV_RETIRE, pc, opv)
+            if recording:
+                if i < trace_limit:
+                    self.trace.append(
+                        (i, pc, dyn.instr.opcode.name,
+                         fetch, dispatch, ready, issue, complete, commit)
+                    )
+                if event_trace is not None:
+                    opv = op_values[pc]
+                    event_trace.emit(fetch, EV_FETCH, pc, opv)
+                    event_trace.emit(issue, EV_ISSUE, pc, opv)
+                    event_trace.emit(complete, EV_COMPLETE, pc, opv)
+                    event_trace.emit(commit, EV_RETIRE, pc, opv)
             technique_on_commit(dyn, commit, complete)
             i += 1
             w_slot += 1

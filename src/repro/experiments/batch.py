@@ -356,8 +356,11 @@ def run_batch(
 
     Returns one entry per spec, in spec order: a
     :class:`SimulationResult` on success, a :class:`BatchFailure`
-    otherwise. With ``strict=True`` the first failure raises
-    :class:`ReproError` (carrying the worker traceback) instead.
+    otherwise. With ``strict=True`` every spec first resolves strictly,
+    so a malformed entry, an unknown workload or technique, or a
+    contradictory pin raises its own :class:`ReproError` before any
+    spec runs; a failure while running raises :class:`ReproError`
+    (carrying the worker traceback) instead of returning.
 
     ``audit=True`` runs every spec under the ``repro.audit`` invariant
     sanitizer: audited specs bypass the result cache (the laws are
@@ -367,6 +370,9 @@ def run_batch(
     whatever ``jobs`` is, so the caller's facade is populated.
     """
     _validate_jobs(jobs)
+    if strict:
+        for entry in specs:
+            parse_spec_entry(entry)[0].resolved(strict=True)
     BATCH_COUNTERS.inc("batch.batches")
     BATCH_COUNTERS.inc("batch.specs", len(specs))
     spec_set = SpecSet(specs, cache=cache, audit=audit)

@@ -169,14 +169,19 @@ class RunSpec:
     def resolved(self, strict: bool = True) -> "RunSpec":
         """The canonical form: config materialized, identity normalized.
 
-        With ``strict=True`` (the run path) a technique pin that
-        contradicts an explicit config override raises
-        :class:`ConfigError`; with ``strict=False`` (the keying path,
-        which must stay total so batch isolation can content-address a
-        doomed spec) pins apply unconditionally and unknown
-        workloads/techniques pass through.
+        With ``strict=True`` (the run path) an unknown workload raises
+        :class:`WorkloadError`, an unknown technique or a technique pin
+        that contradicts an explicit config override raises
+        :class:`ConfigError` — the errors running the spec would raise,
+        before anything is simulated. With ``strict=False`` (the keying
+        path, which must stay total so batch isolation can
+        content-address a doomed spec) pins apply unconditionally and
+        unknown workloads/techniques pass through.
         """
         from ..techniques import technique_pins, technique_runahead_config
+
+        if strict:
+            _require_registered(self.workload, self.technique)
 
         config = self.config or SimConfig()
         explicit = set()
@@ -383,6 +388,20 @@ def split_run_kwargs(spec: Mapping) -> Tuple[RunSpec, Dict]:
         RunSpec(config=config, overrides=tuple(overrides.items()), **fields),
         runtime,
     )
+
+
+def _require_registered(workload: str, technique: str) -> None:
+    """Look both names up in their registries, which raise if unknown.
+
+    ``swpf`` is the runner's pseudo-technique: software prefetching
+    rewrites the program and runs it on ``ooo``.
+    """
+    from ..techniques import technique_entry
+    from ..workloads.registry import workload_builder
+
+    workload_builder(workload)
+    if technique != "swpf":
+        technique_entry(technique)
 
 
 def _accepts_input_name(workload: str, strict: bool) -> bool:

@@ -15,6 +15,20 @@ from typing import List, Optional
 from ..config import BranchPredictorConfig
 
 
+#: Widths each table's history is folded to: the index, and the two
+#: halves of the tag hash.
+_INDEX_FOLD_BITS = 10
+_TAG_FOLD_BITS = 8
+_TAG2_FOLD_BITS = 7
+_INDEX_FOLD_MASK = (1 << _INDEX_FOLD_BITS) - 1
+_TAG_FOLD_MASK = (1 << _TAG_FOLD_BITS) - 1
+_TAG2_FOLD_MASK = (1 << _TAG2_FOLD_BITS) - 1
+#: Global history width. Older outcomes are gone, so a table's history
+#: length is clamped to it.
+_HISTORY_BITS = 128
+_HISTORY_MASK = (1 << _HISTORY_BITS) - 1
+
+
 class _TaggedTable:
     """One tagged component, stored as parallel int arrays.
 
@@ -22,6 +36,13 @@ class _TaggedTable:
     the per-branch probe down to two list indexings instead of an
     attribute chase through per-entry objects. Counters are 3-bit
     (taken if >= 4); useful is 2-bit.
+
+    ``index_fold``, ``tag_fold`` and ``tag2_fold`` are Seznec's
+    folded-history registers: the table's last ``history_length``
+    outcomes XOR-folded, chunk by chunk, down to 10, 8 and 7 bits.
+    :meth:`TageLitePredictor.update` shifts each one in O(1) per branch:
+    the new outcome enters at bit 0, the outcome leaving the window is
+    XOR-ed out at ``length % bits``, and the top bit wraps around.
     """
 
     __slots__ = (
@@ -32,6 +53,13 @@ class _TaggedTable:
         "tags",
         "counters",
         "useful",
+        "out_shift",
+        "index_point",
+        "tag_point",
+        "tag2_point",
+        "index_fold",
+        "tag_fold",
+        "tag2_fold",
     )
 
     def __init__(self, entries_bits: int, tag_bits: int, history_length: int) -> None:
@@ -42,6 +70,14 @@ class _TaggedTable:
         self.tags = [0] * self.size
         self.counters = [4] * self.size
         self.useful = [0] * self.size
+        length = min(history_length, _HISTORY_BITS)
+        self.out_shift = length - 1
+        self.index_point = length % _INDEX_FOLD_BITS
+        self.tag_point = length % _TAG_FOLD_BITS
+        self.tag2_point = length % _TAG2_FOLD_BITS
+        self.index_fold = 0
+        self.tag_fold = 0
+        self.tag2_fold = 0
 
 
 class TageLitePredictor:
@@ -63,11 +99,6 @@ class TageLitePredictor:
         self._alloc_seed = 0x9E3779B9
         self.predictions = 0
         self.mispredictions = 0
-        # Folded-history values are pure functions of (history, length,
-        # bits); within one history epoch (between update()s) the same
-        # folds are needed by predict, update, and allocate, so they are
-        # memoised here and invalidated when the history shifts.
-        self._fold_cache: dict = {}
         # predict(pc) immediately followed by update(pc, ...) — the
         # pattern both timing cores use — can reuse the provider lookup
         # instead of re-probing every tagged table.
@@ -83,36 +114,17 @@ class TageLitePredictor:
 
     # -- prediction ------------------------------------------------------------
 
-    def _fold(self, history_length: int, bits: int) -> int:
-        """Memoised fold of the current history (same maths as the table's).
-
-        Fold values are independent of ``pc``, so one epoch's values are
-        shared across every table probe until the history shifts.
-        """
-        key = (history_length << 4) | bits
-        cache = self._fold_cache
-        folded = cache.get(key)
-        if folded is None:
-            hist = self._history & ((1 << history_length) - 1)
-            mask = (1 << bits) - 1
-            folded = 0
-            while hist:
-                folded ^= hist & mask
-                hist >>= bits
-            cache[key] = folded
-        return folded
-
     def _provider(self, pc: int):
         """Longest-history tagged table with a tag match, or None.
 
         Returns ``(table_index, table, entry_index)``.
         """
-        fold = self._fold
-        for table_index in range(len(self._tables) - 1, -1, -1):
-            table = self._tables[table_index]
-            length = table.history_length
-            index = (pc ^ (pc >> 4) ^ fold(length, 10)) & table.index_mask
-            tag = (pc ^ fold(length, 8) ^ (fold(length, 7) << 1)) & table.tag_mask
+        tables = self._tables
+        pc_hash = pc ^ (pc >> 4)
+        for table_index in range(len(tables) - 1, -1, -1):
+            table = tables[table_index]
+            index = (pc_hash ^ table.index_fold) & table.index_mask
+            tag = (pc ^ table.tag_fold ^ (table.tag2_fold << 1)) & table.tag_mask
             if table.tags[index] == tag:
                 return table_index, table, index
         return None
@@ -157,8 +169,18 @@ class TageLitePredictor:
                 self._bimodal[slot] = max(0, self._bimodal[slot] - 1)
         if taken != predicted:
             self._allocate(pc, taken, table_index)
-        self._history = ((self._history << 1) | (1 if taken else 0)) & ((1 << 128) - 1)
-        self._fold_cache.clear()
+        # Shift the outcome into the history and every folded register.
+        bit = 1 if taken else 0
+        history = self._history
+        for table in self._tables:
+            out = (history >> table.out_shift) & 1
+            fold = (table.index_fold << 1) ^ bit ^ (out << table.index_point)
+            table.index_fold = (fold ^ (fold >> _INDEX_FOLD_BITS)) & _INDEX_FOLD_MASK
+            fold = (table.tag_fold << 1) ^ bit ^ (out << table.tag_point)
+            table.tag_fold = (fold ^ (fold >> _TAG_FOLD_BITS)) & _TAG_FOLD_MASK
+            fold = (table.tag2_fold << 1) ^ bit ^ (out << table.tag2_point)
+            table.tag2_fold = (fold ^ (fold >> _TAG2_FOLD_BITS)) & _TAG2_FOLD_MASK
+        self._history = ((history << 1) | bit) & _HISTORY_MASK
 
     def _allocate(self, pc: int, taken: bool, provider_index: int) -> None:
         """On a mispredict, claim an entry in a longer-history table."""
@@ -167,14 +189,13 @@ class TageLitePredictor:
         start = self._alloc_seed % max(1, len(self._tables) - provider_index - 1 or 1)
         ordered = list(candidates)
         ordered = ordered[start:] + ordered[:start]
-        fold = self._fold
+        pc_hash = pc ^ (pc >> 4)
         for table_index in ordered:
             table = self._tables[table_index]
-            length = table.history_length
-            index = (pc ^ (pc >> 4) ^ fold(length, 10)) & table.index_mask
+            index = (pc_hash ^ table.index_fold) & table.index_mask
             if table.useful[index] == 0:
                 table.tags[index] = (
-                    pc ^ fold(length, 8) ^ (fold(length, 7) << 1)
+                    pc ^ table.tag_fold ^ (table.tag2_fold << 1)
                 ) & table.tag_mask
                 table.counters[index] = 4 if taken else 3
                 table.useful[index] = 0
@@ -182,8 +203,7 @@ class TageLitePredictor:
         # Nothing free: age a random longer table's entry.
         for table_index in ordered:
             table = self._tables[table_index]
-            length = table.history_length
-            index = (pc ^ (pc >> 4) ^ fold(length, 10)) & table.index_mask
+            index = (pc_hash ^ table.index_fold) & table.index_mask
             table.useful[index] = max(0, table.useful[index] - 1)
 
     def misprediction_rate(self) -> float:

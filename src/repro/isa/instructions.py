@@ -96,6 +96,7 @@ _OPERAND_SHAPE = {
 }
 
 LOADS = frozenset({Opcode.LOAD})
+_LOAD = Opcode.LOAD
 STORES = frozenset({Opcode.STORE})
 PREFETCHES = frozenset({Opcode.PREFETCH})
 MEMORY_OPS = LOADS | STORES | PREFETCHES
@@ -152,7 +153,9 @@ class Instruction:
 
     @property
     def is_load(self) -> bool:
-        return self.opcode in LOADS
+        # LOADS has one member: an identity test against a module
+        # constant skips the Enum hash that a frozenset lookup pays.
+        return self.opcode is _LOAD
 
     @property
     def is_store(self) -> bool:

@@ -36,15 +36,19 @@ class Dram:
 
     def access(self, cycle: int) -> int:
         """Issue one line fetch; returns its completion cycle."""
-        slot = max(0, cycle) // self.service_cycles
-        if slot in self._busy_slots:
+        service = self.service_cycles
+        busy = self._busy_slots
+        slot = cycle // service if cycle > 0 else 0
+        if slot in busy:
             self.contended_accesses += 1
-            while slot in self._busy_slots:
+            while slot in busy:
                 slot += 1
-        self._busy_slots.add(slot)
-        start = max(cycle, slot * self.service_cycles)
+        busy.add(slot)
+        start = slot * service
+        if cycle > start:
+            start = cycle
         self.total_accesses += 1
-        self.busy_integral += self.service_cycles
+        self.busy_integral += service
         return start + self.latency
 
     def utilization(self, total_cycles: int) -> float:

@@ -112,13 +112,8 @@ class MemoryHierarchy:
         self._walk_speculative = tlb_policy == "walk"
         # line -> source for pending prefetched lines (Figure 11).
         self._prefetched_lines: Dict[int, str] = {}
-        # Per-source key tables, hoisted so the hot paths never build
-        # f-strings: source -> (L1 key, MSHR key) for prefetch_ready,
-        # and source -> {level: "source.level"} for the access() tail.
-        self._prefetch_key_cache: Dict[str, tuple] = {
-            source: (f"{source}.{LEVEL_L1}", f"{source}.{LEVEL_MSHR}")
-            for source in _KNOWN_SOURCES
-        }
+        # Per-source key table, hoisted so the hot paths never build
+        # f-strings: source -> {level: "source.level"}.
         self._outcome_keys: Dict[str, Dict[str, str]] = {
             source: {level: f"{source}.{level}" for level in _OUTCOME_LEVELS}
             for source in _KNOWN_SOURCES
@@ -178,7 +173,7 @@ class MemoryHierarchy:
             stats.demand_loads += 1
             counts = stats.demand_level_counts
             counts[LEVEL_L1] = counts.get(LEVEL_L1, 0) + 1
-            if self._prefetched_lines:
+            if line in self._prefetched_lines:
                 self._classify_demand(line, LEVEL_L1)
             return cycle, AccessResult(cycle + l1.latency, LEVEL_L1, line)
         mem_start = cycle
@@ -189,28 +184,42 @@ class MemoryHierarchy:
             # Needs a fresh MSHR entry (not resident, not in flight):
             # if the file is full the load waits in the LSQ for the
             # earliest reclamation wakeup.
-            mshrs._purge(cycle)
+            heap = mshrs._ready_heap
+            if heap and heap[0][0] <= cycle:
+                mshrs._purge(cycle)
             if len(inflight) >= mshrs.num_entries:
                 wait = min(inflight.values())
                 if wait > mem_start:
                     mem_start = wait
         return mem_start, self.access(addr, mem_start)
 
-    def _prefetch_keys(self, source: str):
-        """Cached ``prefetch_outcomes`` keys for one source."""
-        keys = self._prefetch_key_cache.get(source)
-        if keys is None:
-            keys = (f"{source}.{LEVEL_L1}", f"{source}.{LEVEL_MSHR}")
-            self._prefetch_key_cache[source] = keys
-        return keys
+    def store(self, addr: int, cycle: int) -> None:
+        """Fused demand-store path: ``access(addr, cycle, write=True)``.
 
-    def _outcome_key(self, source: str, level: str) -> str:
-        """Cached ``prefetch_outcomes`` key for one (source, level)."""
+        The timing cores retire a store at issue + 1, so nothing is
+        returned. An L1 hit — the common case — touches the line's LRU
+        position and the hit counter and nothing else, exactly as
+        access() would; every other store, and every store under a TLB
+        (translation happens in access() only), takes access().
+        """
+        if self.tlb is None:
+            line = int(addr) // self.line_bytes
+            l1 = self.l1
+            bucket = l1._sets.get(line % l1.num_sets)
+            fill_cycle = bucket.get(line) if bucket is not None else None
+            if fill_cycle is not None and fill_cycle <= cycle:
+                bucket.move_to_end(line)
+                l1.hits += 1
+                return
+        self.access(addr, cycle, write=True)
+
+    def _outcome_keys_of(self, source: str) -> Dict[str, str]:
+        """Cached ``prefetch_outcomes`` keys of one source, by level."""
         keys = self._outcome_keys.get(source)
         if keys is None:
             keys = {lvl: f"{source}.{lvl}" for lvl in _OUTCOME_LEVELS}
             self._outcome_keys[source] = keys
-        return keys[level]
+        return keys
 
     def prefetch_ready(self, addr: int, cycle: int, source: str = SOURCE_RUNAHEAD) -> int:
         """Fused prefetch path: MSHR wait + timed access; returns ready.
@@ -244,8 +253,9 @@ class MemoryHierarchy:
             table = stats.prefetches_by_source
             table[source] = table.get(source, 0) + 1
             stats.prefetch_already_cached += 1
-            key = self._prefetch_keys(source)[0]
+            keys = self._outcome_keys.get(source) or self._outcome_keys_of(source)
             table = stats.prefetch_outcomes
+            key = keys[LEVEL_L1]
             table[key] = table.get(key, 0) + 1
             if source in (SOURCE_RUNAHEAD, SOURCE_PREFETCHER):
                 tracked = self._prefetched_lines
@@ -265,8 +275,9 @@ class MemoryHierarchy:
             stats.mshr_merge_hits += 1
             table = stats.prefetches_by_source
             table[source] = table.get(source, 0) + 1
-            key = self._prefetch_keys(source)[1]
+            keys = self._outcome_keys.get(source) or self._outcome_keys_of(source)
             table = stats.prefetch_outcomes
+            key = keys[LEVEL_MSHR]
             table[key] = table.get(key, 0) + 1
             if source in (SOURCE_RUNAHEAD, SOURCE_PREFETCHER):
                 tracked = self._prefetched_lines
@@ -278,7 +289,9 @@ class MemoryHierarchy:
         # gather copy waits for the earliest reclamation, then takes
         # the full access path.
         mem_start = cycle
-        mshrs._purge(cycle)
+        heap = mshrs._ready_heap
+        if heap and heap[0][0] <= cycle:
+            mshrs._purge(cycle)
         if len(inflight) >= mshrs.num_entries:
             wait = min(inflight.values())
             if wait > mem_start:
@@ -389,16 +402,23 @@ class MemoryHierarchy:
             table = stats.prefetches_by_source
             table[source] = table.get(source, 0) + 1
 
-        if self.l1.probe(line, cycle):
+        # Cache.probe and MSHRFile.lookup, inlined level by level: the
+        # same LRU, hit/miss and merge mutations in the same order.
+        l1 = self.l1
+        bucket = l1._sets.get(line % l1.num_sets)
+        fill_cycle = bucket.get(line) if bucket is not None else None
+        if fill_cycle is not None and fill_cycle <= cycle:
+            bucket.move_to_end(line)
+            l1.hits += 1
             level = LEVEL_L1
-            ready = cycle + self.l1.latency
+            ready = cycle + l1.latency
             if is_demand_load:
                 # Demand-load L1 hit — the timing cores' hottest call;
                 # same bookkeeping as the shared tail below, inlined.
                 stats.demand_loads += 1
                 counts = stats.demand_level_counts
                 counts[LEVEL_L1] = counts.get(LEVEL_L1, 0) + 1
-                if self._prefetched_lines:
+                if line in self._prefetched_lines:
                     self._classify_demand(line, LEVEL_L1)
                 return AccessResult(ready, LEVEL_L1, line)
             if prefetch:
@@ -406,41 +426,61 @@ class MemoryHierarchy:
                 # breakdown lives in prefetch_outcomes.
                 stats.prefetch_already_cached += 1
         else:
-            merged_ready = self.mshrs.lookup(line, cycle)
-            if merged_ready is not None:
+            l1.misses += 1
+            mshrs = self.mshrs
+            merged_ready = mshrs._inflight.get(line)
+            if merged_ready is not None and merged_ready > cycle:
+                mshrs.merged_requests += 1
                 level = LEVEL_MSHR
                 ready = merged_ready
                 stats.mshr_merge_hits += 1
             else:
-                if self.l2.probe(line, cycle):
+                l2 = self.l2
+                bucket = l2._sets.get(line % l2.num_sets)
+                fill_cycle = bucket.get(line) if bucket is not None else None
+                if fill_cycle is not None and fill_cycle <= cycle:
+                    bucket.move_to_end(line)
+                    l2.hits += 1
                     level = LEVEL_L2
-                    ready = cycle + self.l2.latency
-                elif self.l3.probe(line, cycle):
-                    level = LEVEL_L3
-                    ready = cycle + self.l3.latency
+                    ready = cycle + l2.latency
                 else:
-                    level = LEVEL_DRAM
-                    ready = self.dram.access(cycle)
-                    table = stats.dram_by_source
-                    table[source] = table.get(source, 0) + 1
-                    self._fill_l3(line, ready)
-                if level in (LEVEL_L3, LEVEL_DRAM):
+                    l2.misses += 1
+                    l3 = self.l3
+                    bucket = l3._sets.get(line % l3.num_sets)
+                    fill_cycle = bucket.get(line) if bucket is not None else None
+                    if fill_cycle is not None and fill_cycle <= cycle:
+                        bucket.move_to_end(line)
+                        l3.hits += 1
+                        level = LEVEL_L3
+                        ready = cycle + l3.latency
+                    else:
+                        l3.misses += 1
+                        level = LEVEL_DRAM
+                        ready = self.dram.access(cycle)
+                        table = stats.dram_by_source
+                        table[source] = table.get(source, 0) + 1
+                        self._fill_l3(line, ready)
                     self._fill_l2(line, ready)
-                self.l1.fill(line, ready)
+                l1.fill(line, ready)
                 if not write:
-                    self.mshrs.allocate(line, cycle, ready)
+                    mshrs.allocate(line, cycle, ready)
 
         if prefetch:
-            key = self._outcome_key(source, level)
+            keys = self._outcome_keys.get(source) or self._outcome_keys_of(source)
+            key = keys[level]
             table = stats.prefetch_outcomes
             table[key] = table.get(key, 0) + 1
-        if is_demand_load:
+            if source in (SOURCE_RUNAHEAD, SOURCE_PREFETCHER):
+                tracked = self._prefetched_lines
+                if line not in tracked:
+                    tracked[line] = source
+                    stats.prefetch_tracked += 1
+        elif is_demand_load:
             stats.demand_loads += 1
             counts = stats.demand_level_counts
             counts[level] = counts.get(level, 0) + 1
-            self._classify_demand(line, level)
-        if prefetch and source in (SOURCE_RUNAHEAD, SOURCE_PREFETCHER):
-            self._track_prefetched(line, source)
+            if line in self._prefetched_lines:
+                self._classify_demand(line, level)
         return AccessResult(ready, level, line)
 
     def _track_prefetched(self, line: int, source: str) -> None:
@@ -464,7 +504,7 @@ class MemoryHierarchy:
         if self.l3.probe(line, cycle):
             if prefetch:
                 stats.bump(
-                    stats.prefetch_outcomes, self._outcome_key(source, LEVEL_L3)
+                    stats.prefetch_outcomes, self._outcome_keys_of(source)[LEVEL_L3]
                 )
             return AccessResult(cycle + self.l3.latency, LEVEL_L3, line)
         ready = self.dram.access(cycle)
@@ -472,7 +512,7 @@ class MemoryHierarchy:
         self._fill_l3(line, ready)
         if prefetch:
             stats.bump(
-                stats.prefetch_outcomes, self._outcome_key(source, LEVEL_DRAM)
+                stats.prefetch_outcomes, self._outcome_keys_of(source)[LEVEL_DRAM]
             )
         if prefetch and source in (SOURCE_RUNAHEAD, SOURCE_PREFETCHER):
             self._track_prefetched(line, source)
@@ -489,7 +529,8 @@ class MemoryHierarchy:
         else:
             # Still in flight (MSHR) or already evicted back to memory.
             bucket = LEVEL_OFFCHIP
-        self.stats.bump(self.stats.timeliness, bucket)
+        table = self.stats.timeliness
+        table[bucket] = table.get(bucket, 0) + 1
 
     def finalize_timeliness(self) -> None:
         """Bucket never-demanded prefetched lines.

@@ -71,7 +71,9 @@ class MSHRFile:
         return ready
 
     def available(self, cycle: int) -> bool:
-        self._purge(cycle)
+        heap = self._ready_heap
+        if heap and heap[0][0] <= cycle:
+            self._purge(cycle)
         return len(self._inflight) < self.num_entries
 
     def next_free(self, cycle: int) -> int:
@@ -83,16 +85,21 @@ class MSHRFile:
 
     def allocate(self, line: int, cycle: int, ready: int) -> bool:
         """Try to track a new miss; False when the file is full."""
-        self._purge(cycle)
-        if len(self._inflight) >= self.num_entries:
+        heap = self._ready_heap
+        if heap and heap[0][0] <= cycle:
+            self._purge(cycle)
+        inflight = self._inflight
+        if len(inflight) >= self.num_entries:
             self.rejected_requests += 1
             return False
-        self._inflight[line] = ready
-        heappush(self._ready_heap, (ready, line))
+        inflight[line] = ready
+        heappush(heap, (ready, line))
         self.total_allocations += 1
-        self.peak_occupancy = max(self.peak_occupancy, len(self._inflight))
-        self.occupancy_integral += max(0, ready - cycle)
+        occupancy = len(inflight)
+        if occupancy > self.peak_occupancy:
+            self.peak_occupancy = occupancy
         if ready > cycle:
+            self.occupancy_integral += ready - cycle
             self._interval_starts.append(cycle)
             self._interval_ends.append(ready)
         return True

@@ -158,11 +158,31 @@ class ReplaySource:
     than silently truncating the run.
     """
 
-    __slots__ = ("_trace", "_instrs", "_kinds", "_memory", "_i")
+    __slots__ = (
+        "_pcs",
+        "_values",
+        "_addrs",
+        "_takens",
+        "_next_pcs",
+        "_length",
+        "_halted",
+        "_instrs",
+        "_kinds",
+        "_memory",
+        "_i",
+    )
 
     def __init__(self, trace: ArchTrace, program, memory) -> None:
         decoded = _decoded_of(program)
-        self._trace = trace
+        # The trace's columns are bound here, once: step() runs per
+        # simulated instruction.
+        self._pcs = trace.pcs
+        self._values = trace.values
+        self._addrs = trace.addrs
+        self._takens = trace.takens
+        self._next_pcs = trace.next_pcs
+        self._length = len(trace.pcs)
+        self._halted = trace.halted
         self._instrs = decoded.instrs
         self._kinds = decoded.kinds
         self._memory = memory
@@ -170,24 +190,22 @@ class ReplaySource:
 
     def step(self) -> Optional[DynInstr]:
         i = self._i
-        trace = self._trace
-        pcs = trace.pcs
-        if i >= len(pcs):
-            if trace.halted:
+        if i >= self._length:
+            if self._halted:
                 return None
             raise SimulationError(
                 "architectural trace exhausted before the consumer's "
                 "instruction budget (trace keyed on a smaller limit?)"
             )
         self._i = i + 1
-        pc = pcs[i]
-        value = trace.values[i]
-        addr = trace.addrs[i]
+        pc = self._pcs[i]
+        value = self._values[i]
+        addr = self._addrs[i]
         if self._kinds[pc] == K_STORE:
             self._memory.write_word(addr, value)
             value = None
         return DynInstr(
-            i, pc, self._instrs[pc], value, addr, trace.takens[i], trace.next_pcs[i]
+            i, pc, self._instrs[pc], value, addr, self._takens[i], self._next_pcs[i]
         )
 
 

@@ -85,7 +85,10 @@ class StridePrefetcher:
                 break
             if not hierarchy.mshr_available(cycle):
                 break
-            # Speculative source: under a TLB, access() translates this
-            # (and may drop it at an L2-TLB miss per runahead.tlb_policy).
-            hierarchy.access(target, cycle, source="prefetcher", prefetch=True)
+            # With an MSHR free at ``cycle`` the fused path is exactly
+            # access(target, cycle, source="prefetcher", prefetch=True).
+            # Under a TLB it takes access(), which translates this
+            # speculative request (and may drop it at an L2-TLB miss
+            # per runahead.tlb_policy).
+            hierarchy.prefetch_ready(target, cycle, "prefetcher")
             self.issued += 1

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from ..isa.instructions import Opcode
 from ..observability.trace import (
     EV_RUNAHEAD_ENTER,
     EV_RUNAHEAD_EXIT,
@@ -51,6 +52,8 @@ from .shadow import ShadowState
 from .stride_detector import StrideDetector
 from .taint import VectorTaintTracker
 from .vector_engine import EngineCounterMixin, VectorChainRun
+
+_LOAD = Opcode.LOAD
 
 _IDLE = "idle"
 _DISCOVERY = "discovery"
@@ -155,10 +158,20 @@ class DecoupledVectorRunahead(EngineCounterMixin, Technique):
     # -- commit-stream hook -----------------------------------------------------------
 
     def on_commit(self, dyn, cycle, complete: int = 0) -> None:
-        self.shadow.update(dyn, cycle, complete)
+        # ShadowState.update and the load test, inlined: this runs once
+        # per retired instruction.
+        shadow = self.shadow
         instr = dyn.instr
+        rd = instr.rd
+        value = dyn.value
+        if rd is not None and value is not None:
+            shadow.regs[rd] = value
+            shadow.avail[rd] = complete or cycle
+        shadow.next_pc = dyn.next_pc
+        shadow.last_commit_cycle = cycle
+        is_load = instr.opcode is _LOAD
         entry = None
-        if instr.is_load:
+        if is_load:
             entry = self.detector.observe(dyn.pc, dyn.addr)
 
         if self._state == _IDLE:
@@ -183,7 +196,7 @@ class DecoupledVectorRunahead(EngineCounterMixin, Technique):
             self.discovery_aborts += 1
             self.emit_event(cycle, EV_RUNAHEAD_EXIT, self._trigger_pc)
             return
-        if instr.is_load and entry is not None and dyn.pc != self._trigger_pc:
+        if is_load and entry is not None and dyn.pc != self._trigger_pc:
             if entry.is_confident(self.detector.confidence_threshold):
                 if entry.innermost_bit:
                     # Seen twice before the trigger came around again:
@@ -196,7 +209,7 @@ class DecoupledVectorRunahead(EngineCounterMixin, Technique):
             self._finish_discovery(dyn, cycle)
             return
         tainted = self._vtt.propagate(instr)
-        if instr.is_load and tainted:
+        if is_load and tainted:
             self._flr = dyn.pc
             self._lbd.on_final_load_update()
         self._lbd.observe(dyn)

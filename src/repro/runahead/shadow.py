@@ -25,6 +25,11 @@ class ShadowState:
         self.last_commit_cycle = 0
 
     def update(self, dyn: DynInstr, commit_cycle: int, complete_cycle: int = 0) -> None:
+        """Apply one retired instruction.
+
+        VR's and DVR's commit hooks inline this body; keep them in step
+        (``tests/test_vector_slice_engine.py`` compares the three).
+        """
         rd = dyn.instr.rd
         if rd is not None and dyn.value is not None:
             self.regs[rd] = dyn.value

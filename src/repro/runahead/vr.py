@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from ..isa.instructions import Opcode
 from ..observability.trace import (
     EV_RUNAHEAD_ENTER,
     EV_RUNAHEAD_EXIT,
@@ -28,6 +29,8 @@ from .interpreter import SpeculativeInterpreter
 from .shadow import ShadowState
 from .stride_detector import StrideDetector
 from .vector_engine import EngineCounterMixin, VectorChainRun
+
+_LOAD = Opcode.LOAD
 
 # How far VR's runahead front-end looks for a striding load before
 # giving up on vectorisation for this episode.
@@ -67,8 +70,18 @@ class VectorRunahead(EngineCounterMixin, Technique):
         self.issue_width = runahead_cfg.subthread_issue_width
 
     def on_commit(self, dyn, cycle, complete: int = 0) -> None:
-        self.shadow.update(dyn, cycle, complete)
-        if dyn.instr.is_load:
+        # ShadowState.update and the load test, inlined: this runs once
+        # per retired instruction.
+        shadow = self.shadow
+        instr = dyn.instr
+        rd = instr.rd
+        value = dyn.value
+        if rd is not None and value is not None:
+            shadow.regs[rd] = value
+            shadow.avail[rd] = complete or cycle
+        shadow.next_pc = dyn.next_pc
+        shadow.last_commit_cycle = cycle
+        if instr.opcode is _LOAD:
             self.detector.observe(dyn.pc, dyn.addr)
 
     def on_full_rob_stall(self, start: int, end: int, head) -> None:

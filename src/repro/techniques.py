@@ -75,7 +75,8 @@ def technique_names() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def _entry(name: str) -> TechniqueEntry:
+def technique_entry(name: str) -> TechniqueEntry:
+    """The registry entry of ``name``; :class:`ConfigError` if unknown."""
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -122,7 +123,7 @@ def make_technique(name: str, config: Optional[SimConfig] = None) -> Technique:
     at :meth:`~repro.prefetch.base.Technique.attach` time, through the
     same pin resolution.
     """
-    entry = _entry(name)
+    entry = technique_entry(name)
     if config is not None:
         technique_runahead_config(name, config.runahead)
     technique = entry.factory()

@@ -32,7 +32,8 @@ _BUILDERS.update(hpc_db_builders())
 _BUILDERS.update(gap_builders())
 
 
-def _get_builder(name: str):
+def workload_builder(name: str):
+    """The builder registered under ``name``; :class:`WorkloadError` if unknown."""
     try:
         return _BUILDERS[name]
     except KeyError:
@@ -48,7 +49,7 @@ def build_workload(name: str, **kwargs) -> Workload:
     KR, LJN, ORK, TW, UR) and every workload accepts ``size`` (one of
     :data:`SIZES`) and a non-negative integer data ``seed``.
     """
-    builder = _get_builder(name)
+    builder = workload_builder(name)
     size = kwargs.get("size", "default")
     if size not in SIZES:
         raise WorkloadError(f"unknown size {size!r}; choose from {list(SIZES)}")
@@ -66,7 +67,7 @@ def workload_accepts_input_name(name: str) -> bool:
     probe by raising/catching ``TypeError`` — a genuine ``TypeError``
     from inside workload construction must propagate, not be retried.
     """
-    builder = _get_builder(name)
+    builder = workload_builder(name)
     try:
         parameters = inspect.signature(builder).parameters
     except (TypeError, ValueError):  # exotic callables: assume not

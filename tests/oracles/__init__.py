@@ -11,6 +11,9 @@ a fast path in ``src/``:
   executor the slice engine was rebuilt from.
 * ``graphs`` — the per-edge BFS, RMAT bit loop and int64-argsort CSR
   builder the graph set-up was vectorised from.
+* ``tage_reference.ReferenceTagePredictor`` — the TAGE-lite predictor
+  that recomputed every history fold per branch, before the product
+  kept folded-history registers.
 """
 
 from __future__ import annotations

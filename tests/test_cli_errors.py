@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.experiments.cache import BATCH_COUNTERS, ResultCache, reset_batch_counters
 from repro.observability import validate_stats
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -210,8 +212,7 @@ class TestExperimentFailureSurfaces:
          "no config field 'core.bogus'"),
         (SWEEP + ["--param", "core.rob_size", "--values", "abc"],
          "cannot coerce 'abc' to int"),
-        # A strict batch failure: the message carries the worker
-        # traceback after its summary line, which alone is printed.
+        # Strict resolution rejects the name before anything runs.
         (["compare", "--workloads", "camel", "--techniques", "bogus",
           "--instructions", "500"],
          "unknown technique 'bogus'"),
@@ -226,3 +227,42 @@ class TestExperimentFailureSurfaces:
         assert reason in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("tail", [["--dump-spec"], ["--instructions", "500"]],
+                             ids=["dump-spec", "run"])
+    def test_unknown_technique_fails_before_any_simulation(self, tail, capsys):
+        reset_batch_counters()
+        argv = ["compare", "--workloads", "camel", "--techniques", "bogus", *tail]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: unknown technique 'bogus'")
+        assert BATCH_COUNTERS.get("batch.sim.runs", 0) == 0
+
+
+class TestFigureJobs:
+    ARGV = ["figure", "figure9", "--workloads", "camel", "--instructions", "1000"]
+
+    def test_parallel_warm_up_hands_results_over_in_memory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        assert main(self.ARGV) == 0
+        serial = capsys.readouterr().out
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        roots = []
+        opened = ResultCache.__init__
+
+        def spy(cache, root=None, *args, **kwargs):
+            roots.append(root)
+            opened(cache, root, *args, **kwargs)
+
+        monkeypatch.setattr(ResultCache, "__init__", spy)
+        reset_batch_counters()
+        assert main(self.ARGV + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert roots == [] and list(scratch.rglob("*")) == []
+        # The pool ran every point; the generator re-ran none of them.
+        assert BATCH_COUNTERS.get("batch.sim.runs", 0) == 0

@@ -20,13 +20,15 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.config import SimConfig
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, ReproError, WorkloadError
 from repro.experiments import (
     RunSpec,
     apply_override,
+    run_batch,
     run_simulation,
     run_sweep,
 )
+from repro.experiments.cache import BATCH_COUNTERS, reset_batch_counters
 from repro.perf.trace import arch_trace_key
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "spec_keys.json"
@@ -275,6 +277,38 @@ class TestPinPrecedence:
             "camel", "dvr-offload", "runahead.dvr_lanes", [16], instructions=400
         )
         assert len(result.rows) == 1
+
+
+class TestStrictNames:
+    """Strict resolution looks names up; keying (non-strict) stays total."""
+
+    def test_unknown_workload_raises_the_registry_error(self):
+        with pytest.raises(WorkloadError, match="unknown workload 'nonesuch'"):
+            RunSpec("nonesuch").resolved()
+
+    def test_unknown_technique_raises_the_registry_error(self):
+        with pytest.raises(ConfigError, match="unknown technique 'bogus'"):
+            RunSpec("camel", technique="bogus").resolved()
+
+    def test_software_prefetch_pseudo_technique_resolves(self):
+        assert RunSpec("camel", technique="swpf").resolved().technique == "swpf"
+
+    def test_keying_stays_total(self):
+        for spec in (RunSpec("nonesuch"), RunSpec("camel", technique="bogus")):
+            assert spec.resolved(strict=False).workload == spec.workload
+            assert spec.key()
+
+    def test_strict_batch_runs_nothing_before_failing(self):
+        reset_batch_counters()
+        specs = [RunSpec("camel", max_instructions=400),
+                 RunSpec("camel", technique="bogus", max_instructions=400)]
+        with pytest.raises(ConfigError, match="unknown technique 'bogus'"):
+            run_batch(specs, strict=True)
+        assert BATCH_COUNTERS.get("batch.sim.runs", 0) == 0
+        # Non-strict batches still isolate the bad spec.
+        results = run_batch(specs)
+        assert results[1].error_type == "ConfigError"
+        assert BATCH_COUNTERS.get("batch.sim.runs") == 1
 
 
 # ---------------------------------------------------------------------------

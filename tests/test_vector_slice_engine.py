@@ -8,6 +8,11 @@ workload x technique matrix. On top of that, chained mode must obey
 its own laws: no copy issues before its operands are ready, no cycle
 issues more copies than ``subthread_issue_width``, and the engine's
 accounting books always balance (the ``vector.*`` audit checks).
+
+The fused hot paths the engine and the cores share are pinned to the
+unfused sequences they replace: ``prefetch_ready`` (gathers and the L1
+stride prefetcher), ``store``, ``Instruction.is_load`` and the VR/DVR
+commit hooks' inlined shadow update.
 """
 
 from __future__ import annotations
@@ -22,17 +27,22 @@ from hypothesis import strategies as st
 
 from repro.audit.checks import CHECKS, AuditContext
 from repro.config import MemoryConfig, RunaheadConfig, SimConfig
+from repro.core.functional import FunctionalCore
 from repro.core.ooo import OoOCore
 from repro.errors import ConfigError
 from repro.experiments.spec import apply_override
 from repro.isa import ProgramBuilder
+from repro.isa.instructions import LOADS, Instruction, Opcode
 from repro.memory import MemoryHierarchy, MemoryImage
 from repro.observability.probes import Observability
+from repro.prefetch.stride import StridePrefetcher
 from repro.runahead.reconvergence import ReconvergenceStack
+from repro.runahead.shadow import ShadowState
 from repro.runahead.vector_engine import ENGINE_COUNTER_KEYS, VectorChainRun
 from repro.techniques import make_technique
 from repro.workloads.registry import build_workload
 
+from conftest import build_indirect_kernel, quick_config
 from oracles.vector_reference import ReferenceVectorChainRun, use_reference_engine
 
 WORKLOADS = ("camel", "nas_is")
@@ -460,6 +470,128 @@ def test_prefetch_ready_matches_unfused_sequence():
     assert fused.mshrs.merged_requests == unfused.mshrs.merged_requests
     assert fused.mshrs.total_allocations == unfused.mshrs.total_allocations
     assert fused._prefetched_lines == unfused._prefetched_lines
+
+
+# -- the other fused hot paths are their unfused sequences --------------------
+
+
+def _mirrored_hierarchies(tlb: bool):
+    cfg = MemoryConfig.scaled()
+    if tlb:
+        cfg = replace(cfg, tlb=replace(cfg.tlb, enable=True))
+    return MemoryHierarchy(cfg), MemoryHierarchy(cfg)
+
+
+def _assert_same_hierarchy(a, b):
+    """Every cache line (in LRU order), counter, MSHR and TLB book agrees."""
+    for level in ("l1", "l2", "l3"):
+        ca, cb = getattr(a, level), getattr(b, level)
+        assert (ca.hits, ca.misses, ca.evictions) == (cb.hits, cb.misses, cb.evictions)
+        # Stats-neutral presence checks may leave empty sets behind.
+        assert {i: list(s.items()) for i, s in ca._sets.items() if s} == {
+            i: list(s.items()) for i, s in cb._sets.items() if s
+        }
+    assert a.stats == b.stats
+    assert a._prefetched_lines == b._prefetched_lines
+    assert a.mshrs.inflight() == b.mshrs.inflight()
+    for name in ("total_allocations", "merged_requests", "rejected_requests",
+                 "peak_occupancy", "occupancy_integral"):
+        assert getattr(a.mshrs, name) == getattr(b.mshrs, name), name
+    assert (a.dram.total_accesses, a.dram.contended_accesses) == (
+        b.dram.total_accesses, b.dram.contended_accesses
+    )
+    if a.tlb is not None:
+        assert a.tlb.counters() == b.tlb.counters()
+
+
+@pytest.mark.parametrize("tlb", (False, True), ids=("untranslated", "tlb"))
+def test_store_matches_unfused_write_access(tlb):
+    rng = np.random.default_rng(11)
+    fused, unfused = _mirrored_hierarchies(tlb)
+    cycle = 0
+    stores = 0
+    for _ in range(1500):
+        # A 64 KiB window: twice the L1, so stores both hit and miss.
+        addr = int(rng.integers(0, 1 << 13)) * 8
+        cycle += int(rng.integers(0, 4))
+        if rng.random() < 0.5:
+            stores += 1
+            assert fused.store(addr, cycle) is None
+            unfused.access(addr, cycle, source="main", write=True)
+        else:
+            assert fused.access(addr, cycle) == unfused.access(addr, cycle)
+    assert stores and fused.l1.hits and fused.l1.misses
+    _assert_same_hierarchy(fused, unfused)
+
+
+@pytest.mark.parametrize("tlb", (False, True), ids=("untranslated", "tlb"))
+def test_stride_prefetches_match_unfused_access(tlb):
+    """With an MSHR free, prefetch_ready is access(prefetch=True)."""
+    rng = np.random.default_rng(12)
+    fused, unfused = _mirrored_hierarchies(tlb)
+    unfused.prefetch_ready = lambda addr, cycle, source: unfused.access(
+        addr, cycle, source=source, prefetch=True
+    ).ready
+    fused_pf = StridePrefetcher(streams=4, degree=3)
+    unfused_pf = StridePrefetcher(streams=4, degree=3)
+    # Six striding load PCs over a 256 KiB window, interleaved, with
+    # occasional stride breaks: confident streams prefetch, and enough
+    # misses are in flight that the MSHR gate stops some of them.
+    bases = [int(rng.integers(0, 1 << 15)) * 8 for _ in range(6)]
+    strides = [int(rng.choice([8, 64, 72, 128, -64, 512])) for _ in range(6)]
+    cycle = 0
+    gated = 0
+    for step in range(3000):
+        pc = int(rng.integers(0, 6))
+        bases[pc] += strides[pc] if rng.random() < 0.9 else 8 * int(rng.integers(1, 100))
+        addr = bases[pc] % (1 << 18)
+        cycle += int(rng.integers(0, 3))
+        start_a, result_a = fused.demand_load(addr, cycle)
+        start_b, result_b = unfused.demand_load(addr, cycle)
+        assert (start_a, result_a) == (start_b, result_b), step
+        # Purging is observable (cycles are not monotone), so both sides
+        # query the gate alike.
+        gated += not fused.mshr_available(start_a)
+        unfused.mshr_available(start_b)
+        fused_pf.on_demand_load(pc, addr, start_a, fused)
+        unfused_pf.on_demand_load(pc, addr, start_b, unfused)
+    assert fused_pf.issued == unfused_pf.issued > 0
+    assert gated
+    assert fused.stats.prefetches_by_source["prefetcher"] == fused_pf.issued
+    _assert_same_hierarchy(fused, unfused)
+
+
+def test_is_load_matches_the_loads_set():
+    for opcode in Opcode:
+        assert Instruction(opcode).is_load == (opcode in LOADS), opcode
+
+
+@pytest.mark.parametrize("technique", ("vr", "dvr"))
+def test_commit_hooks_keep_the_shadow_state_update_keeps(technique):
+    """VR/DVR inline ShadowState.update in on_commit; both keep the same state."""
+    program, mem = build_indirect_kernel(n=512)
+    cfg = quick_config(3000)
+    hooked = make_technique(technique, cfg)
+    OoOCore(program, mem, cfg, technique=hooked)  # attaches the technique
+    functional = FunctionalCore(program, mem)
+    reference = ShadowState()
+    rng = np.random.default_rng(13)
+    cycle = 0
+    for _ in range(3000):
+        dyn = functional.step()
+        if dyn is None:
+            break
+        cycle += int(rng.integers(0, 3))
+        # complete == 0 means "not given": availability falls back to commit.
+        complete = int(rng.integers(1, cycle + 2)) if rng.random() < 0.8 else 0
+        hooked.on_commit(dyn, cycle, complete)
+        reference.update(dyn, cycle, complete)
+        shadow = hooked.shadow
+        assert shadow.regs == reference.regs
+        assert shadow.avail == reference.avail
+        assert (shadow.next_pc, shadow.last_commit_cycle) == (
+            reference.next_pc, reference.last_commit_cycle
+        )
 
 
 # -- audit checks -------------------------------------------------------------
