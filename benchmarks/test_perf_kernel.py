@@ -16,13 +16,13 @@ import pytest
 from repro.perf.bench import KERNELS, render_table, run_bench, write_payload
 
 #: The paths named by the perf harness: functional step (reference and
-#: pre-decoded), trace replay, the OoO timing kernel, the hierarchy
+#: pre-decoded), the functional stage, the OoO timing kernel, the hierarchy
 #: access path, the VR vector engine, and the sweep fabric's per-spec
 #: dispatch + cache-lookup overhead.
 _MEASURED = (
     "functional_reference",
     "functional_step",
-    "trace_replay",
+    "stream_fill",
     "ooo_event_loop",
     "hierarchy",
     "demand_translated",

@@ -52,8 +52,10 @@ class AuditContext:
         return self.core.hierarchy
 
     @property
-    def functional(self):
-        return getattr(self.core, "functional", None)
+    def stream(self):
+        """The architectural stream the core consumed (None for a core
+        without one)."""
+        return getattr(self.core, "stream", None)
 
 
 # -- counter conservation ----------------------------------------------------
@@ -493,16 +495,18 @@ def check_tlb_walk_conservation(ctx: AuditContext) -> List[str]:
 def check_functional_equivalence(ctx: AuditContext) -> List[str]:
     """The timing run's architectural effects match a fresh re-execution.
 
-    Replays the committed instruction count through the reference
-    interpreter over a freshly built workload image and compares final
-    register file, memory digest, and halt state. Skipped when the run
-    used a replayed trace (no live register state to compare).
+    Re-executes the stream's instruction count through the reference
+    interpreter over a freshly built workload image and compares the
+    stream's final register file and halt state, and the timing image
+    after the kernel applied the last store. Fresh and replayed streams
+    are checked alike: a memoised stream carries the end state of the
+    run that filled it.
     """
-    live = ctx.functional
-    if ctx.rebuild is None or not isinstance(live, FunctionalCore):
+    stream = ctx.stream
+    if ctx.rebuild is None or stream is None:
         return []
     fresh = ctx.rebuild()
-    steps = live.executed
+    steps = len(stream)
     while fresh.executed < steps and fresh.step_reference() is not None:
         pass
     violations: List[str] = []
@@ -511,20 +515,20 @@ def check_functional_equivalence(ctx: AuditContext) -> List[str]:
             f"reference execution halted after {fresh.executed} instructions, "
             f"timing run consumed {steps}"
         )
-    if fresh.halted != live.halted:
+    if fresh.halted != stream.halted:
         violations.append(
-            f"halt state diverged (reference {fresh.halted}, live {live.halted})"
+            f"halt state diverged (reference {fresh.halted}, stream {stream.halted})"
         )
     mismatched = [
         index
-        for index, (a, b) in enumerate(zip(fresh.regs, live.regs))
+        for index, (a, b) in enumerate(zip(fresh.regs, stream.regs))
         if a != b
     ]
     if mismatched:
         violations.append(
             f"{len(mismatched)} registers diverged (first: r{mismatched[0]})"
         )
-    if fresh.memory.digest() != live.memory.digest():
+    if fresh.memory.digest() != ctx.core.memory_image.digest():
         violations.append("final memory image digest diverged")
     committed = ctx.result.counters.get("core.commit.instructions", 0)
     if committed > steps:

@@ -401,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench",
         help="measure simulator throughput (instructions simulated per second)",
         description="Times the simulator's hot kernels — functional step"
-        " (reference vs pre-decoded), the bulk loop, trace replay, the"
+        " (reference vs pre-decoded), the bulk loop, the functional stage, the"
         " OoO timing loop, the memory hierarchy, and the VR vector engine —"
         " and reports work-units per second plus throughput relative to the"
         " reference interpreter. See docs/performance.md.",

@@ -1,4 +1,9 @@
-"""Dynamic (executed) instruction records produced by the functional core."""
+"""Dynamic (executed) instruction records: ``FunctionalCore.step``'s output.
+
+The timing kernel reads the architectural stream as columns
+(``repro.perf.trace``); these records serve the step-by-step
+interpreters, the test oracles and the bench harness.
+"""
 
 from __future__ import annotations
 
@@ -10,8 +15,8 @@ from ..isa.instructions import Instruction
 class DynInstr:
     """One executed instruction with its actual values.
 
-    The timing model replays these through the pipeline; runahead engines
-    never see them (they re-interpret the static program themselves).
+    Runahead engines never see these (they re-interpret the static
+    program themselves).
     """
 
     __slots__ = ("seq", "pc", "instr", "value", "addr", "taken", "next_pc")

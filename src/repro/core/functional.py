@@ -1,35 +1,53 @@
 """Architectural (functional) execution of a program.
 
-The timing core is execution-driven at fetch: each call to
-:meth:`FunctionalCore.step` architecturally executes one instruction and
-returns its :class:`DynInstr`. Stores update the shared memory image
-immediately, so speculative interpreters (runahead engines) observe
-memory as of the fetch point — see DESIGN.md for why this is faithful.
+The timing core is execution-driven at fetch: the functional stage,
+:meth:`FunctionalCore.fill`, architecturally executes the next chunk of
+the program into the columns of an
+:class:`~repro.perf.trace.ArchTrace`, and the kernel applies each
+store to the shared memory image at that instruction's turn, so
+speculative interpreters (runahead engines) observe memory as of the
+fetch point — see DESIGN.md for why this is faithful.
 
-Two implementations of the same semantics live here:
+Three entry points share the pre-decoded program
+(:mod:`repro.isa.predecode`: one list index selects a per-PC
+specialized closure, so there is no per-step opcode dispatch and no
+``Instruction`` attribute chasing) and one reference:
 
-* :meth:`FunctionalCore.step` — the fast path. It executes the
-  pre-decoded program (:mod:`repro.isa.predecode`): one list index
-  selects a per-PC specialized closure, so there is no per-step opcode
-  dispatch, no ``Instruction`` attribute chasing, and no repeated
-  ``len(program)`` bounds recomputation.
+* :meth:`FunctionalCore.fill` — the stage the timing kernel reads;
+* :meth:`FunctionalCore.step` — one :class:`DynInstr` per call, for
+  the test oracles and the ``repro bench`` harness;
+* :meth:`FunctionalCore.run_to_completion` — functional-only runs;
 * :meth:`FunctionalCore.step_reference` — the original interpreter,
   kept verbatim as the executable specification. The differential
-  property suite (``tests/test_predecode_replay.py``) asserts both
-  produce identical :class:`DynInstr` streams over random programs, and
-  the ``repro bench`` harness measures the fast path against it.
+  property suite (``tests/test_predecode_replay.py``) asserts the
+  others produce its stream over random programs, and the
+  ``repro bench`` harness measures the fast paths against it.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional
 
 from ..errors import SimulationError
 from ..isa.instructions import NUM_REGS, Instruction, Opcode
+from ..isa.predecode import K_STORE
 from ..isa.program import Program
 from ..isa.semantics import alu_evaluate
 from ..memory.memory_image import MemoryImage
+from ..perf.trace import CHUNK, ArchTrace
 from .dyninstr import DynInstr
+
+
+class _UndoImage:
+    """The image as a fill's handlers see it: reads pass through, and
+    each write first logs the word it overwrites to ``undo``."""
+
+    __slots__ = ("read_word", "write_word")
+
+    def __init__(self, memory: MemoryImage, undo: list) -> None:
+        self.read_word = memory.read_word
+        self.write_word = partial(memory.write_word, undo=undo)
 
 
 class FunctionalCore:
@@ -59,7 +77,10 @@ class FunctionalCore:
             decoded = decode_program(program)
         self._handlers = decoded.handlers
         self._instrs = decoded.instrs
+        self._kinds = decoded.kinds
         self._plen = len(decoded.instrs)
+        self._undo: list = []
+        self._undo_image = _UndoImage(memory, self._undo)
 
     def step(self) -> Optional[DynInstr]:
         """Execute one instruction; None once the program has halted."""
@@ -76,7 +97,71 @@ class FunctionalCore:
             self.halted = True
             return DynInstr(seq, pc, self._instrs[pc], next_pc=pc)
         self.pc = next_pc
+        if self._kinds[pc] == K_STORE:
+            value = None  # the handler's value is the stored word
         return DynInstr(seq, pc, self._instrs[pc], value, addr, taken, next_pc)
+
+    def fill(self, trace: ArchTrace, upto: int) -> None:
+        """Append the stream's next chunk to ``trace``'s columns.
+
+        Executes at most :data:`~repro.perf.trace.CHUNK` instructions,
+        and never past ``upto`` instructions in all; HALT ends the
+        stream (its ``next_pcs`` entry is its own pc, as
+        :meth:`step` reports it). Each store writes the shared image as
+        it executes, so later loads of the chunk read it, and logs the
+        word it overwrote; the log is rolled back before ``fill``
+        returns, also when a handler raises, so the image is left as
+        the fill found it. The consumer applies each store (its word is
+        in ``values``) at that instruction's turn, and must have applied
+        every store of a chunk before it asks for the next. Afterwards
+        ``trace`` carries the register file and halt state.
+        """
+        if self.halted:
+            return
+        budget = min(CHUNK, upto - trace.length)
+        handlers = self._handlers
+        regs = self.regs
+        memory = self._undo_image
+        plen = self._plen
+        pcs: list = []
+        values: list = []
+        addrs: list = []
+        takens: list = []
+        next_pcs: list = []
+        pcs_append = pcs.append
+        values_append = values.append
+        addrs_append = addrs.append
+        takens_append = takens.append
+        next_append = next_pcs.append
+        pc = self.pc
+        n = 0
+        try:
+            while n < budget:
+                if not 0 <= pc < plen:
+                    raise SimulationError(f"PC out of range: {pc}")
+                value, addr, taken, next_pc = handlers[pc](regs, memory)
+                n += 1
+                pcs_append(pc)
+                values_append(value)
+                addrs_append(addr)
+                takens_append(taken)
+                if next_pc is None:
+                    self.halted = True
+                    next_append(pc)
+                    break
+                next_append(next_pc)
+                pc = next_pc
+        finally:
+            undo = self._undo
+            while undo:
+                view, index, old = undo.pop()
+                view[index] = old
+            self.pc = pc
+            self.executed += n
+        trace.chunks.append((pcs, values, addrs, takens, next_pcs))
+        trace.length += n
+        trace.halted = self.halted
+        trace.regs = list(regs)
 
     def step_reference(self) -> Optional[DynInstr]:
         """The original (un-predecoded) interpreter, kept as the spec.

@@ -16,7 +16,14 @@ Full-ROB stalls — dispatch blocked because the instruction ``ROB-size``
 ago has not committed, with a cache-missing load to blame — are detected
 here and handed to the attached technique, which is how classic
 runahead, PRE and Vector Runahead trigger. Decoupled techniques (DVR)
-instead use the per-commit and ``advance_to`` hooks.
+instead use the per-commit and ``advance_to`` hooks. Hooks take plain
+values, and the kernel calls only those the technique's class
+overrides (see ``repro.prefetch.base``).
+
+The architectural stream arrives as columns (``repro.perf.trace``): a
+memoised stream, or chunks the functional stage fills as the kernel
+reaches them. The kernel reads them by index and applies each store to
+the memory image at that instruction's turn.
 
 :meth:`OoOCore.run` is the one kernel (see docs/performance.md). Time
 advances only at instruction-boundary events: the wakeup times implied
@@ -71,7 +78,8 @@ from ..observability.trace import (
     EV_ISSUE,
     EV_RETIRE,
 )
-from ..prefetch.base import NullTechnique, Technique
+from ..perf.trace import ArchTrace
+from ..prefetch.base import NullTechnique, Technique, kernel_hooks
 from ..prefetch.stride import StridePrefetcher
 from .functional import FunctionalCore
 
@@ -239,10 +247,15 @@ class OoOCore:
         workload_name: str = "workload",
         trace_limit: int = 0,
         observability: Optional[Observability] = None,
-        functional_source=None,
+        stream: Optional[ArchTrace] = None,
     ) -> None:
         self.config = config or SimConfig()
         self.program = program
+        self.decoded = (
+            program.decoded()
+            if isinstance(program, Program)
+            else decode_program(program)
+        )
         self.memory_image = memory_image
         self.technique = technique or NullTechnique()
         self.workload_name = workload_name
@@ -252,16 +265,14 @@ class OoOCore:
             tlb_policy=self.config.runahead.tlb_policy,
         )
         self.predictor = TageLitePredictor(self.config.branch)
-        #: The stream of architecturally executed instructions. By
-        #: default a live interpreter; a trace capture/replay source
-        #: (see ``repro.perf.trace``) may stand in — it must provide the
-        #: same ``step()`` contract including store-at-fetch memory
-        #: updates.
-        self.functional = (
-            functional_source
-            if functional_source is not None
-            else FunctionalCore(program, memory_image)
-        )
+        #: The architectural stream :meth:`run` reads. A memoised
+        #: (non-empty) stream is replayed as is; an empty one is filled
+        #: by the run's own functional stage as the kernel reaches each
+        #: chunk, and keeps its chunks (the runner memoises it). Without
+        #: one the core fills a private stream and drops each chunk once
+        #: consumed, so the run's stream memory is one chunk.
+        self.stream = stream if stream is not None else ArchTrace()
+        self._keep_chunks = stream is not None
         self.l1_stride_prefetcher: Optional[StridePrefetcher] = None
         if self.config.stride_prefetcher_enabled:
             self.l1_stride_prefetcher = StridePrefetcher(
@@ -281,25 +292,16 @@ class OoOCore:
         self.trace_limit = trace_limit
         self.trace: list = []
 
-    # -- decoded-program helpers ----------------------------------------------
-
-    def _decoded(self):
-        return (
-            self.program.decoded()
-            if isinstance(self.program, Program)
-            else decode_program(self.program)
-        )
-
     # -- the timing kernel -----------------------------------------------------
 
     def run(self, max_instructions: Optional[int] = None) -> SimulationResult:
         """Simulate up to ``max_instructions`` (default: the config's).
 
-        Architectural execution goes through the functional source's
-        ``step()`` (so capture/replay sources work), and every technique
-        hook fires where the reference loop fires it: the differential
-        suites pin this kernel against ``tests/oracles/ooo_reference.py``
-        for identical cycles, counters and trace digests.
+        The architectural stream is read from :attr:`stream`'s columns,
+        and every technique hook the technique overrides fires where the
+        reference loop fires it: the differential suites pin this kernel
+        against ``tests/oracles/ooo_reference.py`` for identical cycles,
+        counters and trace digests.
         """
         if self._ran:
             raise SimulationError("an OoOCore instance can only run once")
@@ -334,9 +336,10 @@ class OoOCore:
         fu_busy = [dict() for _ in _FU_ORDER]
         div_latency = fu_lats[_CLS_DIV]
 
-        decoded = self._decoded()
+        decoded = self.decoded
         kinds = decoded.kinds
         op_values = decoded.op_values
+        instrs = decoded.instrs
         cls_of = [_FU_INDEX[name] for name in decoded.fu_classes]
         lat_of = [fu_lats[cls] for cls in cls_of]
         # -1 sentinels let register checks be one int compare instead of
@@ -345,21 +348,37 @@ class OoOCore:
         rs1_of = [-1 if r is None else r for r in decoded.rs1]
         rs2_of = [-1 if r is None else r for r in decoded.rs2]
 
+        # The stream: a memoised one is replayed as is; an empty one is
+        # filled a chunk at a time by this run's own functional stage.
+        stream = self.stream
+        chunks = stream.chunks
+        fill = (
+            FunctionalCore(self.program, self.memory_image).fill
+            if not chunks and not stream.halted
+            else None
+        )
+        drop_consumed = not self._keep_chunks
+        chunk_index = 0
+
         technique = self.technique
         hierarchy = self.hierarchy
         predictor = self.predictor
         stride_pf = self.l1_stride_prefetcher
-        functional_step = self.functional.step
         mshr_available = hierarchy.mshr_available
         hierarchy_access = hierarchy.access
         hierarchy_store = hierarchy.store
         demand_load = hierarchy.demand_load
+        write_word = self.memory_image.write_word
         is_mapped = self.memory_image.is_mapped
         predict = predictor.predict
         predictor_update = predictor.update
-        technique_on_commit = technique.on_commit
-        technique_advance_to = technique.advance_to
-        technique_on_demand_load = technique.on_demand_load
+        # Hooks the technique's class leaves at the base no-op are None
+        # and never called.
+        hooks = kernel_hooks(technique)
+        on_commit = hooks["on_commit"]
+        on_demand_load = hooks["on_demand_load"]
+        on_full_rob_stall = hooks["on_full_rob_stall"]
+        advance_to = hooks["advance_to"]
         heappush = heapq.heappush
         heappushpop = heapq.heappushpop
         trace_limit = self.trace_limit
@@ -371,10 +390,10 @@ class OoOCore:
         commit_ring = [-1] * width
         rob_commit_ring = [0] * rob_size
         rob_miss_ring = [False] * rob_size
-        # The would-be ROB head, for the full-ROB stall hook only; the
-        # reference's (complete, miss, dyn) tuple ring is split into the
-        # flat miss ring above plus this object ring.
-        rob_dyn_ring = [None] * rob_size
+        # The would-be ROB head's pc, for the full-ROB stall hook only
+        # (-1 until the ROB has filled once: the hook then gets the
+        # stalled instruction's own pc, as the reference loop does).
+        rob_pc_ring = [-1] * rob_size
         iq_heap: list = []
         lq_heap: list = []
         # Heap sizes tracked as ints: once a queue fills it stays full
@@ -432,227 +451,272 @@ class OoOCore:
             technique.publish_counters(registry)
 
         while i < limit:
-            dyn = functional_step()
-            if dyn is None:
-                break
-            pc = dyn.pc
-            kind = kinds[pc]
-
-            # ---- fetch ----
-            fetch = next_fetch
-            if technique.fetch_blocked_until > fetch:
-                fetch = technique.fetch_blocked_until
-            prior = fetch_ring[w_slot] + 1
-            if prior > fetch:
-                fetch = prior
-            fetch_ring[w_slot] = fetch
-
-            # ---- dispatch (rename + queue allocation) ----
-            dispatch = fetch + fe_depth
-            backend_constraint = 0
-            if iq_count >= iq_size and iq_heap[0] > backend_constraint:
-                backend_constraint = iq_heap[0]
-            if kind == K_LOAD:
-                if lq_count >= lq_size and lq_heap[0] > backend_constraint:
-                    backend_constraint = lq_heap[0]
-            elif kind == K_STORE and stores_seen >= sq_size:
-                constraint = sq_ring[stores_seen % sq_size]
-                if constraint > backend_constraint:
-                    backend_constraint = constraint
-            rob_constraint = rob_commit_ring[r_slot]
-            if rob_constraint > backend_constraint:
-                backend_constraint = rob_constraint
-            if backend_constraint > dispatch:
-                # Backend-full stall (full ROB, or a full IQ/LQ/SQ with
-                # the same oldest-miss root cause). The wall-clock stall
-                # begins where the previous stall epoch ended — dispatch
-                # has been continuously blocked — not at this
-                # instruction's own fetch-side readiness.
-                covered_from = (
-                    dispatch if dispatch > stall_covered_until else stall_covered_until
-                )
-                if backend_constraint > covered_from:
-                    full_rob_stall_cycles += backend_constraint - covered_from
-                    stall_covered_until = backend_constraint
-                    # Blame memory when an outstanding demand miss spans
-                    # the stall window (the classic runahead trigger).
-                    memory_blamed = rob_miss_ring[r_slot] or (
-                        last_miss_complete > covered_from
+            if chunk_index == len(chunks):
+                if stream.halted:
+                    break
+                if fill is None:
+                    raise SimulationError(
+                        "architectural trace exhausted before the consumer's "
+                        "instruction budget (trace keyed on a smaller limit?)"
                     )
-                    if memory_blamed and covered_from >= stall_handled_until:
-                        stall_episodes += 1
-                        technique.on_full_rob_stall(
-                            covered_from, backend_constraint, rob_dyn_ring[r_slot] or dyn
+                fill(stream, limit)
+                continue
+            pcs, values, addrs, takens, next_pcs = chunks[chunk_index]
+            if drop_consumed:
+                chunks[chunk_index] = None
+            chunk_index += 1
+            # Chunk boundary: no later instruction dispatches before the
+            # commit of the instruction one ROB size earlier (commits
+            # are monotone), so no later issue probe or divide
+            # occupancy reaches an FU-book cycle below that commit.
+            floor = rob_commit_ring[r_slot]
+            for cls, busy in enumerate(fu_busy):
+                if busy:
+                    fu_busy[cls] = {
+                        cycle: count for cycle, count in busy.items() if cycle >= floor
+                    }
+            end = len(pcs)
+            if end > limit - i:
+                end = limit - i
+            for j in range(end):
+                pc = pcs[j]
+                kind = kinds[pc]
+
+                # ---- fetch ----
+                fetch = next_fetch
+                if technique.fetch_blocked_until > fetch:
+                    fetch = technique.fetch_blocked_until
+                prior = fetch_ring[w_slot] + 1
+                if prior > fetch:
+                    fetch = prior
+                fetch_ring[w_slot] = fetch
+
+                # ---- dispatch (rename + queue allocation) ----
+                dispatch = fetch + fe_depth
+                backend_constraint = 0
+                if iq_count >= iq_size and iq_heap[0] > backend_constraint:
+                    backend_constraint = iq_heap[0]
+                if kind == K_LOAD:
+                    if lq_count >= lq_size and lq_heap[0] > backend_constraint:
+                        backend_constraint = lq_heap[0]
+                elif kind == K_STORE:
+                    # The stored word reaches the image at this
+                    # instruction's turn — before any hook of it runs,
+                    # as when stores executed at fetch.
+                    write_word(addrs[j], values[j])
+                    if stores_seen >= sq_size:
+                        constraint = sq_ring[stores_seen % sq_size]
+                        if constraint > backend_constraint:
+                            backend_constraint = constraint
+                rob_constraint = rob_commit_ring[r_slot]
+                if rob_constraint > backend_constraint:
+                    backend_constraint = rob_constraint
+                if backend_constraint > dispatch:
+                    # Backend-full stall (full ROB, or a full IQ/LQ/SQ
+                    # with the same oldest-miss root cause). The
+                    # wall-clock stall begins where the previous stall
+                    # epoch ended — dispatch has been continuously
+                    # blocked — not at this instruction's own fetch-side
+                    # readiness.
+                    covered_from = (
+                        dispatch if dispatch > stall_covered_until else stall_covered_until
+                    )
+                    if backend_constraint > covered_from:
+                        full_rob_stall_cycles += backend_constraint - covered_from
+                        stall_covered_until = backend_constraint
+                        # Blame memory when an outstanding demand miss
+                        # spans the stall window (the classic runahead
+                        # trigger).
+                        memory_blamed = rob_miss_ring[r_slot] or (
+                            last_miss_complete > covered_from
                         )
-                        stall_handled_until = backend_constraint
-                dispatch = backend_constraint
+                        if memory_blamed and covered_from >= stall_handled_until:
+                            stall_episodes += 1
+                            if on_full_rob_stall is not None:
+                                head_pc = rob_pc_ring[r_slot]
+                                on_full_rob_stall(
+                                    covered_from,
+                                    backend_constraint,
+                                    head_pc if head_pc >= 0 else pc,
+                                )
+                            stall_handled_until = backend_constraint
+                    dispatch = backend_constraint
 
-            # ---- register readiness ----
-            ready = dispatch
-            rs1 = rs1_of[pc]
-            if rs1 >= 0 and reg_ready[rs1] > ready:
-                ready = reg_ready[rs1]
-            rs2 = rs2_of[pc]
-            if rs2 >= 0 and reg_ready[rs2] > ready:
-                ready = reg_ready[rs2]
+                # ---- register readiness ----
+                ready = dispatch
+                rs1 = rs1_of[pc]
+                if rs1 >= 0 and reg_ready[rs1] > ready:
+                    ready = reg_ready[rs1]
+                rs2 = rs2_of[pc]
+                if rs2 >= 0 and reg_ready[rs2] > ready:
+                    ready = reg_ready[rs2]
 
-            # ---- issue + execute ----
-            cls = cls_of[pc]
-            busy = fu_busy[cls]
-            capacity = fu_caps[cls]
-            issue = ready
-            count = busy.get(issue, 0)
-            while count >= capacity:
-                issue += 1
+                # ---- issue + execute ----
+                cls = cls_of[pc]
+                busy = fu_busy[cls]
+                capacity = fu_caps[cls]
+                issue = ready
                 count = busy.get(issue, 0)
-            busy[issue] = count + 1
-            if cls == _CLS_DIV:
-                # Divides are unpipelined: occupy the unit for the full
-                # latency.
-                for extra in range(1, div_latency):
-                    busy[issue + extra] = busy.get(issue + extra, 0) + 1
+                while count >= capacity:
+                    issue += 1
+                    count = busy.get(issue, 0)
+                busy[issue] = count + 1
+                if cls == _CLS_DIV:
+                    # Divides are unpipelined: occupy the unit for the
+                    # full latency.
+                    for extra in range(1, div_latency):
+                        busy[issue + extra] = busy.get(issue + extra, 0) + 1
 
-            was_memory_miss = False
-            if kind == K_ALU:
-                complete = issue + lat_of[pc]
-            elif kind == K_LOAD:
-                technique_advance_to(issue)
-                addr = dyn.addr
-                # The load leaves the IQ at issue; if every MSHR is busy
-                # it waits in the LSQ for one to free before accessing
-                # memory (demand_load fuses the MSHR wait and the timed
-                # access).
-                mem_start, result = demand_load(addr, issue)
-                complete = result.ready
-                level = result.level
-                if level == LEVEL_DRAM or level == LEVEL_MSHR:
-                    was_memory_miss = True
-                    if complete > last_miss_complete:
-                        last_miss_complete = complete
-                if stride_pf is not None:
-                    stride_pf.on_demand_load(pc, addr, mem_start, hierarchy)
-                technique_on_demand_load(dyn, mem_start, result)
-                if lq_count < lq_size:
-                    heappush(lq_heap, complete)
-                    lq_count += 1
-                else:
-                    heappushpop(lq_heap, complete)
-            elif kind == K_STORE:
-                hierarchy_store(dyn.addr, issue)
-                complete = issue + 1
-            elif kind == K_BNZ or kind == K_BEZ:
-                complete = issue + 1
-                predicted = predict(pc)
-                predictor_update(pc, dyn.taken, predicted)
-                if predicted != dyn.taken:
-                    # Redirect: fetch restarts after the branch resolves.
-                    redirect = complete + 1
-                    if redirect > next_fetch:
-                        next_fetch = redirect
-                        last_redirect_cycle = redirect
-            elif kind == K_PREFETCH:
-                if (
-                    dyn.addr is not None
-                    and is_mapped(dyn.addr)
-                    and mshr_available(issue)
-                ):
-                    hierarchy_access(dyn.addr, issue, source="prefetcher", prefetch=True)
-                complete = issue + 1
-            else:
-                # JMP / NOP / HALT
-                complete = issue + 1
-
-            # ---- in-order commit ----
-            commit_floor = prev_commit
-            commit = complete + 1
-            if prev_commit > commit:
-                commit = prev_commit
-            ring_commit = commit_ring[w_slot] + 1
-            if ring_commit > commit:
-                commit = ring_commit
-            blocked_until = technique.commit_blocked_until
-            technique_blocked = False
-            if blocked_until > commit:
-                commit_block_cycles += blocked_until - commit
-                commit = blocked_until
-                technique_blocked = True
-            commit_ring[w_slot] = commit
-            prev_commit = commit
-            if commit != last_commit_value:
-                commit_cycles += 1
-                last_commit_value = commit
-            if commit <= complete:
-                retire_violations += 1
-
-            # ---- CPI-stack attribution ----
-            delta = commit - commit_floor
-            if delta > 0:
-                if technique_blocked:
-                    bucket = "runahead_block"
-                elif commit == complete + 1:
-                    if kind == K_LOAD:
-                        bucket = _MEM_BUCKETS.get(level, "mem_dram")
-                    elif fetch == last_redirect_cycle:
-                        bucket = "branch"
-                    elif issue > ready:
-                        bucket = "issue_contention"
-                    elif ready > dispatch:
-                        bucket = "dependency"
-                    elif dispatch > fetch + fe_depth:
-                        bucket = "backend_full"
+                was_memory_miss = False
+                if kind == K_ALU:
+                    complete = issue + lat_of[pc]
+                elif kind == K_LOAD:
+                    if advance_to is not None:
+                        advance_to(issue)
+                    addr = addrs[j]
+                    # The load leaves the IQ at issue; if every MSHR is
+                    # busy it waits in the LSQ for one to free before
+                    # accessing memory (demand_load fuses the MSHR wait
+                    # and the timed access).
+                    mem_start, complete, level = demand_load(addr, issue)
+                    if level == LEVEL_DRAM or level == LEVEL_MSHR:
+                        was_memory_miss = True
+                        if complete > last_miss_complete:
+                            last_miss_complete = complete
+                    if stride_pf is not None:
+                        stride_pf.on_demand_load(pc, addr, mem_start, hierarchy)
+                    if on_demand_load is not None:
+                        on_demand_load(pc, addr, values[j], mem_start)
+                    if lq_count < lq_size:
+                        heappush(lq_heap, complete)
+                        lq_count += 1
                     else:
-                        bucket = "frontend"
+                        heappushpop(lq_heap, complete)
+                elif kind == K_STORE:
+                    hierarchy_store(addrs[j], issue)
+                    complete = issue + 1
+                elif kind == K_BNZ or kind == K_BEZ:
+                    complete = issue + 1
+                    taken = takens[j]
+                    predicted = predict(pc)
+                    predictor_update(pc, taken, predicted)
+                    if predicted != taken:
+                        # Redirect: fetch restarts after the branch
+                        # resolves.
+                        redirect = complete + 1
+                        if redirect > next_fetch:
+                            next_fetch = redirect
+                            last_redirect_cycle = redirect
+                elif kind == K_PREFETCH:
+                    addr = addrs[j]
+                    if addr is not None and is_mapped(addr) and mshr_available(issue):
+                        hierarchy_access(addr, issue, source="prefetcher", prefetch=True)
+                    complete = issue + 1
                 else:
-                    bucket = "commit_width"
-                cpi_buckets[bucket] = cpi_buckets.get(bucket, 0) + delta
+                    # JMP / NOP / HALT
+                    complete = issue + 1
 
-            # ---- bookkeeping for later occupancy constraints ----
-            rob_commit_ring[r_slot] = commit
-            rob_miss_ring[r_slot] = was_memory_miss
-            rob_dyn_ring[r_slot] = dyn
-            if iq_count < iq_size:
-                heappush(iq_heap, issue)
-                iq_count += 1
-            else:
-                heappushpop(iq_heap, issue)
-            if kind == K_STORE:
-                sq_ring[stores_seen % sq_size] = commit
-                stores_seen += 1
-            rd = rd_of[pc]
-            if rd >= 0:
-                reg_ready[rd] = complete
+                # ---- in-order commit ----
+                commit_floor = prev_commit
+                commit = complete + 1
+                if prev_commit > commit:
+                    commit = prev_commit
+                ring_commit = commit_ring[w_slot] + 1
+                if ring_commit > commit:
+                    commit = ring_commit
+                blocked_until = technique.commit_blocked_until
+                technique_blocked = False
+                if blocked_until > commit:
+                    commit_block_cycles += blocked_until - commit
+                    commit = blocked_until
+                    technique_blocked = True
+                commit_ring[w_slot] = commit
+                prev_commit = commit
+                if commit != last_commit_value:
+                    commit_cycles += 1
+                    last_commit_value = commit
+                if commit <= complete:
+                    retire_violations += 1
 
-            if recording:
-                if i < trace_limit:
-                    self.trace.append(
-                        (i, pc, dyn.instr.opcode.name,
-                         fetch, dispatch, ready, issue, complete, commit)
+                # ---- CPI-stack attribution ----
+                delta = commit - commit_floor
+                if delta > 0:
+                    if technique_blocked:
+                        bucket = "runahead_block"
+                    elif commit == complete + 1:
+                        if kind == K_LOAD:
+                            bucket = _MEM_BUCKETS.get(level, "mem_dram")
+                        elif fetch == last_redirect_cycle:
+                            bucket = "branch"
+                        elif issue > ready:
+                            bucket = "issue_contention"
+                        elif ready > dispatch:
+                            bucket = "dependency"
+                        elif dispatch > fetch + fe_depth:
+                            bucket = "backend_full"
+                        else:
+                            bucket = "frontend"
+                    else:
+                        bucket = "commit_width"
+                    cpi_buckets[bucket] = cpi_buckets.get(bucket, 0) + delta
+
+                # ---- bookkeeping for later occupancy constraints ----
+                rob_commit_ring[r_slot] = commit
+                rob_miss_ring[r_slot] = was_memory_miss
+                rob_pc_ring[r_slot] = pc
+                if iq_count < iq_size:
+                    heappush(iq_heap, issue)
+                    iq_count += 1
+                else:
+                    heappushpop(iq_heap, issue)
+                if kind == K_STORE:
+                    sq_ring[stores_seen % sq_size] = commit
+                    stores_seen += 1
+                rd = rd_of[pc]
+                if rd >= 0:
+                    reg_ready[rd] = complete
+
+                if recording:
+                    if i < trace_limit:
+                        self.trace.append(
+                            (i, pc, instrs[pc].opcode.name,
+                             fetch, dispatch, ready, issue, complete, commit)
+                        )
+                    if event_trace is not None:
+                        opv = op_values[pc]
+                        event_trace.emit(fetch, EV_FETCH, pc, opv)
+                        event_trace.emit(issue, EV_ISSUE, pc, opv)
+                        event_trace.emit(complete, EV_COMPLETE, pc, opv)
+                        event_trace.emit(commit, EV_RETIRE, pc, opv)
+                if on_commit is not None:
+                    # A store's column value is its stored word; it
+                    # writes no register, so the hook gets None.
+                    on_commit(
+                        pc,
+                        None if kind == K_STORE else values[j],
+                        addrs[j],
+                        next_pcs[j],
+                        commit,
+                        complete,
                     )
-                if event_trace is not None:
-                    opv = op_values[pc]
-                    event_trace.emit(fetch, EV_FETCH, pc, opv)
-                    event_trace.emit(issue, EV_ISSUE, pc, opv)
-                    event_trace.emit(complete, EV_COMPLETE, pc, opv)
-                    event_trace.emit(commit, EV_RETIRE, pc, opv)
-            technique_on_commit(dyn, commit, complete)
-            i += 1
-            w_slot += 1
-            if w_slot == width:
-                w_slot = 0
-            r_slot += 1
-            if r_slot == rob_size:
-                r_slot = 0
-            if fire_hooks:
-                obs.maybe_fire(i, prev_commit, publish_live)
-            if warmup and i == warmup:
-                warmup_snapshot = self._snapshot(
-                    prev_commit,
-                    full_rob_stall_cycles,
-                    stall_episodes,
-                    commit_block_cycles,
-                    cpi_buckets,
-                )
-                commit_cycles_at_warmup = commit_cycles
+                i += 1
+                w_slot += 1
+                if w_slot == width:
+                    w_slot = 0
+                r_slot += 1
+                if r_slot == rob_size:
+                    r_slot = 0
+                if fire_hooks:
+                    obs.maybe_fire(i, prev_commit, publish_live)
+                if warmup and i == warmup:
+                    warmup_snapshot = self._snapshot(
+                        prev_commit,
+                        full_rob_stall_cycles,
+                        stall_episodes,
+                        commit_block_cycles,
+                        cpi_buckets,
+                    )
+                    commit_cycles_at_warmup = commit_cycles
 
         return self._finalize(
             instructions=i,

@@ -12,8 +12,7 @@ from ..isa.swpf import insert_software_prefetches
 from ..observability import Observability
 from ..perf.trace import (
     CAPTURE_LIMIT,
-    CaptureSource,
-    ReplaySource,
+    ArchTrace,
     arch_trace_key,
     load_trace,
     store_trace,
@@ -77,26 +76,27 @@ def run_simulation(
     identity, seed, and code fingerprint).
 
     ``replay`` controls architectural trace sharing (``repro.perf``):
-    with the default ``"auto"``, the technique-independent functional
-    stream is captured once per stream projection and replayed into
-    every later run of the same stream in this process (the trace memo
-    lives in process memory only) — so comparing four techniques
+    with the default ``"auto"``, the technique-independent stream the
+    first run of a stream projection fills is memoised, and every later
+    run of the same stream in this process replays its columns (the
+    memo lives in process memory only) — so comparing four techniques
     over one workload executes the program functionally once, not four
-    times. Replay is exact: identical ``DynInstr`` fields, identical
-    memory-image evolution (stores are re-applied at fetch time),
-    identical trace digests. ``replay="off"`` always executes
-    functionally. Neither ``replay`` nor ``observability`` participates
-    in run identity (replayed and live runs are bit-identical by
-    construction).
+    times. Replay is exact: the same columns, the same memory-image
+    evolution (each store is applied at its instruction's turn either
+    way), identical trace digests. ``replay="off"`` always executes
+    functionally and memoises nothing. Neither ``replay`` nor
+    ``observability`` participates in run identity (replayed and fresh
+    runs are bit-identical by construction).
 
     ``audit=True`` evaluates every registered invariant check
     (``repro.audit``) against the finished run: the structured record
     lands on ``result.audit`` and any broken law raises
-    :class:`~repro.errors.AuditError`. Audited runs always execute
-    fresh — the ambient result cache is bypassed and ``replay`` is
-    forced off so the live architectural state is available to the
-    equivalence check. Like ``observability``/``replay``, ``audit`` is
-    runtime plumbing and never enters run identity.
+    :class:`~repro.errors.AuditError`. Audited runs bypass the ambient
+    result cache, so they always simulate; a replayed stream is audited
+    like a fresh one (``functional.equivalence`` compares the stream's
+    end state with a fresh re-execution). Like
+    ``observability``/``replay``, ``audit`` is runtime plumbing and
+    never enters run identity.
     """
     if isinstance(workload, RunSpec):
         if (
@@ -140,11 +140,7 @@ def _run_resolved(
         raise ReproError(f"replay must be 'auto' or 'off', got {replay!r}")
     cfg = spec.config
 
-    if audit:
-        # An audited run must actually execute, and the equivalence
-        # check needs the live functional core's register state (a
-        # replayed trace carries none).
-        replay = "off"
+    # An audited run must actually simulate, so it bypasses the cache.
     cache = active_cache() if observability is None and not audit else None
     cache_key: Optional[str] = None
     if cache is not None:
@@ -171,23 +167,20 @@ def _run_resolved(
     if obs is None and spec.trace:
         obs = Observability(trace=True, trace_capacity=spec.trace_capacity)
 
-    # Architectural trace sharing: replay a previously captured stream,
-    # or (first run of this stream) capture it as a side effect of the
-    # timing run — the capture wrapper drives the same FunctionalCore
-    # the core would otherwise build itself.
-    functional_source = None
-    capture: Optional[CaptureSource] = None
-    stream_key: Optional[tuple] = None
+    # Architectural trace sharing: replay a memoised stream, or (first
+    # run of this stream) hand the core an empty one to fill as it runs
+    # and memoise it afterwards. Without either the core fills a
+    # private stream and drops each chunk once consumed.
+    stream: Optional[ArchTrace] = None
+    capture_key: Optional[tuple] = None
     if replay != "off":
-        limit = cfg.max_instructions
         stream_key = arch_trace_key(spec.stream_projection())
-        arch = load_trace(stream_key)
-        if arch is not None:
-            functional_source = ReplaySource(arch, program, wl.memory)
+        stream = load_trace(stream_key)
+        if stream is not None:
             BATCH_COUNTERS.inc("batch.trace.replays")
-        elif limit <= CAPTURE_LIMIT:
-            capture = CaptureSource(FunctionalCore(program, wl.memory))
-            functional_source = capture
+        elif cfg.max_instructions <= CAPTURE_LIMIT:
+            stream = ArchTrace()
+            capture_key = stream_key
 
     core = OoOCore(
         program,
@@ -198,13 +191,13 @@ def _run_resolved(
             wl.name if spec.input_name is None else f"{wl.name}_{spec.input_name}"
         ),
         observability=obs,
-        functional_source=functional_source,
+        stream=stream,
     )
     BATCH_COUNTERS.inc("batch.sim.runs")
     result = core.run()
     BATCH_COUNTERS.inc("batch.sim.completions")
-    if capture is not None and stream_key is not None:
-        store_trace(stream_key, capture.finish())
+    if capture_key is not None:
+        store_trace(capture_key, stream)
         BATCH_COUNTERS.inc("batch.trace.captures")
     if spec.technique == SOFTWARE_PREFETCH:
         result.technique = SOFTWARE_PREFETCH

@@ -15,7 +15,10 @@ Handlers share one calling convention::
 
     value, addr, taken, next_pc = handler(regs, memory)
 
-``next_pc is None`` signals HALT. Handlers have *identical architectural
+``next_pc is None`` signals HALT. ``value`` is the destination value
+and, for a store, the stored word: the architectural stream's columns
+keep it so a consumer can apply the store later (``DynInstr.value``
+stays None for stores). Handlers have *identical architectural
 semantics* to the reference interpreter (``FunctionalCore.step_reference``);
 the differential property tests in ``tests/test_predecode_replay.py``
 pin this over random programs, and the golden-trace digests pin it over
@@ -114,8 +117,9 @@ def _make_handler(instr: Instruction, fall: int) -> Handler:
     if op is Opcode.STORE:
         def h(regs, memory):
             addr = int(regs[rs1]) + imm
-            memory.write_word(addr, regs[rs2])
-            return None, addr, None, fall
+            value = regs[rs2]
+            memory.write_word(addr, value)
+            return value, addr, None, fall
         return h
     if op is Opcode.PREFETCH:
         # Non-binding hint: computes an address, never faults.

@@ -142,11 +142,14 @@ class MemoryHierarchy:
     def demand_load(self, addr: int, cycle: int):
         """Fused demand-load path: MSHR wait + timed access in one call.
 
-        Returns ``(mem_start, AccessResult)``. Exactly equivalent to the
-        ``load_needs_mshr`` / ``mshr_available`` / ``mshr_next_free`` /
-        ``access`` call sequence the reference kernel performs — the
-        timing cores' single hottest operation, so the L1-hit majority
-        case is inlined down to one bucket lookup.
+        Returns ``(mem_start, ready, level)``: the cycle the access
+        started, and the ``ready``/``level`` of its
+        :class:`AccessResult`, so an L1 hit allocates nothing. Exactly
+        equivalent to the ``load_needs_mshr`` / ``mshr_available`` /
+        ``mshr_next_free`` / ``access`` call sequence the reference
+        kernel performs — the timing cores' single hottest operation,
+        so the L1-hit majority case is inlined down to one bucket
+        lookup.
         """
         if self.ideal or self.tlb is not None:
             # Oracle mode has its own demand semantics inside access(),
@@ -158,7 +161,8 @@ class MemoryHierarchy:
                 wait = self.mshrs.next_free(cycle)
                 if wait > mem_start:
                     mem_start = wait
-            return mem_start, self.access(addr, mem_start)
+            result = self.access(addr, mem_start)
+            return mem_start, result.ready, result.level
         line = int(addr) // self.line_bytes
         l1 = self.l1
         bucket = l1._sets.get(line % l1.num_sets)
@@ -175,7 +179,7 @@ class MemoryHierarchy:
             counts[LEVEL_L1] = counts.get(LEVEL_L1, 0) + 1
             if line in self._prefetched_lines:
                 self._classify_demand(line, LEVEL_L1)
-            return cycle, AccessResult(cycle + l1.latency, LEVEL_L1, line)
+            return cycle, cycle + l1.latency, LEVEL_L1
         mem_start = cycle
         mshrs = self.mshrs
         inflight = mshrs._inflight
@@ -191,7 +195,8 @@ class MemoryHierarchy:
                 wait = min(inflight.values())
                 if wait > mem_start:
                     mem_start = wait
-        return mem_start, self.access(addr, mem_start)
+        result = self.access(addr, mem_start)
+        return mem_start, result.ready, result.level
 
     def store(self, addr: int, cycle: int) -> None:
         """Fused demand-store path: ``access(addr, cycle, write=True)``.

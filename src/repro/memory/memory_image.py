@@ -133,17 +133,25 @@ class MemoryImage:
         seg, index = located
         return seg.view[index]
 
-    def write_word(self, addr: int, value) -> None:
+    def write_word(self, addr: int, value, undo: Optional[list] = None) -> None:
         """Architectural write; raises on an unmapped address.
 
         Integer stores wrap modulo 2**64 into the word's two's-complement
         range, matching a real 64-bit datapath (numpy would raise
         OverflowError on out-of-range Python ints instead).
+
+        With ``undo``, the write first appends ``(view, index, old
+        word)`` to it; assigning the entries back in reverse order
+        (``view[index] = old``) restores the image exactly, whatever the
+        segment's dtype.
         """
         located = self._locate(addr)
         if located is None:
             raise MemoryError_(f"write to unmapped address 0x{addr:x}")
         seg, index = located
+        if undo is not None:
+            view = seg.view
+            undo.append((view, index, view[index]))
         if seg.data.dtype.kind == "i" and isinstance(value, int):
             value = ((value + 2**63) % 2**64) - 2**63
         seg.data[index] = value

@@ -1,11 +1,12 @@
-"""Simulation-performance layer: trace capture/replay and the bench harness.
+"""Simulation-performance layer: the stream's columns and the bench harness.
 
-``repro.perf.trace`` captures the architectural :class:`DynInstr` stream
-once per (program, input, seed) and replays it into any timing core or
-runahead technique — the stream is technique-independent because the
-simulator is execution-driven at fetch (see DESIGN.md), so the runs of
-a sweep, comparison or figure in one process share one functional
-execution.
+``repro.perf.trace`` holds the architectural stream as chunked columns
+(:class:`ArchTrace`), which the functional stage fills and the timing
+kernel reads by index, and the in-process memo that replays a stream
+into every later run of the same (program, input, seed, limit) — the
+stream is technique-independent because the simulator is
+execution-driven at fetch (see DESIGN.md), so the runs of a sweep,
+comparison or figure in one process share one functional execution.
 
 ``repro.perf.bench`` holds the measured kernels behind the
 ``repro bench`` CLI subcommand and ``benchmarks/test_perf_kernel.py``.
@@ -13,10 +14,7 @@ execution.
 
 from .trace import (
     ArchTrace,
-    CaptureSource,
-    ReplaySource,
     arch_trace_key,
-    capture_arch_trace,
     clear_trace_memo,
     load_trace,
     store_trace,
@@ -24,10 +22,7 @@ from .trace import (
 
 __all__ = [
     "ArchTrace",
-    "CaptureSource",
-    "ReplaySource",
     "arch_trace_key",
-    "capture_arch_trace",
     "clear_trace_memo",
     "load_trace",
     "store_trace",

@@ -20,11 +20,12 @@ Kernels:
 ``functional_bulk``
     :meth:`FunctionalCore.run_to_completion` — the alloc-free handler
     loop (no DynInstr records at all).
-``trace_replay``
-    :class:`~repro.perf.trace.ReplaySource` consumption — the cost of
-    a cached-stream timing run's front-end.
+``stream_fill``
+    The functional stage (:meth:`FunctionalCore.fill`) writing the
+    stream's columns chunk by chunk, undo log and rollback included —
+    the front-end cost of a fresh timing run.
 ``ooo_event_loop``
-    The full OoO timing core on the plain baseline — functional step +
+    The full OoO timing core on the plain baseline — functional stage +
     event-driven dataflow model + memory hierarchy — via
     :meth:`OoOCore.run`, the one timing kernel.
 ``hierarchy``
@@ -65,7 +66,7 @@ from ..isa.program import ProgramBuilder
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.memory_image import MemoryImage
 from ..workloads import build_workload
-from .trace import ReplaySource, capture_arch_trace
+from .trace import ArchTrace
 
 BENCH_SCHEMA = "repro.bench-core/1"
 
@@ -104,15 +105,14 @@ def _functional_bulk(n: int) -> Tuple[int, float]:
     return core.executed, time.perf_counter() - t0
 
 
-def _trace_replay(n: int) -> Tuple[int, float]:
+def _stream_fill(n: int) -> Tuple[int, float]:
     wl = build_workload(_BENCH_WORKLOAD)
-    trace = capture_arch_trace(wl.program, wl.memory, n)
-    source = ReplaySource(trace, wl.program, wl.memory)
-    work = len(trace)
+    fill = FunctionalCore(wl.program, wl.memory).fill
+    stream = ArchTrace()
     t0 = time.perf_counter()
-    for _ in range(work):
-        source.step()
-    return work, time.perf_counter() - t0
+    while len(stream) < n:
+        fill(stream, n)
+    return len(stream), time.perf_counter() - t0
 
 
 def _ooo_event_loop(n: int) -> Tuple[int, float]:
@@ -241,7 +241,7 @@ KERNELS: Dict[str, Tuple[Callable[[int], Tuple[int, float]], int, str]] = {
     "functional_reference": (_functional_reference, 40_000, "instr"),
     "functional_step": (_functional_step, 40_000, "instr"),
     "functional_bulk": (_functional_bulk, 40_000, "instr"),
-    "trace_replay": (_trace_replay, 40_000, "instr"),
+    "stream_fill": (_stream_fill, 40_000, "instr"),
     "ooo_event_loop": (_ooo_event_loop, 15_000, "instr"),
     "hierarchy": (_hierarchy, 40_000, "access"),
     "demand_translated": (_demand_translated, 40_000, "access"),

@@ -1,37 +1,53 @@
 """The hook interface every technique (prefetcher or runahead) implements.
 
-The timing core drives techniques through these callbacks:
+The timing core drives techniques through these callbacks, each with
+plain values (the kernel reads the architectural stream's columns;
+no per-instruction record object exists):
 
-* :meth:`on_commit` — every retired instruction, in order, with its
-  commit cycle. DVR's stride detector and Discovery Mode live here.
-* :meth:`on_demand_load` — every demand load with its service level
-  (used by table-based prefetchers such as the stride prefetcher / IMP).
-* :meth:`on_full_rob_stall` — a dispatch stall caused by a full ROB whose
-  head is a cache-missing load; the trigger condition for classic
-  runahead, PRE and Vector Runahead.
-* :meth:`advance_to` — lets a decoupled engine (DVR subthread) make
-  progress up to the given cycle; called before each demand access.
+* :meth:`on_commit` ``(pc, value, addr, next_pc, cycle, complete)`` —
+  every retired instruction, in order, with its commit and
+  execute-complete cycles. ``value`` is the destination value (a
+  load's loaded word), None when the instruction writes no register
+  (stores included); ``addr`` is a memory op's byte address, else
+  None. DVR's stride detector and Discovery Mode live here.
+* :meth:`on_demand_load` ``(pc, addr, value, cycle)`` — every demand
+  load, at the cycle its access starts (used by table-based
+  prefetchers such as IMP).
+* :meth:`on_full_rob_stall` ``(start, end, head_pc)`` — a dispatch
+  stall caused by a full ROB whose head is a cache-missing load; the
+  trigger condition for classic runahead, PRE and Vector Runahead.
+  ``head_pc`` is the would-be ROB head's pc.
+* :meth:`advance_to` ``(cycle)`` — lets a decoupled engine (DVR
+  subthread) make progress up to the given cycle; called before each
+  demand access.
 * :attr:`commit_blocked_until` — Vector Runahead's delayed termination:
   the core may not commit past this cycle while runahead completes.
 
+The kernel calls each of the four hooks only when the technique's
+class overrides it (:func:`kernel_hooks`, decided once per run): the
+plain baseline overrides none of them and pays no call per instruction.
+A hook bound on an instance rather than defined on the class is not
+seen.
+
 :meth:`Technique.attach` binds the run's parts a technique reads
-(``config``, ``program``, ``memory_image``, ``hierarchy`` and the event
-trace), never the core itself: the core owns its technique, so a
-back-reference would make every finished run a reference cycle that only
-the cyclic garbage collector can free. With no reference pointing back
-up, reference counting frees a run as soon as its caller drops the core.
+(``config``, ``program`` and its pre-decoded lowering ``decoded``,
+``memory_image``, ``hierarchy`` and the event trace), never the core
+itself: the core owns its technique, so a back-reference would make
+every finished run a reference cycle that only the cyclic garbage
+collector can free. With no reference pointing back up, reference
+counting frees a run as soon as its caller drops the core.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..config import RunaheadConfig, SimConfig
-    from ..core.dyninstr import DynInstr
     from ..core.ooo import OoOCore
+    from ..isa.predecode import DecodedProgram
     from ..isa.program import Program
-    from ..memory.hierarchy import AccessResult, MemoryHierarchy
+    from ..memory.hierarchy import MemoryHierarchy
     from ..memory.memory_image import MemoryImage
     from ..observability.counters import CounterRegistry
     from ..observability.trace import EventTrace
@@ -54,6 +70,9 @@ class Technique:
         # Bound by attach().
         self.config: Optional["SimConfig"] = None
         self.program: Optional["Program"] = None
+        #: The program's per-pc lowering (``rd``, ``kinds``, ``instrs``,
+        #: ...): hooks get a pc and index these.
+        self.decoded: Optional["DecodedProgram"] = None
         self.memory_image: Optional["MemoryImage"] = None
         self.hierarchy: Optional["MemoryHierarchy"] = None
         self.commit_blocked_until = 0
@@ -71,6 +90,7 @@ class Technique:
         """
         self.config = core.config
         self.program = core.program
+        self.decoded = core.decoded
         self.memory_image = core.memory_image
         self.hierarchy = core.hierarchy
         obs = getattr(core, "observability", None)
@@ -102,15 +122,17 @@ class Technique:
         for key, value in self.stats().items():
             registry.set(f"runahead.{self.name}.{key}", value)
 
-    # -- hooks (default: do nothing) ----------------------------------------
+    # -- hooks (default: do nothing, and the kernel skips them) ---------------
 
-    def on_commit(self, dyn: "DynInstr", cycle: int, complete: int = 0) -> None:
+    def on_commit(
+        self, pc: int, value, addr: Optional[int], next_pc: int, cycle: int, complete: int
+    ) -> None:
         pass
 
-    def on_demand_load(self, dyn: "DynInstr", cycle: int, result: "AccessResult") -> None:
+    def on_demand_load(self, pc: int, addr: int, value, cycle: int) -> None:
         pass
 
-    def on_full_rob_stall(self, start: int, end: int, head: "DynInstr") -> None:
+    def on_full_rob_stall(self, start: int, end: int, head_pc: int) -> None:
         pass
 
     def advance_to(self, cycle: int) -> None:
@@ -121,6 +143,24 @@ class Technique:
 
     def stats(self) -> Dict[str, float]:
         return {}
+
+
+#: The per-instruction hooks :func:`kernel_hooks` resolves.
+_KERNEL_HOOKS = ("on_commit", "on_demand_load", "on_full_rob_stall", "advance_to")
+
+
+def kernel_hooks(technique: Technique) -> Dict[str, Optional[Callable]]:
+    """Hook name -> ``technique``'s bound hook, or None where its class
+    keeps :class:`Technique`'s no-op (the kernel then skips the call)."""
+    cls = type(technique)
+    return {
+        name: (
+            None
+            if getattr(cls, name) is getattr(Technique, name)
+            else getattr(technique, name)
+        )
+        for name in _KERNEL_HOOKS
+    }
 
 
 class NullTechnique(Technique):

@@ -124,10 +124,7 @@ class IndirectMemoryPrefetcher(Technique):
 
     # -- hooks --------------------------------------------------------------------
 
-    def on_demand_load(self, dyn, cycle, result) -> None:
-        pc = dyn.pc
-        addr = dyn.addr
-        value = dyn.value
+    def on_demand_load(self, pc, addr, value, cycle) -> None:
         if not isinstance(value, int):
             value = 0
         stream = self._observe_index_load(pc, addr, value)

@@ -31,10 +31,10 @@ class ClassicRunahead(Technique):
         self.dropped_no_mshr = 0
         self.fetch_blocked_until = 0
 
-    def on_commit(self, dyn, cycle, complete: int = 0) -> None:
-        self.shadow.update(dyn, cycle, complete)
+    def on_commit(self, pc, value, addr, next_pc, cycle, complete) -> None:
+        self.shadow.update(self.decoded.rd[pc], value, next_pc, cycle, complete)
 
-    def on_full_rob_stall(self, start: int, end: int, head) -> None:
+    def on_full_rob_stall(self, start: int, end: int, head_pc: int) -> None:
         duration = end - start
         if duration < self.min_stall_cycles:
             return

@@ -58,11 +58,10 @@ class ContinuousRunahead(Technique):
 
     # -- chain selection ---------------------------------------------------------
 
-    def on_full_rob_stall(self, start: int, end: int, head) -> None:
-        if head is None or not head.instr.is_load:
+    def on_full_rob_stall(self, start: int, end: int, head_pc: int) -> None:
+        if not self.decoded.instrs[head_pc].is_load:
             return
-        pc = head.pc
-        self._delinquent[pc] = self._delinquent.get(pc, 0) + 1
+        self._delinquent[head_pc] = self._delinquent.get(head_pc, 0) + 1
         best = max(self._delinquent, key=self._delinquent.get)
         if best != self._target_pc:
             self._target_pc = best
@@ -97,8 +96,8 @@ class ContinuousRunahead(Technique):
 
     # -- continuous execution -------------------------------------------------------
 
-    def on_commit(self, dyn, cycle, complete: int = 0) -> None:
-        self.shadow.update(dyn, cycle, complete)
+    def on_commit(self, pc, value, addr, next_pc, cycle, complete) -> None:
+        self.shadow.update(self.decoded.rd[pc], value, next_pc, cycle, complete)
 
     def advance_to(self, cycle: int) -> None:
         if self.hierarchy is None or self._target_pc is None:

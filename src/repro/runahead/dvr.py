@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..isa.instructions import Opcode
+from ..isa.predecode import K_LOAD
 from ..observability.trace import (
     EV_RUNAHEAD_ENTER,
     EV_RUNAHEAD_EXIT,
@@ -52,8 +52,6 @@ from .shadow import ShadowState
 from .stride_detector import StrideDetector
 from .taint import VectorTaintTracker
 from .vector_engine import EngineCounterMixin, VectorChainRun
-
-_LOAD = Opcode.LOAD
 
 _IDLE = "idle"
 _DISCOVERY = "discovery"
@@ -119,6 +117,9 @@ class DecoupledVectorRunahead(EngineCounterMixin, Technique):
         self.reconvergence_enabled = cfg.reconvergence_enabled
         self.vector_chaining = cfg.vector_chaining
         self.issue_width = cfg.subthread_issue_width
+        self._rd_of = self.decoded.rd
+        self._kinds = self.decoded.kinds
+        self._instrs = self.decoded.instrs
 
     def _new_stack(self) -> Optional[ReconvergenceStack]:
         if not self.reconvergence_enabled:
@@ -157,36 +158,34 @@ class DecoupledVectorRunahead(EngineCounterMixin, Technique):
 
     # -- commit-stream hook -----------------------------------------------------------
 
-    def on_commit(self, dyn, cycle, complete: int = 0) -> None:
+    def on_commit(self, pc, value, addr, next_pc, cycle, complete) -> None:
         # ShadowState.update and the load test, inlined: this runs once
         # per retired instruction.
         shadow = self.shadow
-        instr = dyn.instr
-        rd = instr.rd
-        value = dyn.value
+        rd = self._rd_of[pc]
         if rd is not None and value is not None:
             shadow.regs[rd] = value
             shadow.avail[rd] = complete or cycle
-        shadow.next_pc = dyn.next_pc
+        shadow.next_pc = next_pc
         shadow.last_commit_cycle = cycle
-        is_load = instr.opcode is _LOAD
+        is_load = self._kinds[pc] == K_LOAD
         entry = None
         if is_load:
-            entry = self.detector.observe(dyn.pc, dyn.addr)
+            entry = self.detector.observe(pc, addr)
 
         if self._state == _IDLE:
             if (
                 entry is not None
                 and self._active is None
                 and entry.is_confident(self.detector.confidence_threshold)
-                and self._worth_retriggering(dyn.pc, dyn.addr, entry.stride)
+                and self._worth_retriggering(pc, addr, entry.stride)
             ):
                 if self.discovery_enabled:
-                    self._begin_discovery(dyn, cycle)
+                    self._begin_discovery(pc, cycle)
                 else:
                     # "Offload" configuration: vectorise immediately with
                     # the maximum lane count and no chain endpoint.
-                    self._spawn_offload(dyn, cycle, entry.stride)
+                    self._spawn_offload(pc, addr, cycle, entry.stride)
             return
 
         # ---- Discovery Mode ----
@@ -196,59 +195,60 @@ class DecoupledVectorRunahead(EngineCounterMixin, Technique):
             self.discovery_aborts += 1
             self.emit_event(cycle, EV_RUNAHEAD_EXIT, self._trigger_pc)
             return
-        if is_load and entry is not None and dyn.pc != self._trigger_pc:
+        if is_load and entry is not None and pc != self._trigger_pc:
             if entry.is_confident(self.detector.confidence_threshold):
                 if entry.innermost_bit:
                     # Seen twice before the trigger came around again:
                     # this stride is more inner — switch to it.
                     self.innermost_switches += 1
-                    self._begin_discovery(dyn, cycle)
+                    self._begin_discovery(pc, cycle)
                     return
                 entry.innermost_bit = True
-        if dyn.pc == self._trigger_pc:
-            self._finish_discovery(dyn, cycle)
+        if pc == self._trigger_pc:
+            self._finish_discovery(pc, addr, cycle)
             return
+        instr = self._instrs[pc]
         tainted = self._vtt.propagate(instr)
         if is_load and tainted:
-            self._flr = dyn.pc
+            self._flr = pc
             self._lbd.on_final_load_update()
-        self._lbd.observe(dyn)
+        self._lbd.observe(pc, instr)
 
     # -- discovery ------------------------------------------------------------------
 
-    def _begin_discovery(self, dyn, cycle: int) -> None:
-        self.emit_event(cycle, EV_RUNAHEAD_ENTER, dyn.pc)
+    def _begin_discovery(self, pc: int, cycle: int) -> None:
+        self.emit_event(cycle, EV_RUNAHEAD_ENTER, pc)
         self._state = _DISCOVERY
-        self._trigger_pc = dyn.pc
-        self._trigger_stride = self.detector.stride_of(dyn.pc)
-        self._vtt.reset(dyn.instr.rd)
+        self._trigger_pc = pc
+        self._trigger_stride = self.detector.stride_of(pc)
+        self._vtt.reset(self._rd_of[pc])
         self._flr = None
-        self._lbd = LoopBoundDetector(dyn.pc)
+        self._lbd = LoopBoundDetector(pc)
         self._entry_checkpoint = self.shadow.snapshot_values()
         self._budget = _DISCOVERY_BUDGET
         self.detector.clear_innermost_bits()
         self.discoveries += 1
 
-    def _finish_discovery(self, dyn, cycle: int) -> None:
+    def _finish_discovery(self, pc: int, addr: int, cycle: int) -> None:
         self._state = _IDLE
         if self._flr is None:
             # No dependent chain beyond the stride prefetcher's reach:
             # not worth a subthread (Section 4.1.2).
-            self.emit_event(cycle, EV_RUNAHEAD_EXIT, dyn.pc)
+            self.emit_event(cycle, EV_RUNAHEAD_EXIT, pc)
             return
         if self._active is not None:
-            self.emit_event(cycle, EV_RUNAHEAD_EXIT, dyn.pc)
+            self.emit_event(cycle, EV_RUNAHEAD_EXIT, pc)
             return
         exit_checkpoint = self.shadow.snapshot_values()
         inference = self._lbd.infer(self._entry_checkpoint, exit_checkpoint)
         lanes = inference.lanes(self.lanes_max)
         if lanes <= 0:
             self.zero_lane_skips += 1
-            self.emit_event(cycle, EV_RUNAHEAD_EXIT, dyn.pc)
+            self.emit_event(cycle, EV_RUNAHEAD_EXIT, pc)
             return
-        stride = self._trigger_stride or self.detector.stride_of(dyn.pc)
+        stride = self._trigger_stride or self.detector.stride_of(pc)
         if not stride:
-            self.emit_event(cycle, EV_RUNAHEAD_EXIT, dyn.pc)
+            self.emit_event(cycle, EV_RUNAHEAD_EXIT, pc)
             return
         use_nested = (
             self.nested_enabled
@@ -258,9 +258,9 @@ class DecoupledVectorRunahead(EngineCounterMixin, Technique):
             and inference.backward_branch_pc is not None
         )
         if use_nested:
-            self._spawn_nested(dyn, cycle, stride, lanes, inference)
+            self._spawn_nested(pc, addr, cycle, stride, lanes, inference)
         else:
-            self._spawn_chain(dyn, cycle, stride, lanes, end_pc=self._flr)
+            self._spawn_chain(pc, addr, cycle, stride, lanes, end_pc=self._flr)
 
     def _chain_stride_map(self, trigger_pc: int) -> dict:
         strides = self.detector.confident_strides()
@@ -285,46 +285,59 @@ class DecoupledVectorRunahead(EngineCounterMixin, Technique):
     # -- spawning -----------------------------------------------------------------------
 
     def _spawn_chain(
-        self, dyn, cycle: int, stride: int, lanes: int, end_pc: Optional[int]
+        self,
+        pc: int,
+        addr: int,
+        cycle: int,
+        stride: int,
+        lanes: int,
+        end_pc: Optional[int],
     ) -> None:
-        lane_addresses = [dyn.addr + stride * (l + 1) for l in range(lanes)]
+        lane_addresses = [addr + stride * (l + 1) for l in range(lanes)]
         run = VectorChainRun(
             program=self.program,
             memory=self.memory_image,
             hierarchy=self.hierarchy,
             scalar_regs=self.shadow.snapshot_values(),
-            start_pc=dyn.pc,
+            start_pc=pc,
             lane_addresses=lane_addresses,
             start_cycle=cycle,
             end_pc=end_pc,
             execute_end_pc=True,
-            stop_pcs=(dyn.pc,),
+            stop_pcs=(pc,),
             vector_width=self.vector_width,
             timeout=self.timeout,
             reconvergence=self._new_stack(),
             source="runahead",
-            stride_map=self._chain_stride_map(dyn.pc),
+            stride_map=self._chain_stride_map(pc),
             **self._engine_kwargs(),
         )
         self._active = run
         self._continuation = None
         self.spawns += 1
         self.total_lanes += lanes
-        self.emit_event(cycle, EV_VECTOR_DISPATCH, dyn.pc, lanes)
-        self._record_coverage(dyn.pc, lane_addresses[-1])
+        self.emit_event(cycle, EV_VECTOR_DISPATCH, pc, lanes)
+        self._record_coverage(pc, lane_addresses[-1])
 
-    def _spawn_offload(self, dyn, cycle: int, stride: int) -> None:
+    def _spawn_offload(self, pc: int, addr: int, cycle: int, stride: int) -> None:
         """Offload configuration: no Discovery Mode, fixed max lanes."""
-        self._spawn_chain(dyn, cycle, stride, self.lanes_max, end_pc=None)
+        self._spawn_chain(pc, addr, cycle, stride, self.lanes_max, end_pc=None)
 
     # -- Nested Discovery Mode -------------------------------------------------------
 
-    def _spawn_nested(self, dyn, cycle: int, stride: int, lanes: int, inference) -> None:
+    def _spawn_nested(
+        self,
+        trigger_pc: int,
+        trigger_addr: int,
+        cycle: int,
+        stride: int,
+        lanes: int,
+        inference,
+    ) -> None:
         program = self.program
         memory = self.memory_image
         hierarchy = self.hierarchy
-        trigger_pc = dyn.pc
-        trigger_instr = dyn.instr
+        trigger_instr = self._instrs[trigger_pc]
 
         # Phase A (scalar): invert the backward branch — start on its
         # not-taken path — and walk forward looking for an outer striding
@@ -370,7 +383,9 @@ class DecoupledVectorRunahead(EngineCounterMixin, Technique):
             # No outer striding load within the instruction budget:
             # fall back to the loop-bound-detector iteration count.
             self.nested_fallbacks += 1
-            self._spawn_chain(dyn, cycle, stride, lanes, end_pc=self._flr)
+            self._spawn_chain(
+                trigger_pc, trigger_addr, cycle, stride, lanes, end_pc=self._flr
+            )
             return
 
         # Phase B (vectorised NDM): vectorise the outer striding load by
@@ -441,7 +456,7 @@ class DecoupledVectorRunahead(EngineCounterMixin, Technique):
         self.spawns += 1
         self.nested_spawns += 1
         self.emit_event(cycle + steps, EV_VECTOR_DISPATCH, outer_pc, _NDM_OUTER_LANES)
-        self._record_coverage(trigger_pc, dyn.addr + stride * lanes)
+        self._record_coverage(trigger_pc, trigger_addr + stride * lanes)
 
     def _collect_inner_addresses(
         self, ndm_run, trigger_instr, induction_reg, increment, compare, stride

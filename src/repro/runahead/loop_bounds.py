@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..core.dyninstr import DynInstr
-from ..isa.instructions import Opcode
+from ..isa.instructions import Instruction, Opcode
 
 
 @dataclass
@@ -47,14 +46,13 @@ class LoopBoundInference:
 class _LastCompare:
     __slots__ = ("rs1", "rs2", "rd", "imm", "uses_imm", "pc")
 
-    def __init__(self, dyn: DynInstr) -> None:
-        instr = dyn.instr
+    def __init__(self, pc: int, instr: Instruction) -> None:
         self.rs1 = instr.rs1
         self.rs2 = instr.rs2
         self.rd = instr.rd
         self.imm = instr.imm
         self.uses_imm = instr.opcode is Opcode.CMP_LTI
-        self.pc = dyn.pc
+        self.pc = pc
 
 
 class LoopBoundDetector:
@@ -74,10 +72,10 @@ class LoopBoundDetector:
         self.backward_branch_pc = None
         self.backward_branch_target = None
 
-    def observe(self, dyn: DynInstr) -> None:
-        instr = dyn.instr
+    def observe(self, pc: int, instr: Instruction) -> None:
+        """Track one committed instruction: its pc and static instruction."""
         if instr.is_compare and not self._sbb:
-            self._lcr = _LastCompare(dyn)
+            self._lcr = _LastCompare(pc, instr)
             return
         if (
             instr.is_conditional_branch
@@ -87,7 +85,7 @@ class LoopBoundDetector:
             and instr.target <= self.trigger_pc
         ):
             self._sbb = True
-            self.backward_branch_pc = dyn.pc
+            self.backward_branch_pc = pc
             self.backward_branch_target = instr.target
 
     @property

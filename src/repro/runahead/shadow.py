@@ -9,9 +9,8 @@ outstanding loads as INV at the moment a stall begins.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
-from ..core.dyninstr import DynInstr
 from ..isa.instructions import NUM_REGS
 
 
@@ -24,21 +23,28 @@ class ShadowState:
         self.next_pc = 0
         self.last_commit_cycle = 0
 
-    def update(self, dyn: DynInstr, commit_cycle: int, complete_cycle: int = 0) -> None:
-        """Apply one retired instruction.
+    def update(
+        self,
+        rd: Optional[int],
+        value,
+        next_pc: int,
+        commit_cycle: int,
+        complete_cycle: int = 0,
+    ) -> None:
+        """Apply one retired instruction: its destination register (None
+        for none), the value it wrote, and its successor pc.
 
         VR's and DVR's commit hooks inline this body; keep them in step
         (``tests/test_vector_slice_engine.py`` compares the three).
         """
-        rd = dyn.instr.rd
-        if rd is not None and dyn.value is not None:
-            self.regs[rd] = dyn.value
+        if rd is not None and value is not None:
+            self.regs[rd] = value
             # Availability is the *execute-complete* cycle: instructions
             # still sitting in the ROB have produced their values and a
             # runahead context may use them; only results of outstanding
             # misses are INV.
             self.avail[rd] = complete_cycle or commit_cycle
-        self.next_pc = dyn.next_pc
+        self.next_pc = next_pc
         self.last_commit_cycle = commit_cycle
 
     def snapshot_values(self) -> List:

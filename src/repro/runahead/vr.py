@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..isa.instructions import Opcode
+from ..isa.predecode import K_LOAD
 from ..observability.trace import (
     EV_RUNAHEAD_ENTER,
     EV_RUNAHEAD_EXIT,
@@ -29,8 +29,6 @@ from .interpreter import SpeculativeInterpreter
 from .shadow import ShadowState
 from .stride_detector import StrideDetector
 from .vector_engine import EngineCounterMixin, VectorChainRun
-
-_LOAD = Opcode.LOAD
 
 # How far VR's runahead front-end looks for a striding load before
 # giving up on vectorisation for this episode.
@@ -68,23 +66,23 @@ class VectorRunahead(EngineCounterMixin, Technique):
         self.timeout = runahead_cfg.instruction_timeout
         self.vector_chaining = runahead_cfg.vector_chaining
         self.issue_width = runahead_cfg.subthread_issue_width
+        self._rd_of = self.decoded.rd
+        self._kinds = self.decoded.kinds
 
-    def on_commit(self, dyn, cycle, complete: int = 0) -> None:
+    def on_commit(self, pc, value, addr, next_pc, cycle, complete) -> None:
         # ShadowState.update and the load test, inlined: this runs once
         # per retired instruction.
         shadow = self.shadow
-        instr = dyn.instr
-        rd = instr.rd
-        value = dyn.value
+        rd = self._rd_of[pc]
         if rd is not None and value is not None:
             shadow.regs[rd] = value
             shadow.avail[rd] = complete or cycle
-        shadow.next_pc = dyn.next_pc
+        shadow.next_pc = next_pc
         shadow.last_commit_cycle = cycle
-        if instr.opcode is _LOAD:
-            self.detector.observe(dyn.pc, dyn.addr)
+        if self._kinds[pc] == K_LOAD:
+            self.detector.observe(pc, addr)
 
-    def on_full_rob_stall(self, start: int, end: int, head) -> None:
+    def on_full_rob_stall(self, start: int, end: int, head_pc: int) -> None:
         if self.commit_blocked_until > start:
             return  # still finishing the previous vectorised chain
         self.triggers += 1

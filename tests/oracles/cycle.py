@@ -74,7 +74,6 @@ class CycleCore:
         config: Optional[SimConfig] = None,
         workload_name: str = "workload",
         observability: Optional[Observability] = None,
-        functional_source=None,
     ) -> None:
         self.observability = observability
         self.config = config or SimConfig()
@@ -85,13 +84,7 @@ class CycleCore:
             self.config.memory, tlb_policy=self.config.runahead.tlb_policy
         )
         self.predictor = TageLitePredictor(self.config.branch)
-        # ``functional_source`` lets a trace replayer stand in for live
-        # functional execution (same .step() protocol; see repro.perf).
-        self.functional = (
-            functional_source
-            if functional_source is not None
-            else FunctionalCore(program, memory_image)
-        )
+        self.functional = FunctionalCore(program, memory_image)
         self.l1_stride_prefetcher: Optional[StridePrefetcher] = None
         if self.config.stride_prefetcher_enabled:
             self.l1_stride_prefetcher = StridePrefetcher(

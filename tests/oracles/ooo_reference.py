@@ -2,9 +2,12 @@
 
 :func:`run_reference` is the loop ``OoOCore.run`` was restructured from,
 unchanged apart from taking the core as an argument: per-PC decoded
-arrays, one ``DynInstr`` per step from the functional source, dict-keyed
-functional-unit books, and every technique hook at the same point as the
-product kernel. The differential suites (``tests/test_ooo_event_kernel.py``,
+arrays, one ``DynInstr`` per step from its own live
+``FunctionalCore.step`` (stores write the image at fetch; it shares
+nothing with the product's column stream), dict-keyed functional-unit
+books, and every technique hook at the same point as the product
+kernel — called unconditionally, with the hooks' plain-value
+signatures. The differential suites (``tests/test_ooo_event_kernel.py``,
 ``tests/test_oracle_fuzz.py``) pin ``OoOCore.run`` against it: the same
 cycles, instructions, counters and trace digests. Only the
 ``core.sched.*`` family differs, because this loop publishes none.
@@ -15,6 +18,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Optional
 
+from repro.core.functional import FunctionalCore
 from repro.core.ooo import _MEM_BUCKETS, OoOCore, SimulationResult, publish_core_counters
 from repro.errors import SimulationError
 from repro.isa.instructions import NUM_REGS
@@ -84,7 +88,7 @@ def run_reference(
     commit_ring = [0] * width
     rob_commit_ring = [0] * rob_size
     # blame ring: (complete_cycle, was_memory_miss) of the would-be head
-    rob_blame_ring = [(0, False, None)] * rob_size
+    rob_blame_ring = [(0, False, -1)] * rob_size
     # The IQ and LQ free entries out of order: an entry is available
     # once *any* occupant leaves. We track the ``size`` largest
     # leave-times in a min-heap; its minimum is the cycle at which the
@@ -103,14 +107,14 @@ def run_reference(
     # below runs once per dynamic instruction, so every attribute
     # lookup and Opcode-enum comparison it avoids is paid millions
     # of times over a long run.
-    decoded = core._decoded()
+    decoded = core.decoded
     kinds = decoded.kinds
     fu_classes = decoded.fu_classes
     op_values = decoded.op_values
     rd_of = decoded.rd
     rs1_of = decoded.rs1
     rs2_of = decoded.rs2
-    functional_step = core.functional.step
+    functional_step = FunctionalCore(core.program, core.memory_image).step
     mshr_available = hierarchy.mshr_available
     load_needs_mshr = hierarchy.load_needs_mshr
     hierarchy_access = hierarchy.access
@@ -180,7 +184,7 @@ def run_reference(
         # ---- dispatch (rename + queue allocation) ----
         dispatch = fetch + fe_depth
         backend_constraint = 0
-        head_dyn = None
+        head_pc = -1
         head_was_miss = False
         if len(iq_heap) >= iq_size and iq_heap[0] > backend_constraint:
             backend_constraint = iq_heap[0]
@@ -194,7 +198,7 @@ def run_reference(
             rob_constraint = rob_commit_ring[i % rob_size]
             if rob_constraint > backend_constraint:
                 backend_constraint = rob_constraint
-            head_complete, head_was_miss, head_dyn = rob_blame_ring[i % rob_size]
+            head_complete, head_was_miss, head_pc = rob_blame_ring[i % rob_size]
         if backend_constraint > dispatch:
             # Backend-full stall (full ROB, or a full IQ/LQ/SQ with the
             # same oldest-miss root cause). The wall-clock stall begins
@@ -213,7 +217,9 @@ def run_reference(
                 if memory_blamed and covered_from >= stall_handled_until:
                     stall_episodes += 1
                     technique.on_full_rob_stall(
-                        covered_from, backend_constraint, head_dyn or dyn
+                        covered_from,
+                        backend_constraint,
+                        head_pc if head_pc >= 0 else pc,
                     )
                     stall_handled_until = backend_constraint
             dispatch = backend_constraint
@@ -259,7 +265,7 @@ def run_reference(
                 last_miss_complete = complete
             if stride_pf is not None:
                 stride_pf.on_demand_load(pc, addr, mem_start, hierarchy)
-            technique.on_demand_load(dyn, mem_start, result)
+            technique.on_demand_load(pc, addr, dyn.value, mem_start)
             heapq.heappush(lq_heap, complete)
             if len(lq_heap) > lq_size:
                 heapq.heappop(lq_heap)
@@ -334,7 +340,7 @@ def run_reference(
 
         # ---- bookkeeping for later occupancy constraints ----
         rob_commit_ring[i % rob_size] = commit
-        rob_blame_ring[i % rob_size] = (complete, was_memory_miss, dyn)
+        rob_blame_ring[i % rob_size] = (complete, was_memory_miss, pc)
         heapq.heappush(iq_heap, issue)
         if len(iq_heap) > iq_size:
             heapq.heappop(iq_heap)
@@ -356,7 +362,9 @@ def run_reference(
             event_trace.emit(issue, EV_ISSUE, pc, opv)
             event_trace.emit(complete, EV_COMPLETE, pc, opv)
             event_trace.emit(commit, EV_RETIRE, pc, opv)
-        technique_on_commit(dyn, commit, complete)
+        technique_on_commit(
+            pc, dyn.value, dyn.addr, dyn.next_pc, commit, complete
+        )
         i += 1
         if fire_hooks:
             obs.maybe_fire(i, prev_commit, publish_live)

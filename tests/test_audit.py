@@ -27,8 +27,10 @@ from repro.config import SimConfig
 from repro.core import FunctionalCore, OoOCore
 from repro.experiments import RunSpec, run_batch, run_simulation
 from repro.experiments.batch import BatchFailure
-from repro.experiments.cache import ResultCache, use_cache
+from repro.experiments.cache import BATCH_COUNTERS, ResultCache, use_cache
+from repro.isa.predecode import K_STORE
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.perf.trace import arch_trace_key, clear_trace_memo, load_trace
 from repro.techniques import make_technique
 from repro.workloads import build_workload
 
@@ -178,14 +180,14 @@ class TestBugReintroduction:
     def test_equivalence_catches_register_divergence(self):
         core, result, rebuild = _run_core()
         assert audit_timing_run(core, result, rebuild=rebuild).passed
-        core.functional.regs[3] += 1
+        core.stream.regs[3] += 1
         record = audit_timing_run(core, result, rebuild=rebuild)
         failed = {c.name for c in record.checks if not c.passed}
         assert "functional.equivalence" in failed
 
     def test_equivalence_catches_memory_divergence(self):
         core, result, rebuild = _run_core()
-        base = core.functional.memory
+        base = core.memory_image
         addr = base._segments[0].base
         base.write_word(addr, base.read_word(addr) + 1)
         record = audit_timing_run(core, result, rebuild=rebuild)
@@ -242,6 +244,50 @@ class TestRunnerIntegration:
         results = run_batch(specs, audit=True)
         assert isinstance(results[0], BatchFailure)
         assert results[0].error_type == "AuditError"
+
+    def test_audited_replayed_run_checks_equivalence(self, monkeypatch):
+        """A replayed stream is audited like a fresh one: the equivalence
+        check re-executes the whole stream and every law holds."""
+        clear_trace_memo()
+        spec = RunSpec("nas_is", technique="dvr", max_instructions=3000)
+        fresh = run_simulation(spec, audit=True)  # fills and memoises
+        replays = BATCH_COUNTERS.snapshot().get("batch.trace.replays", 0)
+        steps = []
+        reference_step = FunctionalCore.step_reference
+
+        def counting_step(core):
+            steps.append(1)
+            return reference_step(core)
+
+        monkeypatch.setattr(FunctionalCore, "step_reference", counting_step)
+        replayed = run_simulation(spec, audit=True)
+        clear_trace_memo()
+        assert BATCH_COUNTERS.snapshot().get("batch.trace.replays", 0) == replays + 1
+        assert replayed.audit["passed"] is True
+        assert len(steps) == 3000
+        assert replayed.to_dict() == fresh.to_dict()
+
+    def test_tampered_memoised_store_fails_equivalence(self):
+        """One stored word altered in a memoised stream is caught."""
+        clear_trace_memo()
+        spec = RunSpec("nas_is", technique="ooo", max_instructions=3000)
+        try:
+            run_simulation(spec)  # fills and memoises the stream
+            stream = load_trace(arch_trace_key(spec))
+            kinds = build_workload("nas_is").program.decoded().kinds
+            for pcs, values, *_ in reversed(stream.chunks):
+                stores = [j for j, pc in enumerate(pcs) if kinds[pc] == K_STORE]
+                if stores:
+                    values[stores[-1]] += 1  # the stream's last store
+                    break
+            else:
+                pytest.fail("the stream has no store to alter")
+            with pytest.raises(AuditError) as excinfo:
+                run_simulation(spec, audit=True)
+        finally:
+            clear_trace_memo()
+        failed = {c.name for c in excinfo.value.record.checks if not c.passed}
+        assert "functional.equivalence" in failed
 
     def test_batch_audit_bypasses_cache(self, tmp_path):
         cache = ResultCache(tmp_path)

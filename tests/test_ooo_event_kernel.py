@@ -16,6 +16,7 @@ import pytest
 from repro.config import SimConfig
 from repro.core.ooo import OoOCore
 from repro.observability.probes import Observability
+from repro.perf.trace import CHUNK
 from repro.techniques import make_technique
 from repro.workloads.registry import build_workload
 
@@ -27,7 +28,9 @@ TECHNIQUES = ("ooo", "vr", "dvr", "dvr-offload", "runahead", "pre")
 LIMIT = 2000
 
 
-def _run_ooo(workload_name: str, technique_name: str, reference: bool):
+def _run_ooo(
+    workload_name: str, technique_name: str, reference: bool, limit: int = LIMIT
+):
     wl = build_workload(workload_name)
     cfg = SimConfig()
     core = OoOCore(
@@ -39,8 +42,8 @@ def _run_ooo(workload_name: str, technique_name: str, reference: bool):
         observability=Observability(trace=True),
     )
     if reference:
-        return run_reference(core, max_instructions=LIMIT)
-    return core.run(max_instructions=LIMIT)
+        return run_reference(core, max_instructions=limit)
+    return core.run(max_instructions=limit)
 
 
 def _assert_sched_laws(result, sched):
@@ -64,6 +67,17 @@ def test_ooo_event_kernel_matches_reference(workload_name, technique_name):
     assert not any(k.startswith(SCHED_PREFIX) for k in ref.counters), (
         "reference loop must not publish core.sched.*"
     )
+    _assert_sched_laws(new, assert_same_run(ref, new))
+
+
+def test_ooo_event_kernel_matches_reference_across_chunks():
+    """Three chunk boundaries: the kernel fills each next chunk of the
+    stream there and prunes its functional-unit books below the commit
+    floor, and still matches the oracle bit for bit."""
+    limit = 3 * CHUNK + 500
+    ref = _run_ooo("nas_cg", "dvr", reference=True, limit=limit)
+    new = _run_ooo("nas_cg", "dvr", reference=False, limit=limit)
+    assert new.instructions == limit
     _assert_sched_laws(new, assert_same_run(ref, new))
 
 

@@ -5,10 +5,12 @@ closures) must be bit-identical to the original interpreter
 (:meth:`FunctionalCore.step_reference`, kept verbatim as the spec) —
 hypothesis drives both over randomly generated programs mixing ALU
 ops, loads, stores, prefetches, and a conditional loop, comparing the
-full ``DynInstr`` stream and every piece of architectural state.
+full ``DynInstr`` stream and every piece of architectural state. The
+functional stage (:meth:`FunctionalCore.fill`) is pinned against the
+same programs in ``tests/test_stream_stage.py``.
 
-The replay half asserts the ``repro.perf`` claim: a cached
-architectural trace replayed into a timing run produces *exactly* the
+The replay half asserts the ``repro.perf`` claim: a memoised
+architectural stream replayed into a timing run produces *exactly* the
 result of a from-scratch run — same counters, same cycles, same golden
 trace digest — across every (technique, workload) combination of the
 golden suite.
@@ -21,17 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FunctionalCore
+from repro.config import SimConfig
+from repro.core import FunctionalCore, OoOCore
 from repro.errors import SimulationError
 from repro.experiments.cache import BATCH_COUNTERS
 from repro.experiments.runner import run_simulation
 from repro.isa import Opcode, ProgramBuilder
 from repro.memory import MemoryImage
-from repro.perf.trace import (
-    ReplaySource,
-    capture_arch_trace,
-    clear_trace_memo,
-)
+from repro.perf.trace import ArchTrace, clear_trace_memo
 
 # -- random mixed programs ----------------------------------------------------
 
@@ -133,41 +132,6 @@ def test_fast_path_matches_reference_interpreter(seeds, body, iterations):
         assert np.array_equal(mem.segment(seg_ref.name).data, seg_ref.data)
 
 
-@given(
-    seeds=st.lists(st.integers(-1000, 1000), min_size=7, max_size=7),
-    body=st.lists(_body_item, min_size=1, max_size=20),
-    iterations=st.integers(1, 4),
-)
-@settings(max_examples=25, deadline=None)
-def test_capture_replay_matches_live_stream(seeds, body, iterations):
-    """A captured trace replays the exact live DynInstr stream."""
-    program, mem = _build(seeds, body, iterations)
-    trace = capture_arch_trace(program, mem, limit=100_000)
-    assert trace.halted
-
-    program2, mem2 = _build(seeds, body, iterations)
-    live = FunctionalCore(program2, mem2)
-    replay = ReplaySource(trace, program2, mem2)
-    while True:
-        a = replay.step()
-        b = live.step()
-        if a is None or b is None:
-            assert (a is None) and (b is None)
-            break
-        assert (a.seq, a.pc, a.value, a.addr, a.taken, a.next_pc) == (
-            b.seq,
-            b.pc,
-            b.value,
-            b.addr,
-            b.taken,
-            b.next_pc,
-        )
-        assert a.instr is b.instr
-    # Stores were re-applied: the replayed image equals the live one.
-    for seg in mem2.segments():
-        assert np.array_equal(mem.segment(seg.name).data, seg.data)
-
-
 # -- replay vs from-scratch over the golden suite -----------------------------
 
 _INSTRUCTIONS = 1_500
@@ -219,25 +183,39 @@ def test_streams_are_technique_independent():
 
 # -- unit coverage ------------------------------------------------------------
 
-def test_replay_source_raises_past_truncated_trace():
-    """A budget-truncated trace must never silently run dry."""
+def _filled(program, mem, limit):
+    """The stream of ``program`` over ``mem``, cut at ``limit`` steps."""
+    stream = ArchTrace()
+    stage = FunctionalCore(program, mem)
+    while len(stream) < limit and not stream.halted:
+        stage.fill(stream, limit)
+    return stream
+
+
+def test_truncated_stream_raises_past_its_budget():
+    """A budget-truncated memoised stream must never silently run dry."""
     program, mem = _build([1] * 7, [("nop",)], iterations=4)
-    trace = capture_arch_trace(program, mem, limit=3)
-    assert not trace.halted
+    stream = _filled(program, mem, limit=3)
+    assert not stream.halted and len(stream) == 3
     program2, mem2 = _build([1] * 7, [("nop",)], iterations=4)
-    source = ReplaySource(trace, program2, mem2)
-    for _ in range(3):
-        assert source.step() is not None
+    core = OoOCore(program2, mem2, SimConfig(max_instructions=4), stream=stream)
     with pytest.raises(SimulationError):
-        source.step()
+        core.run()
+    # Within its budget the same stream replays to the end.
+    program3, mem3 = _build([1] * 7, [("nop",)], iterations=4)
+    core = OoOCore(program3, mem3, SimConfig(max_instructions=3), stream=stream)
+    assert core.run().instructions == 3
 
 
-def test_replay_source_returns_none_after_halt():
+def test_halted_stream_ends_the_run():
+    """A halted memoised stream ends the run early, with no raise."""
     program, mem = _build([1] * 7, [("nop",)], iterations=1)
-    trace = capture_arch_trace(program, mem, limit=100_000)
-    assert trace.halted
+    stream = _filled(program, mem, limit=100_000)
+    assert stream.halted
+    cfg = SimConfig(max_instructions=100_000)
     program2, mem2 = _build([1] * 7, [("nop",)], iterations=1)
-    source = ReplaySource(trace, program2, mem2)
-    while source.step() is not None:
-        pass
-    assert source.step() is None  # stays exhausted, no raise
+    replayed = OoOCore(program2, mem2, cfg, stream=stream).run()
+    program3, mem3 = _build([1] * 7, [("nop",)], iterations=1)
+    fresh = OoOCore(program3, mem3, cfg).run()
+    assert replayed.instructions == len(stream) < 100_000
+    assert replayed.to_dict() == fresh.to_dict()

@@ -89,7 +89,7 @@ def test_timing_model_preserves_architectural_results(seeds, body):
     core = OoOCore(program2, mem2, SimConfig(max_instructions=10_000))
     result = core.run()
     assert result.instructions == reference.executed
-    assert core.functional.regs == reference.regs
+    assert core.stream.regs == reference.regs
 
 
 @given(

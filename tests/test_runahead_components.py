@@ -4,7 +4,6 @@ and the scalar speculative interpreter."""
 
 import pytest
 
-from repro.core.dyninstr import DynInstr
 from repro.isa import Instruction, Opcode, ProgramBuilder
 from repro.memory import MemoryImage
 from repro.runahead import (
@@ -120,15 +119,11 @@ class TestVectorTaintTracker:
         assert not vtt.is_tainted(9) and not vtt.is_tainted(4)
 
 
-def _dyn(pc, instr, taken=None):
-    return DynInstr(0, pc, instr, taken=taken, next_pc=pc + 1)
-
-
 class TestLoopBoundDetector:
     def _locked_detector(self, trigger_pc=10):
         lbd = LoopBoundDetector(trigger_pc)
-        lbd.observe(_dyn(12, Instruction(Opcode.CMP_LT, rd=5, rs1=1, rs2=2)))
-        lbd.observe(_dyn(13, Instruction(Opcode.BNZ, rs1=5, target=8)))
+        lbd.observe(12, Instruction(Opcode.CMP_LT, rd=5, rs1=1, rs2=2))
+        lbd.observe(13, Instruction(Opcode.BNZ, rs1=5, target=8))
         return lbd
 
     def test_locks_on_backward_branch(self):
@@ -139,13 +134,13 @@ class TestLoopBoundDetector:
 
     def test_forward_branch_does_not_lock(self):
         lbd = LoopBoundDetector(10)
-        lbd.observe(_dyn(12, Instruction(Opcode.CMP_LT, rd=5, rs1=1, rs2=2)))
-        lbd.observe(_dyn(13, Instruction(Opcode.BNZ, rs1=5, target=20)))
+        lbd.observe(12, Instruction(Opcode.CMP_LT, rd=5, rs1=1, rs2=2))
+        lbd.observe(13, Instruction(Opcode.BNZ, rs1=5, target=20))
         assert not lbd.locked
 
     def test_lcr_frozen_after_sbb(self):
         lbd = self._locked_detector()
-        lbd.observe(_dyn(14, Instruction(Opcode.CMP_EQ, rd=7, rs1=3, rs2=4)))
+        lbd.observe(14, Instruction(Opcode.CMP_EQ, rd=7, rs1=3, rs2=4))
         assert lbd.compare.rd == 5  # unchanged
 
     def test_final_load_update_resets(self):
@@ -195,8 +190,8 @@ class TestLoopBoundDetector:
 
     def test_inference_immediate_compare(self):
         lbd = LoopBoundDetector(10)
-        lbd.observe(_dyn(12, Instruction(Opcode.CMP_LTI, rd=5, rs1=1, imm=64)))
-        lbd.observe(_dyn(13, Instruction(Opcode.BNZ, rs1=5, target=9)))
+        lbd.observe(12, Instruction(Opcode.CMP_LTI, rd=5, rs1=1, imm=64))
+        lbd.observe(13, Instruction(Opcode.BNZ, rs1=5, target=9))
         entry = [0] * 32
         exit_ = [0] * 32
         entry[1], exit_[1] = 10, 11
@@ -248,18 +243,14 @@ class TestShadowState:
     def test_tracks_values_and_next_pc(self):
         shadow = ShadowState()
         instr = Instruction(Opcode.LI, rd=3, imm=77)
-        shadow.update(DynInstr(0, 5, instr, value=77, next_pc=6), 100, 90)
+        shadow.update(instr.rd, 77, 6, 100, 90)
         assert shadow.regs[3] == 77
         assert shadow.next_pc == 6
         assert shadow.avail[3] == 90
 
     def test_invalid_regs_at(self):
         shadow = ShadowState()
-        shadow.update(
-            DynInstr(0, 5, Instruction(Opcode.LI, rd=3, imm=1), value=1, next_pc=6),
-            100,
-            250,
-        )
+        shadow.update(3, 1, 6, 100, 250)
         assert 3 in shadow.invalid_regs_at(200)
         assert 3 not in shadow.invalid_regs_at(300)
 

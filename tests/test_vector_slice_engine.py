@@ -546,8 +546,8 @@ def test_stride_prefetches_match_unfused_access(tlb):
         bases[pc] += strides[pc] if rng.random() < 0.9 else 8 * int(rng.integers(1, 100))
         addr = bases[pc] % (1 << 18)
         cycle += int(rng.integers(0, 3))
-        start_a, result_a = fused.demand_load(addr, cycle)
-        start_b, result_b = unfused.demand_load(addr, cycle)
+        start_a, *result_a = fused.demand_load(addr, cycle)
+        start_b, *result_b = unfused.demand_load(addr, cycle)
         assert (start_a, result_a) == (start_b, result_b), step
         # Purging is observable (cycles are not monotone), so both sides
         # query the gate alike.
@@ -584,8 +584,10 @@ def test_commit_hooks_keep_the_shadow_state_update_keeps(technique):
         cycle += int(rng.integers(0, 3))
         # complete == 0 means "not given": availability falls back to commit.
         complete = int(rng.integers(1, cycle + 2)) if rng.random() < 0.8 else 0
-        hooked.on_commit(dyn, cycle, complete)
-        reference.update(dyn, cycle, complete)
+        hooked.on_commit(
+            dyn.pc, dyn.value, dyn.addr, dyn.next_pc, cycle, complete
+        )
+        reference.update(dyn.instr.rd, dyn.value, dyn.next_pc, cycle, complete)
         shadow = hooked.shadow
         assert shadow.regs == reference.regs
         assert shadow.avail == reference.avail
