@@ -27,18 +27,12 @@ from .workloads import GRAPH_PROFILES, WORKLOAD_NAMES
 
 # Each subcommand imports what it runs inside its handler, so `repro run`
 # never loads the batch pool, the campaign fabric or the HTTP server.
-# Figure and table names map to their generators in repro.experiments.
-_FIGURES = {
-    "figure2": "figure2",
-    "figure7": "figure7",
-    "figure8": "figure8",
-    "figure9": "figure9",
-    "figure10": "figure10",
-    "figure11": "figure11",
-    "figure12": "figure12",
-    "lanes": "figure_lanes",
-    "tlb": "figure_tlb",
-}
+# Figure names are repro.experiments.figure_plan's; table names map to
+# their generators in repro.experiments.
+_FIGURES = (
+    "figure2", "figure7", "figure8", "figure9", "figure10", "figure11", "figure12",
+    "lanes", "tlb",
+)
 _TABLES = {"table1": "table1_rows", "table2": "table2_rows", "hwcost": "hardware_cost_table"}
 
 
@@ -158,11 +152,13 @@ def _build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     _add_batch_flags(fig_p)
     _add_dump_spec_flag(fig_p)
+    fig_p.set_defaults(audit=False)
 
     tab_p = sub.add_parser("table", help="regenerate a paper table")
     tab_p.add_argument("name", choices=sorted(_TABLES))
     tab_p.add_argument("--instructions", type=int, default=8_000)
     tab_p.add_argument("--format", choices=["text", "csv", "json"], default="text")
+    tab_p.set_defaults(jobs=None, cache=None, resume=False, audit=False, dump_spec=False)
 
     sweep_p = sub.add_parser("sweep", help="sweep one config parameter")
     sweep_p.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
@@ -463,10 +459,17 @@ def _dump_specs_and_exit(specs, single: bool = False) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from .errors import ReproError
+
     args = _build_parser().parse_args(argv)
     try:
         status = _dispatch(args)
         sys.stdout.flush()
+    except ReproError as exc:
+        # A strict batch failure carries the worker traceback after its
+        # summary line; the summary alone is the error.
+        print(f"error: {str(exc).partition(chr(10))[0]}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The reader closed stdout early (`repro run ... | head`). As in
         # the Python docs' recipe, point stdout at devnull so the flush at
@@ -629,25 +632,11 @@ def _dispatch(args) -> int:
         for line in written:
             print(line)
         return 0
-    if args.command == "table":
-        generator = getattr(experiments, _TABLES[args.name])
-        if args.name == "table2":
-            result = generator(instructions=args.instructions)
-        else:
-            result = generator()
-        print(_render(result, args.format))
+    if args.command == "table" and args.name != "table2":
+        print(_render(getattr(experiments, _TABLES[args.name])(), args.format))
         return 0
-    if args.command in ("figure", "sweep", "compare"):
-        from .errors import ReproError
-
-        try:
-            return _run_experiment_command(args)
-        except ReproError as exc:
-            # A strict batch failure carries the worker traceback after
-            # its summary line; the summary alone is the error.
-            summary = str(exc).partition("\n")[0]
-            print(f"error: {summary}", file=sys.stderr)
-            return 2
+    if args.command in ("figure", "table", "sweep", "compare"):
+        return _run_experiment_command(args)
     if args.command == "batch":
         return _run_batch_command(args)
     if args.command == "campaign":
@@ -697,97 +686,37 @@ def _dispatch(args) -> int:
     return 1  # pragma: no cover
 
 
-class _WarmResults(dict):
-    """Results by spec key, standing in for the ambient result cache.
+def _experiment_plan(args):
+    """The plan ``(specs, reduce)`` a figure/table2/sweep/compare command runs."""
+    if args.command == "figure":
+        from .experiments import figure_plan
 
-    ``repro figure --jobs N`` without ``--cache`` fills one from its
-    parallel warm-up batch; ``run_simulation`` reads it through ``get``
-    and files any spec the batch lost through ``put``.
-    """
+        return figure_plan(args.name, args.workloads or None, args.instructions)
+    if args.command == "table":
+        from .experiments.tables import table2_plan
 
-    def put(self, key: str, result) -> None:
-        self[key] = result
+        return table2_plan(args.instructions)
+    from .experiments.sweep import compare_plan, sweep_plan
+
+    seeds = list(range(1, args.seeds + 1)) if args.seeds > 1 else None
+    if args.command == "sweep":
+        values = [_parse_value(v) for v in args.values]
+        return sweep_plan(
+            args.workload, args.technique, args.param, values, args.instructions, seeds
+        )
+    return compare_plan(args.workloads, args.techniques, args.instructions, seeds)
 
 
 def _run_experiment_command(args) -> int:
-    """``repro figure/sweep/compare``: run one experiment and render it."""
-    if args.command == "figure":
-        from .experiments import BatchFailure, figure_specs, run_batch, use_cache
-
-        generator = getattr(experiments, _FIGURES[args.name])
-        kwargs = {"instructions": args.instructions}
-        if args.workloads:
-            kwargs["workloads"] = args.workloads
-        if args.dump_spec:
-            return _dump_specs_and_exit(figure_specs(args.name, **kwargs))
-        cache = _make_cache(args)
-        if args.jobs and args.jobs > 1:
-            # Parallelism for a serial generator works by warming the
-            # ambient cache with one parallel batch. Without --cache the
-            # batch's results reach the generator in memory.
-            specs = figure_specs(args.name, **kwargs)
-            if cache is not None:
-                run_batch(specs, jobs=args.jobs, cache=cache)
-            else:
-                cache = _WarmResults()
-                for spec, outcome in zip(specs, run_batch(specs, jobs=args.jobs)):
-                    if not isinstance(outcome, BatchFailure):
-                        cache.put(spec.key(), outcome)
-        with use_cache(cache):
-            result = generator(**kwargs)
-        print(_render(result, args.format))
-        if args.cache is not None or args.resume:
-            _emit_batch_stats()
-        return 0
-    if args.command == "sweep":
-        from .experiments import run_sweep, sweep_specs
-
-        values = [_parse_value(v) for v in args.values]
-        if args.dump_spec:
-            return _dump_specs_and_exit(sweep_specs(
-                args.workload,
-                args.technique,
-                args.param,
-                values,
-                instructions=args.instructions,
-                seeds=list(range(1, args.seeds + 1)) if args.seeds > 1 else None,
-            ))
-        cache = _make_cache(args)
-        result = run_sweep(
-            args.workload,
-            args.technique,
-            args.param,
-            values,
-            instructions=args.instructions,
-            seeds=list(range(1, args.seeds + 1)) if args.seeds > 1 else None,
-            jobs=args.jobs,
-            cache=cache,
-            audit=args.audit,
-        )
-        print(_render(result, args.format))
-        if cache is not None:
-            _emit_batch_stats()
-        return 0
-    # compare
-    from .experiments import compare_specs, compare_techniques
-
+    """``repro figure/sweep/compare`` and ``repro table table2``: build the
+    plan once, then print its specs (``--dump-spec``) or run and render it."""
+    plan = _experiment_plan(args)
     if args.dump_spec:
-        return _dump_specs_and_exit(compare_specs(
-            args.workloads,
-            args.techniques,
-            instructions=args.instructions,
-            seeds=list(range(1, args.seeds + 1)) if args.seeds > 1 else None,
-        ))
+        return _dump_specs_and_exit(plan[0])
+    from .experiments import run_plan
+
     cache = _make_cache(args)
-    result = compare_techniques(
-        args.workloads,
-        args.techniques,
-        instructions=args.instructions,
-        seeds=list(range(1, args.seeds + 1)) if args.seeds > 1 else None,
-        jobs=args.jobs,
-        cache=cache,
-        audit=args.audit,
-    )
+    result = run_plan(plan, jobs=args.jobs, cache=cache, audit=args.audit)
     print(_render(result, args.format))
     if cache is not None:
         _emit_batch_stats()

@@ -2,7 +2,9 @@
 
 Every generator returns an :class:`ExperimentResult` whose rows are the
 series the paper plots; ``to_text()`` renders the table the benchmark
-harness prints. See DESIGN.md for the experiment index.
+harness prints. Each experiment is a plan (its spec list plus a reducer
+over the results), and :func:`run_plan` runs one; see DESIGN.md for the
+experiment index.
 
 Execution plumbing lives in :mod:`repro.experiments.batch` (the
 fault-tolerant parallel runner) and :mod:`repro.experiments.cache`
@@ -16,7 +18,9 @@ from .. import _lazy_exports
 # ``repro._lazy_exports``): a caller of ``run_simulation`` never loads
 # the batch pool, the campaign fabric or the HTTP server.
 _EXPORTS = {
-    ".batch": ("BatchFailure", "batch_failures", "run_batch", "speedup_matrix", "successful"),
+    ".batch": (
+        "BatchFailure", "batch_failures", "run_batch", "run_plan", "speedup_matrix", "successful",
+    ),
     ".cache": ("BATCH_COUNTERS", "ResultCache", "reset_batch_counters", "use_cache"),
     ".fabric": (
         "CAMPAIGN_SCHEMA", "FABRIC_COUNTER_NAMES", "CampaignManifest", "CampaignResult",
@@ -24,7 +28,7 @@ _EXPORTS = {
     ),
     ".figures": (
         "figure2", "figure7", "figure8", "figure9", "figure10", "figure11", "figure12",
-        "figure_lanes", "figure_tlb", "figure_specs",
+        "figure_lanes", "figure_tlb", "figure_plan", "figure_specs",
     ),
     ".report": ("ExperimentResult", "format_table", "harmonic_mean"),
     ".runner": ("run_simulation",),
@@ -74,11 +78,13 @@ __all__ = [
     "figure12",
     "figure_lanes",
     "figure_tlb",
+    "figure_plan",
     "figure_specs",
     "format_table",
     "harmonic_mean",
     "reset_batch_counters",
     "run_batch",
+    "run_plan",
     "run_campaign",
     "run_load_test",
     "run_simulation",

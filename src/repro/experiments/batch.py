@@ -48,7 +48,7 @@ import traceback as traceback_module
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.ooo import SimulationResult
 from ..errors import ReproError
@@ -412,6 +412,25 @@ def batch_failures(results: Iterable[BatchOutcome]) -> List[BatchFailure]:
     return [r for r in results if isinstance(r, BatchFailure)]
 
 
+def run_plan(
+    plan: Tuple[Sequence[RunSpec], Callable[[List[SimulationResult]], Any]],
+    *,
+    jobs: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+    audit: bool = False,
+) -> Any:
+    """Run an experiment plan and reduce its results.
+
+    A plan is ``(specs, reduce)``: the spec list an experiment needs and
+    a reducer over the results in spec order (see
+    :func:`~repro.experiments.figures.figure_plan`). The specs go through
+    one strict :func:`run_batch`, so a bad name, a contradictory pin or a
+    failing point raises :class:`ReproError` before anything is reduced.
+    """
+    specs, reduce = plan
+    return reduce(run_batch(specs, jobs=jobs, cache=cache, strict=True, audit=audit))
+
+
 def speedup_matrix(
     workloads: Sequence[str],
     techniques: Sequence[str],
@@ -420,31 +439,17 @@ def speedup_matrix(
     cache: Optional[ResultCache] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Convenience: {workload: {technique: speedup-over-ooo}} computed
-    with one parallel batch (baseline included automatically).
+    with one batch, the rows of :func:`~repro.experiments.sweep.compare_techniques`.
 
     The baseline spec and an ``"ooo"`` entry in ``techniques`` are the
     same content-addressed spec, so ``ooo`` appearing in the technique
-    list no longer costs a second baseline simulation per workload.
+    list costs no second baseline simulation per workload.
     """
-    specs: List[RunSpec] = []
-    for workload in workloads:
-        specs.append(
-            RunSpec(workload, technique="ooo", max_instructions=instructions)
-        )
-        for technique in techniques:
-            specs.append(
-                RunSpec(workload, technique=technique, max_instructions=instructions)
-            )
-    results = run_batch(specs, jobs=jobs, cache=cache, strict=True)
-    matrix: Dict[str, Dict[str, float]] = {}
-    cursor = 0
-    for workload in workloads:
-        baseline = results[cursor]
-        cursor += 1
-        row: Dict[str, float] = {}
-        for technique in techniques:
-            result = results[cursor]
-            cursor += 1
-            row[technique] = result.ipc / baseline.ipc if baseline.ipc else 0.0
-        matrix[workload] = row
-    return matrix
+    from .sweep import compare_plan
+
+    result = run_plan(
+        compare_plan(workloads, techniques, instructions=instructions),
+        jobs=jobs,
+        cache=cache,
+    )
+    return {row[0]: dict(zip(techniques, row[1:])) for row in result.rows}

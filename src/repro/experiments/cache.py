@@ -6,8 +6,9 @@ seed, simulator code). The cache exploits that by keying each result on
 a BLAKE2b digest of exactly those inputs, so
 
 * a repeated ``repro sweep --cache`` re-runs **only changed points**,
-* `figures`, `run_sweep`, `compare_techniques`, and `speedup_matrix`
-  share baselines across invocations for free, and
+* every experiment plan (the figures, Table 2, ``run_sweep``,
+  ``compare_techniques`` and ``speedup_matrix``, all run by
+  ``run_plan``) shares baselines across invocations for free, and
 * editing any simulator source file invalidates every entry at once
   (the key embeds a fingerprint of the package's ``.py`` files).
 
@@ -44,6 +45,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.ooo import SimulationResult
+from ..errors import ReproError
 from ..observability import CounterRegistry
 
 #: Version tag written into every cache file; bump on layout changes.
@@ -196,7 +198,12 @@ class ResultCache:
         counters: Optional[CounterRegistry] = None,
     ) -> None:
         self.root = Path(root) if root else default_cache_dir()
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a regular file on the path, say
+            raise ReproError(
+                f"cannot use {str(self.root)!r} as a cache directory: {exc}"
+            ) from exc
         self.counters = counters if counters is not None else BATCH_COUNTERS
         self.hits = 0
         self.misses = 0

@@ -1,18 +1,24 @@
-"""Generators for every figure in the paper's evaluation (Section 6).
+"""Every figure in the paper's evaluation (Section 6), each one a plan.
 
-Each function runs the required simulations and returns an
-:class:`ExperimentResult` whose rows mirror the paper's plotted series.
-``instructions`` bounds the simulated region (the paper uses 500M; we
-default to regions that keep a full figure under a few minutes of
-pure-Python simulation — see DESIGN.md on scaling).
+A plan is a pair ``(specs, reduce)``: the :class:`RunSpec` list a
+figure needs and a reducer that turns the results, in spec order, into
+an :class:`ExperimentResult` whose rows mirror the paper's plotted
+series. One loop over the figure's variables builds both, so the list a
+figure runs is the list it reads. :func:`figure_plan` builds a plan by
+figure name, :func:`figure_specs` returns just its list (what
+``repro figure --dump-spec`` prints and ``repro batch``, campaigns and
+serve run unchanged), and :func:`~repro.experiments.batch.run_plan`
+runs it through one strict ``run_batch``. ``instructions`` bounds the
+simulated region (the paper uses 500M; we default to regions that keep
+a full figure under a few minutes of pure-Python simulation — see
+DESIGN.md on scaling).
 
-Every simulation goes through :func:`run_simulation`, which honours an
-ambient :class:`~repro.experiments.cache.ResultCache` (see
-:func:`~repro.experiments.cache.use_cache`): regenerating a figure
-after an edit re-runs only the changed points. :func:`figure_specs`
-enumerates the exact spec list a generator will request, so the CLI can
-warm the cache with a parallel batch (``repro figure --jobs N``) before
-the generator assembles rows serially from cache hits.
+The generators (``figure2`` ... ``figure_tlb``) run their plan serially.
+A serial batch reaches :func:`~repro.experiments.runner.run_simulation`,
+which honours an ambient :class:`~repro.experiments.cache.ResultCache`
+(see :func:`~repro.experiments.cache.use_cache`): regenerating a figure
+after an edit re-runs only the changed points. ``run_plan(figure_plan(
+name, ...), jobs=N)`` runs the same figure across N processes.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from ..config import CoreConfig, SimConfig, TLBConfig
 from ..errors import ReproError
 from ..observability import subtree
 from ..workloads import GAP_WORKLOADS, WORKLOAD_NAMES
+from .batch import run_plan
 from .report import ExperimentResult, harmonic_mean
-from .runner import run_simulation
 from .spec import RunSpec
 
 
@@ -107,6 +113,52 @@ def _sweep_config(rob: int, scale_backend: bool = True) -> SimConfig:
     return SimConfig().with_core(core)
 
 
+def _add(specs: List[RunSpec], workload: str, technique: str, instructions: int, **fields) -> int:
+    """Append one spec to a plan's list; the index its result will have."""
+    specs.append(RunSpec(workload, technique=technique, max_instructions=instructions, **fields))
+    return len(specs) - 1
+
+
+def _speedup(result, baseline) -> float:
+    return result.ipc / baseline.ipc if baseline.ipc else 0.0
+
+
+_FIGURE7_TECHNIQUES = ("pre", "imp", "vr", "dvr", "oracle")
+_FIGURE8_TECHNIQUES = ("vr", "dvr-offload", "dvr-discovery", "dvr")
+
+
+def figure_plan(
+    name: str,
+    workloads: Optional[Sequence[str]] = None,
+    instructions: int = 15_000,
+    rob_sizes: Optional[Sequence[int]] = None,
+    scale_backend: bool = True,
+    inputs: Optional[Sequence[str]] = None,
+    techniques: Optional[Sequence[str]] = None,
+):
+    """The plan ``(specs, reduce)`` of figure ``name`` (a ``repro figure`` name).
+
+    Arguments a figure does not take are ignored; an unknown name
+    raises :class:`~repro.errors.ReproError`.
+    """
+    if name in ("figure2", "figure12"):
+        plan = _figure2_plan if name == "figure2" else _figure12_plan
+        return plan(workloads, instructions, rob_sizes, scale_backend)
+    if name == "figure7":
+        return _figure7_plan(workloads, instructions, inputs, techniques or _FIGURE7_TECHNIQUES)
+    plans = {
+        "figure8": _figure8_plan,
+        "figure9": _figure9_plan,
+        "figure10": _figure10_plan,
+        "figure11": _figure11_plan,
+        "lanes": _lanes_plan,
+        "tlb": _tlb_plan,
+    }
+    if name not in plans:
+        raise ReproError(f"no spec enumeration for figure {name!r}")
+    return plans[name](workloads, instructions)
+
+
 def figure_specs(
     name: str,
     workloads: Optional[Sequence[str]] = None,
@@ -116,110 +168,61 @@ def figure_specs(
     inputs: Optional[Sequence[str]] = None,
     techniques: Optional[Sequence[str]] = None,
 ) -> List[RunSpec]:
-    """Enumerate the :class:`RunSpec` list ``name`` will request.
+    """The :class:`RunSpec` list figure ``name`` runs, in its plan's order."""
+    return figure_plan(
+        name, workloads, instructions, rob_sizes, scale_backend, inputs, techniques
+    )[0]
 
-    Mirrors each generator's loop structure exactly (same configs, same
-    arguments), so running the returned specs through ``run_batch`` with
-    a cache makes the subsequent generator call hit on every point. Keep
-    the two in sync when editing a generator.
+
+def _rob_points(technique, workloads, instructions, rob_sizes, scale_backend):
+    """Figures 2 and 12: per workload, the OoO@350 baseline, then OoO and
+    ``technique`` at each ROB size (OoO@350 is the baseline itself).
+
+    Returns the spec list and one ``(workload, rob, baseline, ooo,
+    technique)`` index tuple per point.
     """
     specs: List[RunSpec] = []
-    if name in ("figure2", "figure12"):
-        tech = "vr" if name == "figure2" else "dvr"
-        names = _default(workloads, SWEEP_WORKLOADS)
-        robs = list(rob_sizes or ROB_SIZES)
-        for wl in names:
-            specs.append(
-                RunSpec(
-                    wl,
-                    technique="ooo",
-                    config=_sweep_config(BASELINE_ROB, scale_backend),
-                    max_instructions=instructions,
-                )
-            )
-            for rob in robs:
-                cfg = _sweep_config(rob, scale_backend)
-                if rob != BASELINE_ROB:
-                    specs.append(
-                        RunSpec(
-                            wl,
-                            technique="ooo",
-                            config=cfg,
-                            max_instructions=instructions,
-                        )
-                    )
-                specs.append(
-                    RunSpec(
-                        wl,
-                        technique=tech,
-                        config=cfg,
-                        max_instructions=instructions,
-                    )
-                )
-    elif name == "figure7":
-        techs = list(techniques or ("pre", "imp", "vr", "dvr", "oracle"))
-        for wl in _default(workloads, WORKLOAD_NAMES):
-            input_list = list(inputs) if (wl in GAP_WORKLOADS and inputs) else [None]
-            for input_name in input_list:
-                for tech in ["ooo"] + techs:
-                    specs.append(
-                        RunSpec(
-                            wl,
-                            technique=tech,
-                            max_instructions=instructions,
-                            input_name=input_name,
-                        )
-                    )
-    elif name == "figure8":
-        for wl in _default(workloads, SWEEP_WORKLOADS + ["cc", "kangaroo"]):
-            for tech in ("ooo", "vr", "dvr-offload", "dvr-discovery", "dvr"):
-                specs.append(
-                    RunSpec(wl, technique=tech, max_instructions=instructions)
-                )
-    elif name in ("figure9", "figure10"):
-        for wl in _default(workloads, WORKLOAD_NAMES):
-            for tech in ("ooo", "vr", "dvr"):
-                specs.append(
-                    RunSpec(wl, technique=tech, max_instructions=instructions)
-                )
-    elif name == "figure11":
-        for wl in _default(workloads, WORKLOAD_NAMES):
-            specs.append(
-                RunSpec(wl, technique="dvr", max_instructions=instructions)
-            )
-    elif name == "lanes":
-        for wl in _default(workloads, SWEEP_WORKLOADS):
-            specs.append(
-                RunSpec(wl, technique="ooo", max_instructions=instructions)
-            )
-            for lanes in LANE_POINTS:
-                for width in WIDTH_POINTS:
-                    specs.append(
-                        RunSpec(
-                            wl,
-                            technique="dvr",
-                            config=_lanes_config(lanes, width),
-                            max_instructions=instructions,
-                        )
-                    )
-    elif name == "tlb":
-        for wl in _default(workloads, TLB_WORKLOADS):
-            specs.append(
-                RunSpec(wl, technique="dvr", max_instructions=instructions)
-            )
-            for page_bytes in TLB_PAGE_POINTS:
-                for entries in TLB_ENTRY_POINTS:
-                    specs.append(
-                        RunSpec(
-                            wl,
-                            technique="dvr",
-                            config=_tlb_config(page_bytes, entries),
-                            max_instructions=instructions,
-                        )
-                    )
-    else:
-        raise ReproError(f"no spec enumeration for figure {name!r}")
-    return specs
+    points = []
+    for wl in _default(workloads, SWEEP_WORKLOADS):
+        baseline_config = _sweep_config(BASELINE_ROB, scale_backend)
+        base = _add(specs, wl, "ooo", instructions, config=baseline_config)
+        for rob in list(rob_sizes or ROB_SIZES):
+            cfg = _sweep_config(rob, scale_backend)
+            ooo = base if rob == BASELINE_ROB else _add(specs, wl, "ooo", instructions, config=cfg)
+            run = _add(specs, wl, technique, instructions, config=cfg)
+            points.append((wl, rob, base, ooo, run))
+    return specs, points
+
+
+def _figure2_plan(workloads, instructions, rob_sizes, scale_backend):
+    specs, points = _rob_points("vr", workloads, instructions, rob_sizes, scale_backend)
+
+    def reduce(results) -> ExperimentResult:
+        rows: List[List] = []
+        series: Dict[str, Dict] = {}
+        for name, rob, base, ooo, vr in points:
+            baseline = results[base]
+            norm_ooo = results[ooo].ipc / baseline.ipc
+            norm_vr = results[vr].ipc / baseline.ipc
+            stall = _stall_fraction(results[ooo])
+            curves = series.setdefault(name, {"ooo": {}, "vr": {}, "stall": {}})
+            curves["ooo"][rob] = norm_ooo
+            curves["vr"][rob] = norm_vr
+            curves["stall"][rob] = stall
+            rows.append([name, rob, norm_ooo, norm_vr, 100.0 * stall])
+        return ExperimentResult(
+            "figure2",
+            "OoO & VR vs ROB size (normalised to OoO@350) and backend-full stall time",
+            ["workload", "rob", "ooo_norm", "vr_norm", "stall_pct"],
+            rows,
+            notes=[
+                "Paper shape: VR's gain shrinks as the ROB grows (sometimes "
+                "below the baseline), and stall time falls with ROB size."
+            ],
+            series=series,
+        )
+
+    return specs, reduce
 
 
 def figure2(
@@ -230,90 +233,92 @@ def figure2(
 ) -> ExperimentResult:
     """OoO and VR performance vs ROB size, normalised to OoO@350, plus
     the fraction of stall time due to a full back-end (right axis)."""
-    workloads = _default(workloads, SWEEP_WORKLOADS)
-    rob_sizes = list(rob_sizes or ROB_SIZES)
-    rows: List[List] = []
-    series: Dict[str, Dict] = {}
+    return run_plan(_figure2_plan(workloads, instructions, rob_sizes, scale_backend))
+
+
+def _grid(workloads, instructions, techniques, inputs=None):
+    """One spec per technique per workload (and per graph input of a GAP
+    kernel when ``inputs`` names some): the spec list and one
+    ``(label, [index per technique])`` point per row."""
+    specs: List[RunSpec] = []
+    points = []
     for name in workloads:
-        baseline = run_simulation(
-            name,
-            "ooo",
-            _sweep_config(BASELINE_ROB, scale_backend),
-            max_instructions=instructions,
-        )
-        series[name] = {"ooo": {}, "vr": {}, "stall": {}}
-        for rob in rob_sizes:
-            cfg = _sweep_config(rob, scale_backend)
-            ooo = (
-                baseline
-                if rob == BASELINE_ROB
-                else run_simulation(name, "ooo", cfg, max_instructions=instructions)
-            )
-            vr = run_simulation(name, "vr", cfg, max_instructions=instructions)
-            norm_ooo = ooo.ipc / baseline.ipc
-            norm_vr = vr.ipc / baseline.ipc
-            stall = _stall_fraction(ooo)
-            series[name]["ooo"][rob] = norm_ooo
-            series[name]["vr"][rob] = norm_vr
-            series[name]["stall"][rob] = stall
-            rows.append([name, rob, norm_ooo, norm_vr, 100.0 * stall])
-    return ExperimentResult(
-        "figure2",
-        "OoO & VR vs ROB size (normalised to OoO@350) and backend-full stall time",
-        ["workload", "rob", "ooo_norm", "vr_norm", "stall_pct"],
-        rows,
-        notes=[
-            "Paper shape: VR's gain shrinks as the ROB grows (sometimes "
-            "below the baseline), and stall time falls with ROB size."
-        ],
-        series=series,
+        for input_name in list(inputs) if (name in GAP_WORKLOADS and inputs) else [None]:
+            label = name if input_name is None else f"{name}_{input_name}"
+            points.append((label, [
+                _add(specs, name, tech, instructions, input_name=input_name)
+                for tech in techniques
+            ]))
+    return specs, points
+
+
+def _speedup_rows(points, techniques, results, lead) -> List[List]:
+    """Per point, ``lead`` and each technique's speedup over the point's
+    first (``ooo``) run; then the harmonic-mean row."""
+    rows: List[List] = []
+    speedups: Dict[str, List[float]] = {t: [] for t in techniques}
+    for label, (base, *runs) in points:
+        row: List = [label, *lead]
+        for tech, run in zip(techniques, runs):
+            speedups[tech].append(_speedup(results[run], results[base]))
+            row.append(speedups[tech][-1])
+        rows.append(row)
+    rows.append(["h-mean", *lead] + [harmonic_mean(speedups[t]) for t in techniques])
+    return rows
+
+
+def _figure7_plan(workloads, instructions, inputs, techniques):
+    specs, points = _grid(
+        _default(workloads, WORKLOAD_NAMES), instructions, ["ooo", *techniques], inputs
     )
+
+    def reduce(results) -> ExperimentResult:
+        return ExperimentResult(
+            "figure7",
+            "Speedup over the OoO baseline per benchmark",
+            ["workload", "ooo"] + list(techniques),
+            _speedup_rows(points, techniques, results, lead=[1.0]),
+            notes=[
+                "Paper shape: DVR is uniformly the best real technique; IMP "
+                "helps only simple one-level indirection; VR's advantage is "
+                "small on a 350-entry ROB; Oracle is the upper bound."
+            ],
+        )
+
+    return specs, reduce
 
 
 def figure7(
     workloads: Optional[Sequence[str]] = None,
     instructions: int = 15_000,
     inputs: Optional[Sequence[str]] = None,
-    techniques: Sequence[str] = ("pre", "imp", "vr", "dvr", "oracle"),
+    techniques: Sequence[str] = _FIGURE7_TECHNIQUES,
 ) -> ExperimentResult:
     """Normalised performance of every technique on every benchmark."""
-    workloads = _default(workloads, WORKLOAD_NAMES)
-    rows: List[List] = []
-    speedups: Dict[str, List[float]] = {t: [] for t in techniques}
-    for name in workloads:
-        input_list: List[Optional[str]]
-        if name in GAP_WORKLOADS and inputs:
-            input_list = list(inputs)
-        else:
-            input_list = [None]
-        for input_name in input_list:
-            label = name if input_name is None else f"{name}_{input_name}"
-            baseline = run_simulation(
-                name, "ooo", max_instructions=instructions, input_name=input_name
-            )
-            row: List = [label, 1.0]
-            for tech in techniques:
-                result = run_simulation(
-                    name, tech, max_instructions=instructions, input_name=input_name
-                )
-                speedup = result.ipc / baseline.ipc if baseline.ipc else 0.0
-                speedups[tech].append(speedup)
-                row.append(speedup)
-            rows.append(row)
-    rows.append(
-        ["h-mean", 1.0] + [harmonic_mean(speedups[t]) for t in techniques]
+    return run_plan(_figure7_plan(workloads, instructions, inputs, techniques))
+
+
+def _figure8_plan(workloads, instructions):
+    specs, points = _grid(
+        _default(workloads, SWEEP_WORKLOADS + ["cc", "kangaroo"]),
+        instructions,
+        ("ooo", *_FIGURE8_TECHNIQUES),
     )
-    return ExperimentResult(
-        "figure7",
-        "Speedup over the OoO baseline per benchmark",
-        ["workload", "ooo"] + list(techniques),
-        rows,
-        notes=[
-            "Paper shape: DVR is uniformly the best real technique; IMP "
-            "helps only simple one-level indirection; VR's advantage is "
-            "small on a 350-entry ROB; Oracle is the upper bound."
-        ],
-    )
+
+    def reduce(results) -> ExperimentResult:
+        return ExperimentResult(
+            "figure8",
+            "DVR performance breakdown (normalised to OoO)",
+            ["workload", "vr", "offload", "+discovery", "full_dvr"],
+            _speedup_rows(points, _FIGURE8_TECHNIQUES, results, lead=[]),
+            notes=[
+                "Paper shape: decoupling (Offload) is the big step over VR; "
+                "Discovery adds accuracy; Nested mode completes DVR and is "
+                "uniformly best."
+            ],
+        )
+
+    return specs, reduce
 
 
 def figure8(
@@ -321,31 +326,27 @@ def figure8(
     instructions: int = 15_000,
 ) -> ExperimentResult:
     """DVR's breakdown: VR -> +Offload -> +Discovery -> full DVR."""
-    workloads = _default(workloads, SWEEP_WORKLOADS + ["cc", "kangaroo"])
-    configs = ["vr", "dvr-offload", "dvr-discovery", "dvr"]
-    rows: List[List] = []
-    speedups: Dict[str, List[float]] = {t: [] for t in configs}
-    for name in workloads:
-        baseline = run_simulation(name, "ooo", max_instructions=instructions)
-        row: List = [name]
-        for tech in configs:
-            result = run_simulation(name, tech, max_instructions=instructions)
-            speedup = result.ipc / baseline.ipc if baseline.ipc else 0.0
-            speedups[tech].append(speedup)
-            row.append(speedup)
-        rows.append(row)
-    rows.append(["h-mean"] + [harmonic_mean(speedups[t]) for t in configs])
-    return ExperimentResult(
-        "figure8",
-        "DVR performance breakdown (normalised to OoO)",
-        ["workload", "vr", "offload", "+discovery", "full_dvr"],
-        rows,
-        notes=[
-            "Paper shape: decoupling (Offload) is the big step over VR; "
-            "Discovery adds accuracy; Nested mode completes DVR and is "
-            "uniformly best."
-        ],
-    )
+    return run_plan(_figure8_plan(workloads, instructions))
+
+
+def _figure9_plan(workloads, instructions):
+    specs, points = _grid(_default(workloads, WORKLOAD_NAMES), instructions, ("ooo", "vr", "dvr"))
+
+    def reduce(results) -> ExperimentResult:
+        rows: List[List] = [
+            [name] + [results[run].counters.get("mem.mshr.mean_occupancy", 0.0) for run in runs]
+            for name, runs in points
+        ]
+        rows.append(["mean"] + [sum(r[i] for r in rows) / len(rows) for i in range(1, 4)])
+        return ExperimentResult(
+            "figure9",
+            "Mean occupied MSHRs per cycle",
+            ["workload", "ooo", "vr", "dvr"],
+            rows,
+            notes=["Paper shape: DVR sustains far more outstanding misses than OoO."],
+        )
+
+    return specs, reduce
 
 
 def figure9(
@@ -353,25 +354,35 @@ def figure9(
     instructions: int = 15_000,
 ) -> ExperimentResult:
     """Memory-level parallelism: mean occupied L1-D MSHRs per cycle."""
-    workloads = _default(workloads, WORKLOAD_NAMES)
-    rows: List[List] = []
-    for name in workloads:
-        row: List = [name]
-        for tech in ("ooo", "vr", "dvr"):
-            result = run_simulation(name, tech, max_instructions=instructions)
-            row.append(result.counters.get("mem.mshr.mean_occupancy", 0.0))
-        rows.append(row)
-    avg = ["mean"] + [
-        sum(r[i] for r in rows) / len(rows) for i in range(1, 4)
-    ]
-    rows.append(avg)
-    return ExperimentResult(
-        "figure9",
-        "Mean occupied MSHRs per cycle",
-        ["workload", "ooo", "vr", "dvr"],
-        rows,
-        notes=["Paper shape: DVR sustains far more outstanding misses than OoO."],
-    )
+    return run_plan(_figure9_plan(workloads, instructions))
+
+
+def _figure10_plan(workloads, instructions):
+    specs, points = _grid(_default(workloads, WORKLOAD_NAMES), instructions, ("ooo", "vr", "dvr"))
+
+    def reduce(results) -> ExperimentResult:
+        rows: List[List] = []
+        for name, (base, *runs) in points:
+            base_dram = max(1, sum(subtree(results[base].counters, "mem.dram.accesses").values()))
+            for tech, run in zip(("vr", "dvr"), runs):
+                dram = subtree(results[run].counters, "mem.dram.accesses")
+                main = dram.get("main", 0) + dram.get("prefetcher", 0)
+                runahead = dram.get("runahead", 0)
+                rows.append([f"{name}/{tech}", main / base_dram, runahead / base_dram,
+                             (main + runahead) / base_dram])
+        return ExperimentResult(
+            "figure10",
+            "DRAM accesses vs baseline (main + runahead split)",
+            ["workload/technique", "main", "runahead", "total"],
+            rows,
+            notes=[
+                "Paper shape: VR over-fetches (total can exceed 2x baseline); "
+                "DVR's Discovery Mode keeps total traffic close to baseline "
+                "while shifting it from demand to runahead."
+            ],
+        )
+
+    return specs, reduce
 
 
 def figure10(
@@ -380,35 +391,42 @@ def figure10(
 ) -> ExperimentResult:
     """Accuracy/coverage: DRAM traffic split main-thread vs runahead,
     normalised to the baseline's DRAM traffic."""
-    workloads = _default(workloads, WORKLOAD_NAMES)
-    rows: List[List] = []
-    for name in workloads:
-        baseline = run_simulation(name, "ooo", max_instructions=instructions)
-        base_dram = max(1, sum(subtree(baseline.counters, "mem.dram.accesses").values()))
-        for tech in ("vr", "dvr"):
-            result = run_simulation(name, tech, max_instructions=instructions)
-            dram = subtree(result.counters, "mem.dram.accesses")
-            main = dram.get("main", 0) + dram.get("prefetcher", 0)
-            runahead = dram.get("runahead", 0)
-            rows.append(
-                [
-                    f"{name}/{tech}",
-                    main / base_dram,
-                    runahead / base_dram,
-                    (main + runahead) / base_dram,
-                ]
+    return run_plan(_figure10_plan(workloads, instructions))
+
+
+def _figure11_plan(workloads, instructions):
+    specs, points = _grid(_default(workloads, WORKLOAD_NAMES), instructions, ("dvr",))
+
+    def reduce(results) -> ExperimentResult:
+        rows: List[List] = []
+        for name, (run,) in points:
+            timeliness = subtree(results[run].counters, "mem.prefetch.timeliness")
+            demanded = sum(
+                timeliness.get(k, 0) for k in ("L1", "L2", "L3", "Off-chip")
             )
-    return ExperimentResult(
-        "figure10",
-        "DRAM accesses vs baseline (main + runahead split)",
-        ["workload/technique", "main", "runahead", "total"],
-        rows,
-        notes=[
-            "Paper shape: VR over-fetches (total can exceed 2x baseline); "
-            "DVR's Discovery Mode keeps total traffic close to baseline "
-            "while shifting it from demand to runahead."
-        ],
-    )
+            if demanded == 0:
+                rows.append([name, 0.0, 0.0, 0.0, 0.0, timeliness.get("Unused", 0)])
+                continue
+            rows.append(
+                [name]
+                + [timeliness.get(k, 0) / demanded for k in ("L1", "L2", "L3", "Off-chip")]
+                + [timeliness.get("Unused", 0)]
+            )
+        return ExperimentResult(
+            "figure11",
+            "Where the main thread finds DVR-prefetched lines",
+            ["workload", "L1", "L2", "L3", "off_chip", "unused_lines"],
+            rows,
+            notes=[
+                "Fractions are over prefetched lines the main thread demanded "
+                "within the region; 'unused_lines' is the outstanding prefetch "
+                "horizon at region end (folded into Off-chip by the paper's "
+                "500M-instruction windows).",
+                "Paper shape: most lines are L1 hits; 10-20% arrive late.",
+            ],
+        )
+
+    return specs, reduce
 
 
 def figure11(
@@ -417,40 +435,44 @@ def figure11(
 ) -> ExperimentResult:
     """Timeliness of DVR prefetches: level where the main thread finds
     runahead-prefetched lines."""
-    workloads = _default(workloads, WORKLOAD_NAMES)
-    rows: List[List] = []
-    for name in workloads:
-        result = run_simulation(name, "dvr", max_instructions=instructions)
-        timeliness = subtree(result.counters, "mem.prefetch.timeliness")
-        demanded = sum(
-            timeliness.get(k, 0) for k in ("L1", "L2", "L3", "Off-chip")
+    return run_plan(_figure11_plan(workloads, instructions))
+
+
+def _lanes_plan(workloads, instructions):
+    specs: List[RunSpec] = []
+    points = []
+    for name in _default(workloads, SWEEP_WORKLOADS):
+        base = _add(specs, name, "ooo", instructions)
+        for lanes in LANE_POINTS:
+            for width in WIDTH_POINTS:
+                run = _add(specs, name, "dvr", instructions, config=_lanes_config(lanes, width))
+                points.append((name, lanes, width, base, run))
+
+    def reduce(results) -> ExperimentResult:
+        rows: List[List] = []
+        series: Dict[str, Dict] = {}
+        for name, lanes, width, base, run in points:
+            result = results[run]
+            speedup = _speedup(result, results[base])
+            slices = result.counters.get("vr.engine.slices", 0)
+            stalls = result.counters.get("vr.engine.chain_stalls", 0)
+            series.setdefault(name, {})[f"{lanes}x{width}"] = speedup
+            rows.append([name, lanes, width, speedup, slices, stalls])
+        return ExperimentResult(
+            "lanes",
+            "DVR speedup vs lane count and vector width (slice engine sweep)",
+            ["workload", "lanes", "width", "dvr_norm", "slices", "chain_stalls"],
+            rows,
+            notes=[
+                "Wider slices cut slices-per-instruction (less issue pressure) "
+                "but stall whole slices on their slowest lane; more lanes "
+                "deepen the prefetch horizon at the cost of over-fetch past "
+                "short loops."
+            ],
+            series=series,
         )
-        if demanded == 0:
-            rows.append([name, 0.0, 0.0, 0.0, 0.0, timeliness.get("Unused", 0)])
-            continue
-        rows.append(
-            [
-                name,
-                timeliness.get("L1", 0) / demanded,
-                timeliness.get("L2", 0) / demanded,
-                timeliness.get("L3", 0) / demanded,
-                timeliness.get("Off-chip", 0) / demanded,
-                timeliness.get("Unused", 0),
-            ]
-        )
-    return ExperimentResult(
-        "figure11",
-        "Where the main thread finds DVR-prefetched lines",
-        ["workload", "L1", "L2", "L3", "off_chip", "unused_lines"],
-        rows,
-        notes=[
-            "Fractions are over prefetched lines the main thread demanded "
-            "within the region; 'unused_lines' is the outstanding prefetch "
-            "horizon at region end (folded into Off-chip by the paper's "
-            "500M-instruction windows).",
-            "Paper shape: most lines are L1 hits; 10-20% arrive late.",
-        ],
-    )
+
+    return specs, reduce
 
 
 def figure_lanes(
@@ -465,40 +487,54 @@ def figure_lanes(
     The ``vr.engine.*`` counters expose the machine-level effects
     (slices issued, chain stalls) next to the end-to-end speedup.
     """
-    workloads = _default(workloads, SWEEP_WORKLOADS)
-    rows: List[List] = []
-    series: Dict[str, Dict] = {}
-    for name in workloads:
-        baseline = run_simulation(name, "ooo", max_instructions=instructions)
-        series[name] = {}
-        for lanes in LANE_POINTS:
-            for width in WIDTH_POINTS:
-                result = run_simulation(
-                    name,
-                    "dvr",
-                    _lanes_config(lanes, width),
-                    max_instructions=instructions,
-                )
-                speedup = result.ipc / baseline.ipc if baseline.ipc else 0.0
-                slices = result.counters.get("vr.engine.slices", 0)
-                stalls = result.counters.get("vr.engine.chain_stalls", 0)
-                series[name][f"{lanes}x{width}"] = speedup
-                rows.append(
-                    [name, lanes, width, speedup, slices, stalls]
-                )
-    return ExperimentResult(
-        "lanes",
-        "DVR speedup vs lane count and vector width (slice engine sweep)",
-        ["workload", "lanes", "width", "dvr_norm", "slices", "chain_stalls"],
-        rows,
-        notes=[
-            "Wider slices cut slices-per-instruction (less issue pressure) "
-            "but stall whole slices on their slowest lane; more lanes "
-            "deepen the prefetch horizon at the cost of over-fetch past "
-            "short loops."
-        ],
-        series=series,
-    )
+    return run_plan(_lanes_plan(workloads, instructions))
+
+
+def _tlb_plan(workloads, instructions):
+    specs: List[RunSpec] = []
+    points = []
+    for name in _default(workloads, TLB_WORKLOADS):
+        base = _add(specs, name, "dvr", instructions)
+        for page_bytes in TLB_PAGE_POINTS:
+            for entries in TLB_ENTRY_POINTS:
+                config = _tlb_config(page_bytes, entries)
+                run = _add(specs, name, "dvr", instructions, config=config)
+                points.append((name, page_bytes, entries, base, run))
+
+    def reduce(results) -> ExperimentResult:
+        rows: List[List] = []
+        series: Dict[str, Dict] = {}
+        for name, page_bytes, entries, base, run in points:
+            result = results[run]
+            norm = _speedup(result, results[base])
+            counters = result.counters
+            lookups = counters.get("mem.tlb.l1.lookups", 0)
+            misses = counters.get("mem.tlb.l1.misses", 0)
+            miss_rate = misses / lookups if lookups else 0.0
+            walks = counters.get("mem.tlb.walks", 0)
+            walk_cycles = counters.get("mem.tlb.walk_cycles", 0)
+            reach_kb = entries * page_bytes / 1024.0
+            series.setdefault(name, {})[f"{page_bytes}B/{entries}e"] = norm
+            rows.append(
+                [name, page_bytes, entries, reach_kb, norm, miss_rate, walks, walk_cycles]
+            )
+        return ExperimentResult(
+            "tlb",
+            "DVR performance under translation vs page size and TLB reach",
+            ["workload", "page_bytes", "l1_entries", "reach_kb", "dvr_norm",
+             "l1_miss_rate", "walks", "walk_cycles"],
+            rows,
+            notes=[
+                "dvr_norm is IPC relative to the same workload's tlb-off DVR "
+                "run: 1.0 means translation was free. Reach (entries x page "
+                "size) is what matters on pointer chases — the same reach "
+                "bought with larger pages also shortens walks via upper-level "
+                "PTE locality."
+            ],
+            series=series,
+        )
+
+    return specs, reduce
 
 
 def figure_tlb(
@@ -516,64 +552,36 @@ def figure_tlb(
     while the ``mem.tlb.*`` counters expose why (L1-TLB miss rate,
     walks, cycles spent walking).
     """
-    workloads = _default(workloads, TLB_WORKLOADS)
-    rows: List[List] = []
-    series: Dict[str, Dict] = {}
-    for name in workloads:
-        baseline = run_simulation(name, "dvr", max_instructions=instructions)
-        series[name] = {}
-        for page_bytes in TLB_PAGE_POINTS:
-            for entries in TLB_ENTRY_POINTS:
-                result = run_simulation(
-                    name,
-                    "dvr",
-                    _tlb_config(page_bytes, entries),
-                    max_instructions=instructions,
-                )
-                norm = result.ipc / baseline.ipc if baseline.ipc else 0.0
-                counters = result.counters
-                lookups = counters.get("mem.tlb.l1.lookups", 0)
-                misses = counters.get("mem.tlb.l1.misses", 0)
-                miss_rate = misses / lookups if lookups else 0.0
-                walks = counters.get("mem.tlb.walks", 0)
-                walk_cycles = counters.get("mem.tlb.walk_cycles", 0)
-                reach_kb = entries * page_bytes / 1024.0
-                series[name][f"{page_bytes}B/{entries}e"] = norm
-                rows.append(
-                    [
-                        name,
-                        page_bytes,
-                        entries,
-                        reach_kb,
-                        norm,
-                        miss_rate,
-                        walks,
-                        walk_cycles,
-                    ]
-                )
-    return ExperimentResult(
-        "tlb",
-        "DVR performance under translation vs page size and TLB reach",
-        [
-            "workload",
-            "page_bytes",
-            "l1_entries",
-            "reach_kb",
-            "dvr_norm",
-            "l1_miss_rate",
-            "walks",
-            "walk_cycles",
-        ],
-        rows,
-        notes=[
-            "dvr_norm is IPC relative to the same workload's tlb-off DVR "
-            "run: 1.0 means translation was free. Reach (entries x page "
-            "size) is what matters on pointer chases — the same reach "
-            "bought with larger pages also shortens walks via upper-level "
-            "PTE locality."
-        ],
-        series=series,
-    )
+    return run_plan(_tlb_plan(workloads, instructions))
+
+
+def _figure12_plan(workloads, instructions, rob_sizes, scale_backend):
+    specs, points = _rob_points("dvr", workloads, instructions, rob_sizes, scale_backend)
+
+    def reduce(results) -> ExperimentResult:
+        rows: List[List] = []
+        series: Dict[str, Dict] = {}
+        for name, rob, base, ooo, dvr in points:
+            baseline = results[base]
+            norm_ooo = results[ooo].ipc / baseline.ipc
+            norm_dvr = results[dvr].ipc / baseline.ipc
+            curves = series.setdefault(name, {"ooo": {}, "dvr": {}})
+            curves["ooo"][rob] = norm_ooo
+            curves["dvr"][rob] = norm_dvr
+            rows.append([name, rob, norm_ooo, norm_dvr])
+        return ExperimentResult(
+            "figure12",
+            "DVR vs ROB size (normalised to OoO@350)",
+            ["workload", "rob", "ooo_norm", "dvr_norm"],
+            rows,
+            notes=[
+                "Paper shape: DVR's speedup over the same-size OoO core holds "
+                "(or grows) as the ROB scales, in contrast to VR in Figure 2."
+            ],
+            series=series,
+        )
+
+    return specs, reduce
 
 
 def figure12(
@@ -583,39 +591,4 @@ def figure12(
     scale_backend: bool = True,
 ) -> ExperimentResult:
     """DVR performance vs ROB size (the gain holds, unlike VR's)."""
-    workloads = _default(workloads, SWEEP_WORKLOADS)
-    rob_sizes = list(rob_sizes or ROB_SIZES)
-    rows: List[List] = []
-    series: Dict[str, Dict] = {}
-    for name in workloads:
-        baseline = run_simulation(
-            name,
-            "ooo",
-            _sweep_config(BASELINE_ROB, scale_backend),
-            max_instructions=instructions,
-        )
-        series[name] = {"ooo": {}, "dvr": {}}
-        for rob in rob_sizes:
-            cfg = _sweep_config(rob, scale_backend)
-            ooo = (
-                baseline
-                if rob == BASELINE_ROB
-                else run_simulation(name, "ooo", cfg, max_instructions=instructions)
-            )
-            dvr = run_simulation(name, "dvr", cfg, max_instructions=instructions)
-            series[name]["ooo"][rob] = ooo.ipc / baseline.ipc
-            series[name]["dvr"][rob] = dvr.ipc / baseline.ipc
-            rows.append(
-                [name, rob, ooo.ipc / baseline.ipc, dvr.ipc / baseline.ipc]
-            )
-    return ExperimentResult(
-        "figure12",
-        "DVR vs ROB size (normalised to OoO@350)",
-        ["workload", "rob", "ooo_norm", "dvr_norm"],
-        rows,
-        notes=[
-            "Paper shape: DVR's speedup over the same-size OoO core holds "
-            "(or grows) as the ROB scales, in contrast to VR in Figure 2."
-        ],
-        series=series,
-    )
+    return run_plan(_figure12_plan(workloads, instructions, rob_sizes, scale_backend))

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..config import RunaheadConfig, SimConfig
 from ..runahead.hardware_cost import hardware_cost_bytes
 from ..workloads import GAP_WORKLOADS, GRAPH_PROFILES, make_graph
+from .batch import run_plan
 from .report import ExperimentResult
-from .runner import run_simulation
+from .spec import RunSpec
 
 
 def table1_rows(config: Optional[SimConfig] = None) -> ExperimentResult:
@@ -51,6 +52,47 @@ def table1_rows(config: Optional[SimConfig] = None) -> ExperimentResult:
     )
 
 
+def table2_plan(
+    instructions: int = 8_000,
+    inputs: Optional[Sequence[str]] = None,
+    kernels: Optional[Sequence[str]] = None,
+):
+    """The plan ``(specs, reduce)`` behind :func:`table2_rows`: every GAP
+    kernel on the baseline OoO core, per graph input."""
+    inputs = list(inputs or GRAPH_PROFILES)
+    kernels = list(kernels or GAP_WORKLOADS)
+    specs: List[RunSpec] = []
+    points = []
+    for profile in inputs:
+        points.append((profile, range(len(specs), len(specs) + len(kernels))))
+        specs.extend(
+            RunSpec(kernel, technique="ooo", max_instructions=instructions, input_name=profile)
+            for kernel in kernels
+        )
+
+    def reduce(results) -> ExperimentResult:
+        rows = []
+        for profile, runs in points:
+            graph = make_graph(profile)
+            total_misses = sum(results[run].dram_accesses for run in runs)
+            total_instructions = sum(results[run].instructions for run in runs)
+            mpki = 1000.0 * total_misses / max(1, total_instructions)
+            rows.append([profile, graph.num_nodes, graph.num_edges, mpki])
+        return ExperimentResult(
+            "table2",
+            "Graph inputs (synthetic stand-ins) with measured LLC MPKI",
+            ["input", "nodes", "edges", "llc_mpki"],
+            rows,
+            notes=[
+                "Synthetic degree-profile stand-ins for the paper's inputs "
+                "(KR/TW/ORK/LJN power-law, UR uniform); sizes scaled with the "
+                "cache hierarchy. MPKI aggregated over the GAP kernels."
+            ],
+        )
+
+    return specs, reduce
+
+
 def table2_rows(
     instructions: int = 8_000,
     inputs: Optional[Sequence[str]] = None,
@@ -58,34 +100,7 @@ def table2_rows(
 ) -> ExperimentResult:
     """Table 2: graph inputs with measured LLC MPKI aggregated over the
     GAP kernels on the baseline OoO core."""
-    inputs = list(inputs or GRAPH_PROFILES)
-    kernels = list(kernels or GAP_WORKLOADS)
-    rows = []
-    for profile in inputs:
-        graph = make_graph(profile)
-        total_misses = 0
-        total_instructions = 0
-        for kernel in kernels:
-            result = run_simulation(
-                kernel, "ooo", max_instructions=instructions, input_name=profile
-            )
-            total_misses += result.dram_accesses
-            total_instructions += result.instructions
-        mpki = 1000.0 * total_misses / max(1, total_instructions)
-        rows.append(
-            [profile, graph.num_nodes, graph.num_edges, mpki]
-        )
-    return ExperimentResult(
-        "table2",
-        "Graph inputs (synthetic stand-ins) with measured LLC MPKI",
-        ["input", "nodes", "edges", "llc_mpki"],
-        rows,
-        notes=[
-            "Synthetic degree-profile stand-ins for the paper's inputs "
-            "(KR/TW/ORK/LJN power-law, UR uniform); sizes scaled with the "
-            "cache hierarchy. MPKI aggregated over the GAP kernels."
-        ],
-    )
+    return run_plan(table2_plan(instructions, inputs, kernels))
 
 
 def hardware_cost_table(config: Optional[RunaheadConfig] = None) -> ExperimentResult:

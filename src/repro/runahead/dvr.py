@@ -362,19 +362,20 @@ class DecoupledVectorRunahead(EngineCounterMixin, Technique):
                 self.prefetches += 1
             return value, True
 
+        instrs = self._instrs
         for steps in range(self.timeout):
             pc = interp.pc
             if (
-                0 <= pc < len(program)
-                and program[pc].is_load
+                0 <= pc < len(instrs)
+                and instrs[pc].is_load
                 and pc != trigger_pc
                 and pc < trigger_pc
                 and self.detector.is_striding(pc)
             ):
-                base_reg = program[pc].rs1
+                base_reg = instrs[pc].rs1
                 if interp.valid[base_reg] and isinstance(interp.regs[base_reg], int):
                     outer_pc = pc
-                    outer_addr = interp.regs[base_reg] + program[pc].imm
+                    outer_addr = interp.regs[base_reg] + instrs[pc].imm
                 break
             if interp.step(load_cb) is None:
                 break

@@ -59,6 +59,7 @@ class SpeculativeInterpreter:
         invalid_regs: Iterable[int] = (),
     ) -> None:
         self.program = program
+        self._instrs = program.instructions
         self.memory = memory
         self.pc = start_pc
         self.regs = list(regs)
@@ -75,11 +76,12 @@ class SpeculativeInterpreter:
 
     def step(self, load_cb: Optional[LoadCallback] = None) -> Optional[SpecStep]:
         """Execute one instruction; None once halted / out of range."""
-        if self.halted or not 0 <= self.pc < len(self.program):
+        instrs = self._instrs
+        if self.halted or not 0 <= self.pc < len(instrs):
             self.halted = True
             return None
         pc = self.pc
-        instr = self.program[pc]
+        instr = instrs[pc]
         op = instr.opcode
         self.steps += 1
         next_pc = pc + 1

@@ -319,7 +319,7 @@ class VectorChainRun:
         seeded = self.lane_addresses
         first = True
         global_budget = self.timeout * 16
-        program = self.program
+        instrs = self.program.instructions
         stride_map = self.stride_map
 
         while True:
@@ -335,7 +335,7 @@ class VectorChainRun:
                 continue
             pc = group.pc
             terminate = False
-            if not 0 <= pc < len(program):
+            if not 0 <= pc < len(instrs):
                 terminate = True
             elif not first and pc in self.stop_pcs:
                 terminate = True
@@ -345,7 +345,7 @@ class VectorChainRun:
                 terminate = True
             if not terminate and self.end_pc is not None and pc == self.end_pc and not first:
                 if self.execute_end_pc:
-                    instr = program[pc]
+                    instr = instrs[pc]
                     if instr.is_load:
                         self._sl_vector_load(group, instr)
                         self.instructions += 1
@@ -358,7 +358,7 @@ class VectorChainRun:
                 group = None
                 continue
 
-            instr = program[pc]
+            instr = instrs[pc]
             op = instr.opcode
             group.steps += 1
             global_budget -= 1

@@ -109,17 +109,18 @@ class VectorRunahead(EngineCounterMixin, Technique):
 
         stride_pc = None
         stride_addr = None
+        instrs = program.instructions
         for _ in range(_SCAN_BUDGET):
             pc = interp.pc
             if (
-                0 <= pc < len(program)
-                and program[pc].is_load
+                0 <= pc < len(instrs)
+                and instrs[pc].is_load
                 and self.detector.is_striding(pc)
             ):
                 stride_pc = pc
-                base = interp.regs[program[pc].rs1]
-                if isinstance(base, int) and interp.valid[program[pc].rs1]:
-                    stride_addr = base + program[pc].imm
+                base = interp.regs[instrs[pc].rs1]
+                if isinstance(base, int) and interp.valid[instrs[pc].rs1]:
+                    stride_addr = base + instrs[pc].imm
                 break
             if interp.step(load_cb) is None:
                 break

@@ -240,10 +240,45 @@ class TestExperimentFailureSurfaces:
         assert BATCH_COUNTERS.get("batch.sim.runs", 0) == 0
 
 
+class TestCachePathFailureSurfaces:
+    """A cache path that cannot be a directory is one error line and exit
+    2 on every command that opens a cache, before anything simulates."""
+
+    COMMANDS = {
+        "figure": ["figure", "figure9", "--workloads", "camel", "--instructions", "500",
+                   "--cache"],
+        "sweep": ["sweep", "--workload", "camel", "--param", "core.rob_size",
+                  "--values", "128", "--instructions", "500", "--cache"],
+        "compare": ["compare", "--workloads", "camel", "--instructions", "500", "--cache"],
+        "batch": ["batch", "SPECS", "--cache"],
+        "cache-stats": ["cache", "stats", "--dir"],
+        "cache-gc": ["cache", "gc", "--max-bytes", "0", "--dir"],
+    }
+
+    @pytest.mark.parametrize("where", ["file", "under-file"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_one_error_line_naming_the_path(self, command, where, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        path = blocker if where == "file" else blocker / "cache"
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps([{"workload": "camel", "max_instructions": 500}]))
+        argv = [str(specs) if arg == "SPECS" else arg for arg in self.COMMANDS[command]]
+        reset_batch_counters()
+        assert main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(path) in captured.err
+        assert "Traceback" not in captured.err
+        assert BATCH_COUNTERS.get("batch.sim.runs", 0) == 0
+        assert blocker.read_text() == "not a directory"
+
+
 class TestFigureJobs:
     ARGV = ["figure", "figure9", "--workloads", "camel", "--instructions", "1000"]
 
-    def test_parallel_warm_up_hands_results_over_in_memory(
+    def test_parallel_run_hands_results_over_in_memory(
         self, tmp_path, monkeypatch, capsys
     ):
         assert main(self.ARGV) == 0
@@ -264,5 +299,5 @@ class TestFigureJobs:
         assert main(self.ARGV + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
         assert roots == [] and list(scratch.rglob("*")) == []
-        # The pool ran every point; the generator re-ran none of them.
+        # The pool ran every point; this process simulated none of them.
         assert BATCH_COUNTERS.get("batch.sim.runs", 0) == 0

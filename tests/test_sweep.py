@@ -15,7 +15,7 @@ from repro.experiments import (
     reset_batch_counters,
     run_sweep,
 )
-from repro.experiments import sweep as sweep_module
+from repro.experiments import batch as batch_module
 
 
 class TestApplyOverride:
@@ -143,7 +143,7 @@ class TestZeroIpcBaseline:
                 for s in specs
             ]
 
-        monkeypatch.setattr(sweep_module, "run_batch", fake_run_batch)
+        monkeypatch.setattr(batch_module, "run_batch", fake_run_batch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = run_sweep(
@@ -174,7 +174,7 @@ class TestZeroIpcBaseline:
                     out.append(_fake_result(s.technique, 500, 400))
             return out
 
-        monkeypatch.setattr(sweep_module, "run_batch", fake_run_batch)
+        monkeypatch.setattr(batch_module, "run_batch", fake_run_batch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no warning expected here
             result = run_sweep(
