@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.functional import FunctionalCore
 from ..memory.hierarchy import LEVEL_L1
-from ..observability import CounterRegistry
+from ..observability import CounterRegistry, subtree
 from .report import CheckResult, RunAudit
 
 CHECKS: Dict[str, Callable[["AuditContext"], List[str]]] = {}
@@ -58,20 +58,36 @@ class AuditContext:
         return getattr(self.core, "stream", None)
 
 
+def _warmup_base(ctx: AuditContext) -> Dict:
+    """The counter snapshot the run's books are scoped by (empty when
+    they cover the whole run)."""
+    return getattr(ctx.core, "warmup_base", None) or {}
+
+
 # -- counter conservation ----------------------------------------------------
 
 
 @register_check("counters.demand-levels")
 def check_demand_levels(ctx: AuditContext) -> List[str]:
-    """Every demand load is satisfied at exactly one level."""
+    """Every demand load is satisfied at exactly one level.
+
+    Verified on the raw whole-run books and on the result's published
+    (ROI-scoped) counters.
+    """
     stats = ctx.hierarchy.stats
-    total = sum(stats.demand_level_counts.values())
-    if total != stats.demand_loads:
-        return [
-            f"demand level counts sum to {total}, "
-            f"but {stats.demand_loads} demand loads were issued"
-        ]
-    return []
+    result = ctx.result
+    violations: List[str] = []
+    for label, levels, loads in (
+        ("raw", stats.demand_level_counts, stats.demand_loads),
+        ("published", result.demand_level_counts, result.demand_loads),
+    ):
+        total = sum(levels.values())
+        if total != loads:
+            violations.append(
+                f"{label}: demand level counts sum to {total}, "
+                f"but {loads} demand loads were issued"
+            )
+    return violations
 
 
 @register_check("counters.level-identities")
@@ -79,7 +95,7 @@ def check_level_identities(ctx: AuditContext) -> List[str]:
     """The published ``mem.*`` hit/miss identities hold.
 
     Verified on a fresh publication of the raw whole-run stats (the
-    result's own counters may be ROI-adjusted) and on the result's
+    result's own counters may be ROI-scoped) and on the result's
     published registry.
     """
     violations: List[str] = []
@@ -116,6 +132,9 @@ def check_timeliness_partition(ctx: AuditContext) -> List[str]:
 
     Each line entered into the Figure 11 tracker is classified exactly
     once — at its first demand, or into Unused by ``finalize_timeliness``.
+    A raw-book law: a line tracked before the warm-up boundary is
+    classified after it, so the ROI buckets sum to the ROI ``tracked``
+    plus the lines pending at the boundary.
     """
     stats = ctx.hierarchy.stats
     bucketed = sum(stats.timeliness.values())
@@ -130,31 +149,39 @@ def check_timeliness_partition(ctx: AuditContext) -> List[str]:
 
 @register_check("counters.prefetch-outcomes")
 def check_prefetch_outcomes(ctx: AuditContext) -> List[str]:
-    """Per-level prefetch outcomes partition the issued prefetches."""
+    """Per-level prefetch outcomes partition the issued prefetches.
+
+    Verified on the raw whole-run books and on the result's published
+    (ROI-scoped) counters.
+    """
     stats = ctx.hierarchy.stats
+    counters = ctx.result.counters
     violations: List[str] = []
-    for source, issued in stats.prefetches_by_source.items():
-        prefix = f"{source}."
-        satisfied = sum(
-            count
-            for key, count in stats.prefetch_outcomes.items()
-            if key.startswith(prefix)
-        )
-        if satisfied != issued:
-            violations.append(
-                f"prefetch outcomes for source {source!r} sum to {satisfied}, "
-                f"but {issued} prefetches were issued"
+    for label, issued_by_source, outcomes, already_cached in (
+        ("raw", stats.prefetches_by_source, stats.prefetch_outcomes,
+         stats.prefetch_already_cached),
+        ("published", subtree(counters, "mem.prefetch.issued"),
+         subtree(counters, "mem.prefetch.outcome"),
+         counters.get("mem.prefetch.already_cached", 0)),
+    ):
+        for source, issued in issued_by_source.items():
+            prefix = f"{source}."
+            satisfied = sum(
+                count for key, count in outcomes.items() if key.startswith(prefix)
             )
-    legacy = sum(
-        count
-        for key, count in stats.prefetch_outcomes.items()
-        if key.endswith(f".{LEVEL_L1}")
-    )
-    if legacy != stats.prefetch_already_cached:
-        violations.append(
-            "prefetch_already_cached disagrees with the L1 outcome column "
-            f"({stats.prefetch_already_cached} != {legacy})"
+            if satisfied != issued:
+                violations.append(
+                    f"{label}: prefetch outcomes for source {source!r} sum to "
+                    f"{satisfied}, but {issued} prefetches were issued"
+                )
+        legacy = sum(
+            count for key, count in outcomes.items() if key.endswith(f".{LEVEL_L1}")
         )
+        if legacy != already_cached:
+            violations.append(
+                f"{label}: prefetch_already_cached disagrees with the L1 "
+                f"outcome column ({already_cached} != {legacy})"
+            )
     return violations
 
 
@@ -202,12 +229,16 @@ def check_mshr_occupancy(ctx: AuditContext) -> List[str]:
             f"busy intervals integrate to {interval_sum}, "
             f"occupancy_integral says {mshrs.occupancy_integral}"
         )
+    # The published mean is swept over the ROI window, which opens at
+    # the warm-up instant of a warmed run.
+    start = _warmup_base(ctx).get("core.cycles", 0)
     cycles = max(1, int(ctx.result.cycles))
-    mean = mshrs.mean_occupancy(cycles)
-    if mean < 0 or mean * cycles > mshrs.occupancy_integral + 1e-6:
+    mean = ctx.result.counters.get("mem.mshr.mean_occupancy", 0.0)
+    integral = mshrs.interval_integral(start, start + cycles)
+    if mean < 0 or mean * cycles > integral + 1e-6:
         violations.append(
             f"mean occupancy {mean:.3f} over {cycles} cycles is inconsistent "
-            f"with an occupancy integral of {mshrs.occupancy_integral}"
+            f"with an occupancy integral of {integral}"
         )
     return violations
 
@@ -481,10 +512,12 @@ def check_tlb_walk_conservation(ctx: AuditContext) -> List[str]:
             f"{walks} walks cannot complete in {walk_cycles} walk cycles"
         )
     tlb = getattr(ctx.hierarchy, "tlb", None)
-    if tlb is not None and tlb.walks != walks:
-        violations.append(
-            f"published walks {walks} disagree with the live walker {tlb.walks}"
-        )
+    if tlb is not None:
+        live = tlb.walks - _warmup_base(ctx).get("mem.tlb.walks", 0)
+        if live != walks:
+            violations.append(
+                f"published walks {walks} disagree with the live walker {live}"
+            )
     return violations
 
 

@@ -861,6 +861,11 @@ def _run_campaign_command(args) -> int:
         )
         return 2
     cache = _make_cache(args)
+    if args.manifest is not None:
+        try:
+            os.makedirs(args.manifest, exist_ok=True)
+        except OSError as exc:
+            raise ReproError(f"cannot create campaign directory {args.manifest!r}: {exc}")
     if args.manifest is not None and cache is None:
         print(
             "warning: --manifest without --cache records completions but"
@@ -914,6 +919,8 @@ def _run_serve_command(args) -> int:
     from .experiments import RunSpec
     from .experiments.serve import ServerThread, SimulationServer, run_load_test
 
+    if not 0 <= args.port <= 65535:
+        raise ReproError(f"--port must be in 0..65535, got {args.port}")
     cache = _make_cache(args)
 
     if args.load_test is not None:
@@ -1080,9 +1087,11 @@ def _run_cache_command(args) -> int:
 def _run_audit_command(args) -> int:
     """``repro audit``: sanitizer sweep over a spec matrix."""
     from .audit import audit_specs, format_report, write_report
-    from .errors import ReproError
+    from .errors import ReproError, check_writable
     from .experiments import RunSpec
 
+    if args.out:
+        check_writable(args.out, "audit report")
     if args.specs is not None:
         from .experiments import load_specs
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..config import SimConfig
 from ..errors import SimulationError
@@ -65,12 +65,14 @@ from ..isa.predecode import (
 from ..isa.program import Program
 from ..memory.hierarchy import (
     LEVEL_DRAM,
+    LEVEL_L1,
+    LEVEL_L2,
+    LEVEL_L3,
     LEVEL_MSHR,
-    HierarchyStats,
     MemoryHierarchy,
 )
 from ..memory.memory_image import MemoryImage
-from ..observability.counters import CounterRegistry
+from ..observability.counters import CounterRegistry, subtree
 from ..observability.probes import Observability
 from ..observability.trace import (
     EV_COMPLETE,
@@ -82,20 +84,6 @@ from ..perf.trace import ArchTrace
 from ..prefetch.base import NullTechnique, Technique, kernel_hooks
 from ..prefetch.stride import StridePrefetcher
 from .functional import FunctionalCore
-
-
-def _dict_delta(after: Dict[str, int], before: Dict[str, int]) -> Dict[str, int]:
-    """Per-key difference of two counter dictionaries (ROI accounting).
-
-    Iterates the union of both key sets: a counter present only in
-    ``before`` (e.g. a level bucket seen during warmup but never again
-    in the ROI) must surface as a negative delta, not silently vanish.
-    """
-    return {
-        key: delta
-        for key in after.keys() | before.keys()
-        if (delta := after.get(key, 0) - before.get(key, 0))
-    }
 
 
 # Dense integer codes for the FU classes (canonical names live with the
@@ -140,27 +128,43 @@ def publish_core_counters(
         registry.set(f"core.cpi_stack.{bucket}", value)
 
 
+#: Counters the ROI rule does not subtract: the mean MSHR occupancy is
+#: swept over the ROI window itself, and a high-water mark has no delta
+#: (it stays whole-run).
+ROI_GAUGES = ("mem.mshr.mean_occupancy", "mem.mshr.peak_occupancy")
+
+#: Demand-load service levels and the counter each is published under.
+_LEVEL_COUNTERS = (
+    (LEVEL_DRAM, "mem.l3.misses"),
+    (LEVEL_L1, "mem.l1.hits"),
+    (LEVEL_L2, "mem.l2.hits"),
+    (LEVEL_L3, "mem.l3.hits"),
+    (LEVEL_MSHR, "mem.mshr.merges"),
+)
+
+
+def _counter(name: str) -> property:
+    """A read-only result attribute: counter ``name``."""
+    return property(lambda self: self.counters.get(name, 0), doc=f"``{name}``")
+
+
+def _family(prefix: str) -> property:
+    """A read-only result attribute: the counters under ``prefix.``,
+    prefix stripped."""
+    return property(lambda self: subtree(self.counters, prefix), doc=f"``{prefix}.*``")
+
+
 @dataclass
 class SimulationResult:
-    """Everything the experiment harness needs from one run."""
+    """Everything the experiment harness needs from one run.
+
+    The counter snapshot is the run's one book: every metric below is a
+    read-only view over :attr:`counters`, so a cached or sent result
+    carries each number once.
+    """
 
     workload: str
     technique: str
-    instructions: int
-    cycles: int
-    full_rob_stall_cycles: int
-    stall_episodes: int
-    commit_block_cycles: int
-    branch_predictions: int
-    branch_mispredictions: int
-    demand_loads: int
-    demand_level_counts: Dict[str, int]
-    dram_by_source: Dict[str, int]
-    prefetches_by_source: Dict[str, int]
-    timeliness: Dict[str, int]
-    mean_mshr_occupancy: float
-    technique_stats: Dict[str, float] = field(default_factory=dict)
-    cycle_buckets: Dict[str, int] = field(default_factory=dict)
     #: Full counter-registry snapshot (see docs/observability.md).
     counters: Dict[str, float] = field(default_factory=dict)
     #: Whole-stream event digest when tracing was enabled, else None.
@@ -169,6 +173,32 @@ class SimulationResult:
     trace_events: int = 0
     #: Per-check audit record (``repro.audit``) when the run was audited.
     audit: Optional[Dict] = None
+
+    instructions = _counter("core.commit.instructions")
+    cycles = _counter("core.cycles")
+    full_rob_stall_cycles = _counter("core.stall.full_rob_cycles")
+    stall_episodes = _counter("core.stall.episodes")
+    commit_block_cycles = _counter("core.stall.commit_block_cycles")
+    branch_predictions = _counter("core.branch.predictions")
+    branch_mispredictions = _counter("core.branch.mispredictions")
+    demand_loads = _counter("mem.demand.loads")
+    mean_mshr_occupancy = _counter("mem.mshr.mean_occupancy")
+    dram_by_source = _family("mem.dram.accesses")
+    prefetches_by_source = _family("mem.prefetch.issued")
+    timeliness = _family("mem.prefetch.timeliness")
+    cycle_buckets = _family("core.cpi_stack")
+
+    @property
+    def technique_stats(self) -> Dict[str, float]:
+        """The technique's own ``runahead.<technique>.*`` family."""
+        return subtree(self.counters, f"runahead.{self.technique}")
+
+    @property
+    def demand_level_counts(self) -> Dict[str, int]:
+        """Demand loads by service level, rebuilt from the five level
+        counters; a level that never occurred is omitted."""
+        get = self.counters.get
+        return {level: count for level, name in _LEVEL_COUNTERS if (count := get(name, 0))}
 
     def cpi_stack(self) -> Dict[str, float]:
         """Cycles-per-instruction attribution (Sniper-style CPI stack).
@@ -202,14 +232,14 @@ class SimulationResult:
             "branch_predictions": self.branch_predictions,
             "branch_mispredictions": self.branch_mispredictions,
             "demand_loads": self.demand_loads,
-            "demand_level_counts": dict(self.demand_level_counts),
-            "dram_by_source": dict(self.dram_by_source),
-            "prefetches_by_source": dict(self.prefetches_by_source),
-            "timeliness": dict(self.timeliness),
+            "demand_level_counts": self.demand_level_counts,
+            "dram_by_source": self.dram_by_source,
+            "prefetches_by_source": self.prefetches_by_source,
+            "timeliness": self.timeliness,
             "mean_mshr_occupancy": self.mean_mshr_occupancy,
             "llc_mpki": self.llc_mpki(),
             "cpi_stack": self.cpi_stack(),
-            "technique_stats": dict(self.technique_stats),
+            "technique_stats": self.technique_stats,
             "counters": dict(self.counters),
             "trace_digest": self.trace_digest,
             "trace_events": self.trace_events,
@@ -291,6 +321,9 @@ class OoOCore:
         #: issue, complete, commit). A debugging/teaching aid.
         self.trace_limit = trace_limit
         self.trace: list = []
+        #: The counter snapshot taken at the warm-up instant when the
+        #: run's books are scoped to an ROI (see :meth:`_finalize`).
+        self.warmup_base: Optional[Dict[str, float]] = None
 
     # -- the timing kernel -----------------------------------------------------
 
@@ -416,12 +449,11 @@ class OoOCore:
         last_redirect_cycle = -1
         cpi_buckets: Dict[str, int] = {}
         warmup = max(0, self.config.warmup_instructions)
-        warmup_snapshot = None
+        base = None
         # Scheduler accounting (``core.sched.*``): commit cycles are
         # monotone non-decreasing, so distinct retirement instants are
         # countable with one compare per instruction.
         commit_cycles = 0
-        commit_cycles_at_warmup = 0
         last_commit_value = 0
         retire_violations = 0
         level = None
@@ -435,9 +467,12 @@ class OoOCore:
         recording = trace_limit > 0 or event_trace is not None
 
         def publish_live(registry: CounterRegistry) -> None:
+            # The run's one publisher: at hook instants, at the warm-up
+            # instant (the ROI base) and at the end.
+            cycles = max(1, prev_commit)
             publish_core_counters(
                 registry,
-                cycles=max(1, prev_commit),
+                cycles=cycles,
                 fetched=i,
                 committed=i,
                 full_stall=full_rob_stall_cycles,
@@ -447,6 +482,12 @@ class OoOCore:
                 mispredictions=predictor.mispredictions,
                 buckets=cpi_buckets,
             )
+            # Every retired instruction is one fired event; cycles in
+            # which nothing retired were skipped, not ticked through.
+            registry.set("core.sched.events.fired", i)
+            registry.set("core.sched.commit_cycles", commit_cycles)
+            registry.set("core.sched.cycles.skipped", cycles - commit_cycles)
+            registry.set("core.sched.retire_violations", retire_violations)
             hierarchy.publish_counters(registry)
             technique.publish_counters(registry)
 
@@ -709,179 +750,60 @@ class OoOCore:
                 if fire_hooks:
                     obs.maybe_fire(i, prev_commit, publish_live)
                 if warmup and i == warmup:
-                    warmup_snapshot = self._snapshot(
-                        prev_commit,
-                        full_rob_stall_cycles,
-                        stall_episodes,
-                        commit_block_cycles,
-                        cpi_buckets,
-                    )
-                    commit_cycles_at_warmup = commit_cycles
+                    base = CounterRegistry()
+                    publish_live(base)
 
-        return self._finalize(
-            instructions=i,
-            prev_commit=prev_commit,
-            full_rob_stall_cycles=full_rob_stall_cycles,
-            stall_episodes=stall_episodes,
-            commit_block_cycles=commit_block_cycles,
-            cpi_buckets=cpi_buckets,
-            warmup=warmup,
-            warmup_snapshot=warmup_snapshot,
-            event_trace=event_trace,
-            sched={
-                "commit_cycles": commit_cycles,
-                "commit_cycles_at_warmup": commit_cycles_at_warmup,
-                "retire_violations": retire_violations,
-            },
-        )
+        return self._finalize(prev_commit, publish_live, base, event_trace)
 
     # -- epilogue --------------------------------------------------------------
 
     def _finalize(
         self,
-        *,
-        instructions: int,
         prev_commit: int,
-        full_rob_stall_cycles: int,
-        stall_episodes: int,
-        commit_block_cycles: int,
-        cpi_buckets: Dict[str, int],
-        warmup: int,
-        warmup_snapshot: Optional[Dict],
+        publish: Callable[[CounterRegistry], None],
+        base: Optional[CounterRegistry],
         event_trace,
-        sched: Optional[Dict[str, int]] = None,
     ) -> SimulationResult:
-        """ROI adjustment + counter publication.
+        """The epilogue: the end-of-run books, scoped to the ROI.
 
-        ``sched`` carries the kernel's scheduler accounting. The reference
-        oracle in ``tests/oracles`` shares this epilogue, passes None and
-        so publishes no ``core.sched.*`` family; the differential suites
-        exclude that prefix when they compare counter snapshots.
+        ``publish`` is the run's counter publisher and ``base`` what it
+        published at the warm-up instant (None without a warm-up). The
+        reference oracle in ``tests/oracles`` shares this epilogue with
+        its own publisher, which has no ``core.sched.*`` family.
+
+        The ROI rule: every counter reads end - base, except the
+        :data:`ROI_GAUGES`. A run that ends at the warm-up boundary has
+        an empty ROI and reports the whole run.
         """
         technique = self.technique
-        hierarchy = self.hierarchy
-        predictor = self.predictor
         technique.advance_to(prev_commit)
         technique.finalize(prev_commit)
-        hierarchy.finalize_timeliness()
-        stats = hierarchy.stats
-        total_instructions = instructions
-        cycles = max(1, prev_commit)
-        full_stall = full_rob_stall_cycles
-        episodes = stall_episodes
-        commit_blocked = commit_block_cycles
-        predictions = predictor.predictions
-        mispredictions = predictor.mispredictions
-        demand_loads = stats.demand_loads
-        level_counts = dict(stats.demand_level_counts)
-        dram = dict(stats.dram_by_source)
-        prefetches = dict(stats.prefetches_by_source)
-        timeliness = dict(stats.timeliness)
-        buckets = dict(cpi_buckets)
-        in_roi = warmup_snapshot is not None and total_instructions > warmup
-        if in_roi:
-            snap = warmup_snapshot
-            instructions = total_instructions - warmup
-            cycles = max(1, prev_commit - snap["commit"])
-            full_stall -= snap["full_rob_stall_cycles"]
-            episodes -= snap["stall_episodes"]
-            commit_blocked -= snap["commit_block_cycles"]
-            predictions -= snap["predictions"]
-            mispredictions -= snap["mispredictions"]
-            demand_loads -= snap["demand_loads"]
-            level_counts = _dict_delta(level_counts, snap["level_counts"])
-            dram = _dict_delta(dram, snap["dram"])
-            prefetches = _dict_delta(prefetches, snap["prefetches"])
-            timeliness = _dict_delta(timeliness, snap["timeliness"])
-            buckets = _dict_delta(buckets, snap["cpi_buckets"])
-        # Everything not attributed above flowed at full width.
-        buckets["base"] = max(0, cycles - sum(buckets.values()))
-        # Publish the final (ROI-adjusted) counters into the registry —
-        # every component registers its family under its own prefix.
+        self.hierarchy.finalize_timeliness()
         obs = self.observability
         registry = obs.counters if obs is not None else CounterRegistry()
-        publish_core_counters(
-            registry,
-            cycles=cycles,
-            fetched=instructions,
-            committed=instructions,
-            full_stall=full_stall,
-            episodes=episodes,
-            commit_blocked=commit_blocked,
-            predictions=predictions,
-            mispredictions=mispredictions,
-            buckets=buckets,
+        publish(registry)
+        start = 0
+        committed = "core.commit.instructions"
+        if base is not None and registry.get(committed) > base.get(committed):
+            self.warmup_base = base.snapshot()
+            start = base.get("core.cycles")  # the warm-up instant's commit cycle
+            for name, value in registry:
+                if name not in ROI_GAUGES:
+                    registry.set(name, value - base.get(name))
+        # An empty window still spans a cycle, like an empty run.
+        cycles = max(1, registry.get("core.cycles"))
+        registry.set("core.cycles", cycles)
+        # Everything not attributed to a CPI bucket flowed at full width.
+        attributed = sum(registry.subtree("core.cpi_stack").values())
+        registry.set("core.cpi_stack.base", max(0, cycles - attributed))
+        registry.set(
+            "mem.mshr.mean_occupancy",
+            self.hierarchy.mshrs.mean_occupancy(max(1, prev_commit), start),
         )
-        if sched is not None:
-            # Every retired instruction is one fired event; cycles in
-            # which nothing retired were skipped, not ticked through.
-            commit_cycles = sched["commit_cycles"]
-            if in_roi:
-                commit_cycles -= sched["commit_cycles_at_warmup"]
-            registry.set("core.sched.events.fired", instructions)
-            registry.set("core.sched.commit_cycles", commit_cycles)
-            registry.set("core.sched.cycles.skipped", cycles - commit_cycles)
-            registry.set("core.sched.retire_violations", sched["retire_violations"])
-        hierarchy.publish_counters(
-            registry,
-            cycles=max(1, prev_commit),
-            stats=HierarchyStats(
-                demand_loads=demand_loads,
-                demand_level_counts=level_counts,
-                dram_by_source=dram,
-                prefetches_by_source=prefetches,
-                prefetch_already_cached=stats.prefetch_already_cached,
-                prefetch_outcomes=dict(stats.prefetch_outcomes),
-                prefetch_tracked=stats.prefetch_tracked,
-                mshr_merge_hits=stats.mshr_merge_hits,
-                timeliness=timeliness,
-            ),
-        )
-        technique.publish_counters(registry)
         return SimulationResult(
             workload=self.workload_name,
             technique=technique.name,
-            instructions=instructions,
-            cycles=cycles,
-            full_rob_stall_cycles=full_stall,
-            stall_episodes=episodes,
-            commit_block_cycles=commit_blocked,
-            branch_predictions=predictions,
-            branch_mispredictions=mispredictions,
-            demand_loads=demand_loads,
-            demand_level_counts=level_counts,
-            dram_by_source=dram,
-            prefetches_by_source=prefetches,
-            timeliness=timeliness,
-            mean_mshr_occupancy=hierarchy.mean_mshr_occupancy(max(1, prev_commit)),
-            technique_stats=technique.stats(),
-            cycle_buckets=buckets,
             counters=registry.snapshot(),
             trace_digest=event_trace.digest() if event_trace is not None else None,
             trace_events=event_trace.emitted if event_trace is not None else 0,
         )
-
-    def _snapshot(
-        self,
-        commit: int,
-        full_rob_stall_cycles: int,
-        stall_episodes: int,
-        commit_block_cycles: int,
-        cpi_buckets: Dict[str, int],
-    ) -> Dict:
-        """Capture counters at the warmup boundary (ROI support)."""
-        stats = self.hierarchy.stats
-        return {
-            "commit": commit,
-            "full_rob_stall_cycles": full_rob_stall_cycles,
-            "stall_episodes": stall_episodes,
-            "commit_block_cycles": commit_block_cycles,
-            "predictions": self.predictor.predictions,
-            "mispredictions": self.predictor.mispredictions,
-            "demand_loads": stats.demand_loads,
-            "level_counts": dict(stats.demand_level_counts),
-            "dram": dict(stats.dram_by_source),
-            "prefetches": dict(stats.prefetches_by_source),
-            "timeliness": dict(stats.timeliness),
-            "cpi_buckets": dict(cpi_buckets),
-        }

@@ -55,6 +55,8 @@ class AuditError(ReproError):
 def check_writable(path: str, what: str) -> None:
     """Raise :class:`ReproError` if the ``what`` file ``path`` cannot be
     created, so a command can refuse it before doing any work."""
+    if os.path.isdir(path):
+        raise ReproError(f"cannot write {what} {path!r}: it is a directory")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory) or not os.access(directory, os.W_OK):
         raise ReproError(

@@ -145,7 +145,9 @@ def figure_plan(
         plan = _figure2_plan if name == "figure2" else _figure12_plan
         return plan(workloads, instructions, rob_sizes, scale_backend)
     if name == "figure7":
-        return _figure7_plan(workloads, instructions, inputs, techniques or _FIGURE7_TECHNIQUES)
+        if techniques is None:
+            techniques = _FIGURE7_TECHNIQUES
+        return _figure7_plan(workloads, instructions, inputs, techniques)
     plans = {
         "figure8": _figure8_plan,
         "figure9": _figure9_plan,
@@ -337,7 +339,8 @@ def _figure9_plan(workloads, instructions):
             [name] + [results[run].counters.get("mem.mshr.mean_occupancy", 0.0) for run in runs]
             for name, runs in points
         ]
-        rows.append(["mean"] + [sum(r[i] for r in rows) / len(rows) for i in range(1, 4)])
+        n = len(rows)
+        rows.append(["mean"] + [sum(r[i] for r in rows) / n if n else 0.0 for i in range(1, 4)])
         return ExperimentResult(
             "figure9",
             "Mean occupied MSHRs per cycle",

@@ -551,20 +551,13 @@ class MemoryHierarchy:
 
     # -- reporting -------------------------------------------------------------
 
-    def publish_counters(
-        self,
-        registry,
-        cycles: Optional[int] = None,
-        stats: Optional[HierarchyStats] = None,
-    ) -> None:
+    def publish_counters(self, registry) -> None:
         """Register the ``mem.*`` counter family into ``registry``.
 
-        ``stats`` lets the core substitute ROI-adjusted aggregates for
-        the raw whole-run ones; ``cycles`` (the run length) enables the
-        derived mean-MSHR-occupancy gauge, which is only meaningful at
-        run end. The MSHR-file totals are always whole-run.
+        Publishes the live books; the core scopes them to the ROI and
+        adds the mean-MSHR-occupancy gauge at run end.
         """
-        s = stats if stats is not None else self.stats
+        s = self.stats
         levels = s.demand_level_counts
         l1 = levels.get(LEVEL_L1, 0)
         merged = levels.get(LEVEL_MSHR, 0)
@@ -590,17 +583,9 @@ class MemoryHierarchy:
         registry.set("mem.mshr.file_merges", self.mshrs.merged_requests)
         registry.set("mem.mshr.peak_occupancy", self.mshrs.peak_occupancy)
         if self.tlb is not None:
-            # Whole-run totals from the live TLB, like the MSHR-file
-            # counters: translation is a structural resource, not an
-            # ROI-windowed aggregate.
             registry.set_many(self.tlb.counters())
-        if cycles is not None:
-            registry.set("mem.mshr.mean_occupancy", self.mean_mshr_occupancy(cycles))
 
     def dram_accesses(self, source: Optional[str] = None) -> int:
         if source is None:
             return sum(self.stats.dram_by_source.values())
         return self.stats.dram_by_source.get(source, 0)
-
-    def mean_mshr_occupancy(self, total_cycles: int) -> float:
-        return self.mshrs.mean_occupancy(total_cycles)

@@ -112,31 +112,31 @@ class MSHRFile:
         """Snapshot of in-flight entries (line -> ready cycle), un-purged."""
         return dict(self._inflight)
 
-    def interval_integral(self) -> int:
-        """Sum of recorded busy-interval lengths (cross-check for the sweep)."""
+    def interval_integral(self, start: int = 0, end: float = float("inf")) -> int:
+        """Sum of recorded busy-interval lengths inside ``[start, end]``
+        (cross-check for the sweep)."""
         return sum(
-            end - start
-            for start, end in zip(self._interval_starts, self._interval_ends)
+            max(0, min(hi, end) - max(lo, start))
+            for lo, hi in zip(self._interval_starts, self._interval_ends)
         )
 
-    def mean_occupancy(self, total_cycles: int) -> float:
-        """Mean occupied MSHRs per cycle over the run (Figure 9).
+    def mean_occupancy(self, end: int, start: int = 0) -> float:
+        """Mean occupied MSHRs per cycle over ``[start, end]`` (Figure 9).
 
         Computed from the recorded busy intervals with an event sweep,
         clamping instantaneous occupancy at the file capacity (requests
         admitted slightly out of order by the lazy-purge approximation
         cannot make the hardware hold more entries than it has).
         """
-        if total_cycles <= 0 or not self._interval_starts:
+        if end <= start or not self._interval_starts:
             return 0.0
         import numpy as np
 
-        # Clip to the measured horizon: late prefetches may still be in
-        # flight when the run ends.
-        starts = np.minimum(
-            np.asarray(self._interval_starts, dtype=np.int64), total_cycles
-        )
-        ends = np.minimum(np.asarray(self._interval_ends, dtype=np.int64), total_cycles)
+        # Clip to the measured window: late prefetches may still be in
+        # flight when the run ends, and a warmed run's window opens at
+        # the warm-up instant.
+        starts = np.clip(np.asarray(self._interval_starts, dtype=np.int64), start, end)
+        ends = np.clip(np.asarray(self._interval_ends, dtype=np.int64), start, end)
         times = np.concatenate([starts, ends])
         deltas = np.concatenate(
             [np.ones(len(starts), dtype=np.int64), -np.ones(len(ends), dtype=np.int64)]
@@ -147,4 +147,4 @@ class MSHRFile:
         counts = np.minimum(counts, self.num_entries)
         spans = np.diff(times)
         integral = float(np.sum(counts[:-1] * spans))
-        return integral / total_cycles
+        return integral / (end - start)

@@ -220,7 +220,7 @@ class TLB:
     # -- reporting -----------------------------------------------------------
 
     def counters(self) -> Dict[str, int]:
-        """The ``mem.tlb.*`` counter book (whole-run totals)."""
+        """The ``mem.tlb.*`` counter book (live totals)."""
         return {
             "mem.tlb.l1.lookups": self.l1.lookups,
             "mem.tlb.l1.hits": self.l1.hits,

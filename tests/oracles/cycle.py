@@ -334,7 +334,6 @@ class CycleCore:
     ) -> SimulationResult:
         self.hierarchy.finalize_timeliness()
         cycles = max(1, cycle)
-        stats = self.hierarchy.stats
         obs = self.observability
         registry = obs.counters if obs is not None else CounterRegistry()
         publish_core_counters(
@@ -349,24 +348,11 @@ class CycleCore:
             mispredictions=self.predictor.mispredictions,
             buckets={},
         )
-        self.hierarchy.publish_counters(registry, cycles=cycles)
+        self.hierarchy.publish_counters(registry)
+        registry.set("mem.mshr.mean_occupancy", self.hierarchy.mshrs.mean_occupancy(cycles))
         return SimulationResult(
             workload=self.workload_name,
             technique="ooo-cycle",
-            instructions=committed,
-            cycles=cycles,
-            full_rob_stall_cycles=0,
-            stall_episodes=0,
-            commit_block_cycles=0,
-            branch_predictions=self.predictor.predictions,
-            branch_mispredictions=self.predictor.mispredictions,
-            demand_loads=stats.demand_loads,
-            demand_level_counts=dict(stats.demand_level_counts),
-            dram_by_source=dict(stats.dram_by_source),
-            prefetches_by_source=dict(stats.prefetches_by_source),
-            timeliness=dict(stats.timeliness),
-            mean_mshr_occupancy=self.hierarchy.mean_mshr_occupancy(cycles),
-            technique_stats={},
             counters=registry.snapshot(),
             trace_digest=event_trace.digest() if event_trace is not None else None,
             trace_events=event_trace.emitted if event_trace is not None else 0,

@@ -136,7 +136,7 @@ def run_reference(
     last_redirect_cycle = -1
     cpi_buckets: Dict[str, int] = {}
     warmup = max(0, core.config.warmup_instructions)
-    warmup_snapshot = None
+    base = None
     i = 0
 
     # Observability: event tracing and profiling hooks are opt-in;
@@ -147,8 +147,8 @@ def run_reference(
     fire_hooks = obs is not None and obs.has_hooks
 
     def publish_live(registry: CounterRegistry) -> None:
-        # Raw running aggregates for mid-run hook snapshots (final
-        # counters are ROI-adjusted; see _finalize()).
+        # Raw running aggregates, at hook instants, at the warm-up
+        # instant and at the end (the shared epilogue scopes them).
         publish_core_counters(
             registry,
             cycles=max(1, prev_commit),
@@ -369,22 +369,7 @@ def run_reference(
         if fire_hooks:
             obs.maybe_fire(i, prev_commit, publish_live)
         if warmup and i == warmup:
-            warmup_snapshot = core._snapshot(
-                prev_commit,
-                full_rob_stall_cycles,
-                stall_episodes,
-                commit_block_cycles,
-                cpi_buckets,
-            )
+            base = CounterRegistry()
+            publish_live(base)
 
-    return core._finalize(
-        instructions=i,
-        prev_commit=prev_commit,
-        full_rob_stall_cycles=full_rob_stall_cycles,
-        stall_episodes=stall_episodes,
-        commit_block_cycles=commit_block_cycles,
-        cpi_buckets=cpi_buckets,
-        warmup=warmup,
-        warmup_snapshot=warmup_snapshot,
-        event_trace=event_trace,
-    )
+    return core._finalize(prev_commit, publish_live, base, event_trace)

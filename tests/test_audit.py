@@ -54,10 +54,10 @@ EXPECTED_CHECKS = [
 ]
 
 
-def _run_core(workload="camel", technique="ooo", n=1500):
+def _run_core(workload="camel", technique="ooo", n=1500, warmup=0):
     """One finished timing run with its rebuild closure, audit-style."""
     wl = build_workload(workload)
-    cfg = SimConfig(max_instructions=n)
+    cfg = SimConfig(max_instructions=n, warmup_instructions=warmup)
     core = OoOCore(
         wl.program, wl.memory, cfg, technique=make_technique(technique, cfg)
     )
@@ -202,6 +202,19 @@ class TestBugReintroduction:
         record = audit_timing_run(core, result)
         failed = {c.name for c in record.checks if not c.passed}
         assert "counters.prefetch-outcomes" in failed
+
+    def test_corrupted_published_outcomes_of_a_warmed_run_caught(self):
+        # The raw books still balance: only the published ROI books lie.
+        core, result, _ = _run_core(technique="dvr", n=4000, warmup=2000)
+        assert core.warmup_base is not None
+        assert audit_timing_run(core, result).passed
+        name = next(
+            key for key in result.counters if key.startswith("mem.prefetch.outcome.runahead.")
+        )
+        result.counters[name] += 1
+        record = audit_timing_run(core, result)
+        failed = {c.name for c in record.checks if not c.passed}
+        assert failed == {"counters.prefetch-outcomes"}
 
     def test_corrupted_timeliness_caught(self):
         core, result, _ = _run_core(technique="dvr", n=2000)

@@ -275,6 +275,57 @@ class TestCachePathFailureSurfaces:
         assert blocker.read_text() == "not a directory"
 
 
+class TestOutputAndPortFailureSurfaces:
+    """A campaign directory or an audit report under a regular file, and
+    a port out of range, are one error line and exit 2 before anything
+    simulates or binds."""
+
+    def _assert_one_error_line(self, capsys, *needles):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        for needle in needles:
+            assert needle in captured.err
+        assert BATCH_COUNTERS.get("batch.sim.runs", 0) == 0
+
+    def test_campaign_manifest_under_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps([{"workload": "camel", "max_instructions": 500}]))
+        reset_batch_counters()
+        manifest = str(blocker / "campaign")
+        assert main(["campaign", "run", str(specs), "--manifest", manifest]) == 2
+        self._assert_one_error_line(capsys, manifest)
+
+    @pytest.mark.parametrize("where", ["under-file", "directory"])
+    def test_audit_report_that_cannot_be_written(self, where, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        reset_batch_counters()
+        out = str(blocker / "audit.json" if where == "under-file" else tmp_path)
+        argv = ["audit", "--workloads", "camel", "--techniques", "ooo", "-n", "500",
+                "--out", out]
+        assert main(argv) == 2
+        self._assert_one_error_line(capsys, "error: cannot write audit report", out)
+
+    def test_serve_port_out_of_range_opens_no_socket(self, monkeypatch, capsys):
+        import socket
+
+        opened = []
+        real_init = socket.socket.__init__
+
+        def init(self, *args, **kwargs):
+            opened.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(socket.socket, "__init__", init)
+        reset_batch_counters()
+        assert main(["serve", "--port", "99999"]) == 2
+        assert opened == []
+        self._assert_one_error_line(capsys, "99999")
+
+
 class TestFigureJobs:
     ARGV = ["figure", "figure9", "--workloads", "camel", "--instructions", "1000"]
 

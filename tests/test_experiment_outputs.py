@@ -143,3 +143,15 @@ def test_failing_point_is_one_error_line(argv, failing, monkeypatch, capsys):
     assert captured.err.count("\n") == 1
     assert "ValueError: injected fault" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_figure9_over_no_workloads_has_a_zero_mean_row():
+    # Like the h-mean rows of Figures 7 and 8 (harmonic_mean([]) is 0.0).
+    result = experiments.figure9(workloads=[], instructions=800)
+    assert result.rows == [["mean", 0.0, 0.0, 0.0]]
+
+
+def test_figure7_plan_with_no_techniques_runs_only_the_baseline():
+    specs = figure_specs("figure7", workloads=["camel"], instructions=800, techniques=())
+    assert [spec.technique for spec in specs] == ["ooo"]
+    assert len(experiments.figure7(workloads=["camel"], instructions=800, techniques=()).rows[0]) == 2

@@ -77,11 +77,8 @@ class TestCpiStack:
         from repro.core.ooo import SimulationResult
 
         empty = SimulationResult(
-            workload="x", technique="x", instructions=0, cycles=1,
-            full_rob_stall_cycles=0, stall_episodes=0, commit_block_cycles=0,
-            branch_predictions=0, branch_mispredictions=0, demand_loads=0,
-            demand_level_counts={}, dram_by_source={}, prefetches_by_source={},
-            timeliness={}, mean_mshr_occupancy=0.0,
+            workload="x", technique="x",
+            counters={"core.commit.instructions": 0, "core.cycles": 1},
         )
         assert empty.cpi_stack() == {}
 

@@ -461,7 +461,7 @@ class TestHierarchyInvariants:
         r = h.access(0, cycle=0, prefetch=True, source="runahead").ready
         h.access(0, cycle=r + 10)
         registry = CounterRegistry()
-        h.publish_counters(registry, cycles=r + 100)
+        h.publish_counters(registry)
         snapshot = registry.snapshot()
         assert snapshot["mem.prefetch.outcome.runahead.DRAM"] == 1
         assert snapshot["mem.prefetch.tracked"] == 1

@@ -29,10 +29,14 @@ LIMIT = 2000
 
 
 def _run_ooo(
-    workload_name: str, technique_name: str, reference: bool, limit: int = LIMIT
+    workload_name: str,
+    technique_name: str,
+    reference: bool,
+    limit: int = LIMIT,
+    warmup: int = 0,
 ):
     wl = build_workload(workload_name)
-    cfg = SimConfig()
+    cfg = SimConfig(warmup_instructions=warmup)
     core = OoOCore(
         wl.program,
         wl.memory,
@@ -78,6 +82,22 @@ def test_ooo_event_kernel_matches_reference_across_chunks():
     ref = _run_ooo("nas_cg", "dvr", reference=True, limit=limit)
     new = _run_ooo("nas_cg", "dvr", reference=False, limit=limit)
     assert new.instructions == limit
+    _assert_sched_laws(new, assert_same_run(ref, new))
+
+
+@pytest.mark.parametrize(
+    "workload_name,technique_name,warmup,limit",
+    [("camel", "dvr", 1000, LIMIT), ("nas_is", "vr", CHUNK, CHUNK + 500)],
+    ids=["mid-chunk", "at-chunk"],
+)
+def test_ooo_event_kernel_matches_reference_with_warmup(
+    workload_name, technique_name, warmup, limit
+):
+    """The warm-up base is published mid-chunk or at a chunk boundary,
+    and the ROI books still match the oracle's bit for bit."""
+    ref = _run_ooo(workload_name, technique_name, True, limit, warmup)
+    new = _run_ooo(workload_name, technique_name, False, limit, warmup)
+    assert new.instructions == limit - warmup
     _assert_sched_laws(new, assert_same_run(ref, new))
 
 

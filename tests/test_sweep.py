@@ -114,19 +114,7 @@ def _fake_result(technique: str, cycles: int, instructions: int):
     return SimulationResult(
         workload="fake",
         technique=technique,
-        instructions=instructions,
-        cycles=cycles,
-        full_rob_stall_cycles=0,
-        stall_episodes=0,
-        commit_block_cycles=0,
-        branch_predictions=0,
-        branch_mispredictions=0,
-        demand_loads=0,
-        demand_level_counts={},
-        dram_by_source={},
-        prefetches_by_source={},
-        timeliness={},
-        mean_mshr_occupancy=0.0,
+        counters={"core.commit.instructions": instructions, "core.cycles": cycles},
     )
 
 
