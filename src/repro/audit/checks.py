@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..core.functional import FunctionalCore
+from ..frontend.branch_predictor import TageLitePredictor
 from ..memory.hierarchy import LEVEL_L1
 from ..observability import CounterRegistry, subtree
 from .report import CheckResult, RunAudit
@@ -534,15 +535,42 @@ def check_functional_equivalence(ctx: AuditContext) -> List[str]:
     after the kernel applied the last store. Fresh and replayed streams
     are checked alike: a memoised stream carries the end state of the
     run that filled it.
+
+    The front end is part of the stream: a fresh TAGE-lite walks the
+    re-execution's conditional branches among the instructions the run
+    committed, and its predictions and mispredictions must equal the
+    run's whole-run books (the published counters plus the warm-up
+    base), so a stale or tampered front-end column is caught too.
     """
     stream = ctx.stream
     if ctx.rebuild is None or stream is None:
         return []
     fresh = ctx.rebuild()
     steps = len(stream)
-    while fresh.executed < steps and fresh.step_reference() is not None:
-        pass
+    base = _warmup_base(ctx)
+    counters = ctx.result.counters
+
+    def whole_run(name: str):
+        return counters.get(name, 0) + base.get(name, 0)
+
+    committed_whole = whole_run("core.commit.instructions")
+    predictor = TageLitePredictor(ctx.core.config.branch)
+    while fresh.executed < steps:
+        dyn = fresh.step_reference()
+        if dyn is None:
+            break
+        if dyn.taken is not None and dyn.seq < committed_whole:
+            predictor.update(dyn.pc, dyn.taken, predictor.predict(dyn.pc))
     violations: List[str] = []
+    for name, expected in (
+        ("core.branch.predictions", predictor.predictions),
+        ("core.branch.mispredictions", predictor.mispredictions),
+    ):
+        if whole_run(name) != expected:
+            violations.append(
+                f"{name} is {whole_run(name)} over the whole run, "
+                f"a fresh TAGE-lite over the stream gives {expected}"
+            )
     if fresh.executed != steps:
         violations.append(
             f"reference execution halted after {fresh.executed} instructions, "
@@ -563,10 +591,9 @@ def check_functional_equivalence(ctx: AuditContext) -> List[str]:
         )
     if fresh.memory.digest() != ctx.core.memory_image.digest():
         violations.append("final memory image digest diverged")
-    committed = ctx.result.counters.get("core.commit.instructions", 0)
-    if committed > steps:
+    if committed_whole > steps:
         violations.append(
-            f"committed {committed} instructions but only {steps} were executed"
+            f"committed {committed_whole} instructions but only {steps} were executed"
         )
     return violations
 

@@ -23,7 +23,11 @@ overrides (see ``repro.prefetch.base``).
 The architectural stream arrives as columns (``repro.perf.trace``): a
 memoised stream, or chunks the functional stage fills as the kernel
 reaches them. The kernel reads them by index and applies each store to
-the memory image at that instruction's turn.
+the memory image at that instruction's turn. The front end is a
+function of the stream: TAGE-lite's mispredictions and the L1 stride
+prefetcher's confident strides are columns too
+(``repro.frontend.columns``), trained once per stream and front-end
+config, so the core owns no live predictor or stride table.
 
 :meth:`OoOCore.run` is the one kernel (see docs/performance.md). Time
 advances only at instruction-boundary events: the wakeup times implied
@@ -44,7 +48,7 @@ from typing import Callable, Dict, Optional
 
 from ..config import SimConfig
 from ..errors import SimulationError
-from ..frontend.branch_predictor import TageLitePredictor
+from ..frontend.columns import frontend_columns
 from ..isa.instructions import NUM_REGS
 from ..isa.predecode import (
     FU_FADD,
@@ -82,7 +86,6 @@ from ..observability.trace import (
 )
 from ..perf.trace import ArchTrace
 from ..prefetch.base import NullTechnique, Technique, kernel_hooks
-from ..prefetch.stride import StridePrefetcher
 from .functional import FunctionalCore
 
 
@@ -294,7 +297,6 @@ class OoOCore:
             ideal=self.technique.wants_ideal_memory,
             tlb_policy=self.config.runahead.tlb_policy,
         )
-        self.predictor = TageLitePredictor(self.config.branch)
         #: The architectural stream :meth:`run` reads. A memoised
         #: (non-empty) stream is replayed as is; an empty one is filled
         #: by the run's own functional stage as the kernel reaches each
@@ -303,12 +305,6 @@ class OoOCore:
         #: consumed, so the run's stream memory is one chunk.
         self.stream = stream if stream is not None else ArchTrace()
         self._keep_chunks = stream is not None
-        self.l1_stride_prefetcher: Optional[StridePrefetcher] = None
-        if self.config.stride_prefetcher_enabled:
-            self.l1_stride_prefetcher = StridePrefetcher(
-                streams=self.config.stride_prefetcher_streams,
-                degree=self.config.stride_prefetcher_degree,
-            )
         #: Opt-in event tracing and profiling hooks; counters are
         #: published into it (or into a fresh registry) at run end
         #: regardless. Must be set before attach() so techniques can
@@ -392,19 +388,22 @@ class OoOCore:
         )
         drop_consumed = not self._keep_chunks
         chunk_index = 0
+        # The front end's columns: trained once per stream and front-end
+        # config, and dropped with their chunks when those are.
+        frontend = frontend_columns(stream, self.config)
+        fe_column = frontend.column
+        fe_columns = frontend.columns
+        stride_lines = range(self.config.stride_prefetcher_degree)
 
         technique = self.technique
         hierarchy = self.hierarchy
-        predictor = self.predictor
-        stride_pf = self.l1_stride_prefetcher
         mshr_available = hierarchy.mshr_available
+        prefetch_ready = hierarchy.prefetch_ready
         hierarchy_access = hierarchy.access
         hierarchy_store = hierarchy.store
         demand_load = hierarchy.demand_load
         write_word = self.memory_image.write_word
         is_mapped = self.memory_image.is_mapped
-        predict = predictor.predict
-        predictor_update = predictor.update
         # Hooks the technique's class leaves at the base no-op are None
         # and never called.
         hooks = kernel_hooks(technique)
@@ -447,6 +446,8 @@ class OoOCore:
         stall_covered_until = 0
         last_miss_complete = 0
         last_redirect_cycle = -1
+        predictions = 0
+        mispredictions = 0
         cpi_buckets: Dict[str, int] = {}
         warmup = max(0, self.config.warmup_instructions)
         base = None
@@ -478,8 +479,8 @@ class OoOCore:
                 full_stall=full_rob_stall_cycles,
                 episodes=stall_episodes,
                 commit_blocked=commit_block_cycles,
-                predictions=predictor.predictions,
-                mispredictions=predictor.mispredictions,
+                predictions=predictions,
+                mispredictions=mispredictions,
                 buckets=cpi_buckets,
             )
             # Every retired instruction is one fired event; cycles in
@@ -502,9 +503,12 @@ class OoOCore:
                     )
                 fill(stream, limit)
                 continue
-            pcs, values, addrs, takens, next_pcs = chunks[chunk_index]
+            chunk = chunks[chunk_index]
+            pcs, values, addrs, _, next_pcs = chunk
+            fe, fe_strides = fe_column(chunk_index, chunk, kinds)
             if drop_consumed:
                 chunks[chunk_index] = None
+                fe_columns[chunk_index] = None
             chunk_index += 1
             # Chunk boundary: no later instruction dispatches before the
             # commit of the instruction one ROB size earlier (commits
@@ -624,8 +628,19 @@ class OoOCore:
                         was_memory_miss = True
                         if complete > last_miss_complete:
                             last_miss_complete = complete
-                    if stride_pf is not None:
-                        stride_pf.on_demand_load(pc, addr, mem_start, hierarchy)
+                    code = fe[j]
+                    if code:
+                        # The L1 stride prefetcher is confident in this
+                        # load's stream: prefetch up to ``degree`` lines
+                        # ahead while an MSHR is free at the access's
+                        # start (as StridePrefetcher.on_demand_load).
+                        stride = fe_strides[code]
+                        target = addr
+                        for _ in stride_lines:
+                            target += stride
+                            if target < 0 or not mshr_available(mem_start):
+                                break
+                            prefetch_ready(target, mem_start, "prefetcher")
                     if on_demand_load is not None:
                         on_demand_load(pc, addr, values[j], mem_start)
                     if lq_count < lq_size:
@@ -638,12 +653,11 @@ class OoOCore:
                     complete = issue + 1
                 elif kind == K_BNZ or kind == K_BEZ:
                     complete = issue + 1
-                    taken = takens[j]
-                    predicted = predict(pc)
-                    predictor_update(pc, taken, predicted)
-                    if predicted != taken:
-                        # Redirect: fetch restarts after the branch
-                        # resolves.
+                    predictions += 1
+                    if fe[j]:
+                        # TAGE-lite mispredicted it. Redirect: fetch
+                        # restarts after the branch resolves.
+                        mispredictions += 1
                         redirect = complete + 1
                         if redirect > next_fetch:
                             next_fetch = redirect
@@ -753,6 +767,9 @@ class OoOCore:
                     base = CounterRegistry()
                     publish_live(base)
 
+        if len(fe_columns) == len(chunks) and (stream.halted or len(stream) >= limit):
+            # Every chunk of the whole stream has its column.
+            frontend.seal()
         return self._finalize(prev_commit, publish_live, base, event_trace)
 
     # -- epilogue --------------------------------------------------------------

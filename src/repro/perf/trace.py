@@ -29,7 +29,7 @@ dry mid-consumption.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -56,16 +56,19 @@ class ArchTrace:
     ``length`` counts every instruction appended, also those of chunks
     a consumer has dropped; ``regs`` is the register file after the
     last one (``functional.equivalence`` compares it with a fresh
-    re-execution).
+    re-execution). ``frontends`` holds the stream's front-end columns,
+    one :class:`~repro.frontend.columns.FrontEndColumns` per front-end
+    config, so they live and die with the stream.
     """
 
-    __slots__ = ("chunks", "length", "halted", "regs")
+    __slots__ = ("chunks", "length", "halted", "regs", "frontends")
 
     def __init__(self) -> None:
         self.chunks: List[Tuple[list, list, list, list, list]] = []
         self.length = 0
         self.halted = False
         self.regs: Optional[list] = None
+        self.frontends: Dict[tuple, object] = {}
 
     def __len__(self) -> int:
         return self.length

@@ -34,41 +34,19 @@ class StridePrefetcher:
         self._table: "OrderedDict[int, _StreamEntry]" = OrderedDict()
         self.issued = 0
 
-    def observe(self, pc: int, addr: int) -> bool:
-        """Update the table; True when the stream is confidently striding."""
-        entry = self._table.get(pc)
-        if entry is None:
-            if len(self._table) >= self.streams:
-                self._table.popitem(last=False)
-            self._table[pc] = _StreamEntry(addr)
-            return False
-        self._table.move_to_end(pc)
-        stride = addr - entry.last_addr
-        if stride != 0 and stride == entry.stride:
-            entry.confidence = min(3, entry.confidence + 1)
-        else:
-            entry.stride = stride
-            entry.confidence = 0
-        entry.last_addr = addr
-        return entry.confidence >= self.confidence_threshold and entry.stride != 0
+    def observe(self, pc: int, addr: int) -> int:
+        """Train the table on one load of ``pc`` at ``addr``.
 
-    def stride_of(self, pc: int) -> int:
-        entry = self._table.get(pc)
-        return entry.stride if entry else 0
-
-    def on_demand_load(
-        self, pc: int, addr: int, cycle: int, hierarchy: "MemoryHierarchy"
-    ) -> None:
-        # observe() inlined: this runs once per demand load on the timing
-        # cores' hot path, and the confident-stream case needs the entry
-        # again immediately.
+        Returns the stream's stride once it is confident, else 0: the
+        column the timing kernel reads (``repro.frontend.columns``).
+        """
         table = self._table
         entry = table.get(pc)
         if entry is None:
             if len(table) >= self.streams:
                 table.popitem(last=False)
             table[pc] = _StreamEntry(addr)
-            return
+            return 0
         table.move_to_end(pc)
         stride = addr - entry.last_addr
         if stride != 0 and stride == entry.stride:
@@ -78,12 +56,30 @@ class StridePrefetcher:
             entry.confidence = 0
         entry.last_addr = addr
         if stride == 0 or entry.confidence < self.confidence_threshold:
+            return 0
+        return stride
+
+    def stride_of(self, pc: int) -> int:
+        entry = self._table.get(pc)
+        return entry.stride if entry else 0
+
+    def on_demand_load(
+        self, pc: int, addr: int, cycle: int, hierarchy: "MemoryHierarchy"
+    ) -> None:
+        """Train on one demand load, then prefetch ``degree`` lines of a
+        confident stream while an MSHR is free at ``cycle``.
+
+        The timing kernel issues from the front-end column in the same
+        order, through the same calls; this live form serves the test
+        oracles and unit tests.
+        """
+        stride = self.observe(pc, addr)
+        if not stride:
             return
-        for k in range(1, self.degree + 1):
-            target = addr + stride * k
-            if target < 0:
-                break
-            if not hierarchy.mshr_available(cycle):
+        target = addr
+        for _ in range(self.degree):
+            target += stride
+            if target < 0 or not hierarchy.mshr_available(cycle):
                 break
             # With an MSHR free at ``cycle`` the fused path is exactly
             # access(target, cycle, source="prefetcher", prefetch=True).

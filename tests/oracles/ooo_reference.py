@@ -4,12 +4,16 @@
 unchanged apart from taking the core as an argument: per-PC decoded
 arrays, one ``DynInstr`` per step from its own live
 ``FunctionalCore.step`` (stores write the image at fetch; it shares
-nothing with the product's column stream), dict-keyed functional-unit
-books, and every technique hook at the same point as the product
-kernel — called unconditionally, with the hooks' plain-value
-signatures. The differential suites (``tests/test_ooo_event_kernel.py``,
-``tests/test_oracle_fuzz.py``) pin ``OoOCore.run`` against it: the same
-cycles, instructions, counters and trace digests. Only the
+nothing with the product's column stream), its own live TAGE-lite
+predictor and L1 stride prefetcher built from the core's config and
+called per branch and per load (the product kernel reads both as
+front-end columns), dict-keyed functional-unit books, and every
+technique hook at the same point as the product kernel — called
+unconditionally, with the hooks' plain-value signatures. The
+differential suites (``tests/test_ooo_event_kernel.py``,
+``tests/test_hook_protocol.py``, ``tests/test_oracle_fuzz.py``) pin
+``OoOCore.run`` against it: the same cycles, instructions, counters
+and trace digests. Only the
 ``core.sched.*`` family differs, because this loop publishes none.
 """
 
@@ -21,6 +25,7 @@ from typing import Dict, Optional
 from repro.core.functional import FunctionalCore
 from repro.core.ooo import _MEM_BUCKETS, OoOCore, SimulationResult, publish_core_counters
 from repro.errors import SimulationError
+from repro.frontend.branch_predictor import TageLitePredictor
 from repro.isa.instructions import NUM_REGS
 from repro.isa.predecode import (
     FU_DIV as _FU_DIV,
@@ -40,6 +45,7 @@ from repro.isa.predecode import (
 from repro.memory.hierarchy import LEVEL_DRAM, LEVEL_MSHR
 from repro.observability.counters import CounterRegistry
 from repro.observability.trace import EV_COMPLETE, EV_FETCH, EV_ISSUE, EV_RETIRE
+from repro.prefetch.stride import StridePrefetcher
 
 
 def run_reference(
@@ -100,8 +106,14 @@ def run_reference(
 
     technique = core.technique
     hierarchy = core.hierarchy
-    predictor = core.predictor
-    stride_pf = core.l1_stride_prefetcher
+    config = core.config
+    predictor = TageLitePredictor(config.branch)
+    stride_pf = None
+    if config.stride_prefetcher_enabled:
+        stride_pf = StridePrefetcher(
+            streams=config.stride_prefetcher_streams,
+            degree=config.stride_prefetcher_degree,
+        )
 
     # Pre-decoded per-PC arrays and hoisted bound methods: the loop
     # below runs once per dynamic instruction, so every attribute

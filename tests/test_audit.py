@@ -28,7 +28,7 @@ from repro.core import FunctionalCore, OoOCore
 from repro.experiments import RunSpec, run_batch, run_simulation
 from repro.experiments.batch import BatchFailure
 from repro.experiments.cache import BATCH_COUNTERS, ResultCache, use_cache
-from repro.isa.predecode import K_STORE
+from repro.isa.predecode import K_BEZ, K_BNZ, K_STORE
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.perf.trace import arch_trace_key, clear_trace_memo, load_trace
 from repro.techniques import make_technique
@@ -301,6 +301,31 @@ class TestRunnerIntegration:
             clear_trace_memo()
         failed = {c.name for c in excinfo.value.record.checks if not c.passed}
         assert "functional.equivalence" in failed
+
+    def test_tampered_memoised_mispredict_fails_equivalence(self):
+        """One mispredict flag flipped in a memoised stream's front-end
+        column is caught."""
+        clear_trace_memo()
+        spec = RunSpec("nas_is", technique="ooo", max_instructions=3000)
+        try:
+            run_simulation(spec)  # fills the stream and its front-end column
+            stream = load_trace(arch_trace_key(spec))
+            kinds = build_workload("nas_is").program.decoded().kinds
+            (frontend,) = stream.frontends.values()
+            codes, _ = frontend.columns[-1]
+            pcs = stream.chunks[-1][0]
+            branch = next(j for j, pc in enumerate(pcs) if kinds[pc] in (K_BNZ, K_BEZ))
+            codes[branch] ^= 1
+            with pytest.raises(AuditError) as excinfo:
+                run_simulation(spec, audit=True)
+        finally:
+            clear_trace_memo()
+        failed = {
+            c.name: c.violations for c in excinfo.value.record.checks if not c.passed
+        }
+        assert list(failed) == ["functional.equivalence"]
+        (violation,) = failed["functional.equivalence"]
+        assert violation.startswith("core.branch.mispredictions ")
 
     def test_batch_audit_bypasses_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
