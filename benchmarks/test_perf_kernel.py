@@ -15,13 +15,12 @@ import pytest
 
 from repro.perf.bench import KERNELS, render_table, run_bench, write_payload
 
-#: The paths named by the perf harness: functional step (reference and
-#: pre-decoded), the functional stage, the OoO timing kernel, the hierarchy
+#: The paths named by the perf harness: the reference interpreter, the
+#: pre-decoded functional stage, the OoO timing kernel, the hierarchy
 #: access path, the VR vector engine, and the sweep fabric's per-spec
 #: dispatch + cache-lookup overhead.
 _MEASURED = (
     "functional_reference",
-    "functional_step",
     "stream_fill",
     "ooo_event_loop",
     "hierarchy",
@@ -47,7 +46,7 @@ def test_kernel_throughput(benchmark, name):
 
 
 def test_bench_payload(benchmark):
-    """One full harness run; writes BENCH_core.json and gates the 2x win."""
+    """One full harness run; writes BENCH_core.json and gates the floors."""
     payload = benchmark.pedantic(
         lambda: run_bench(scale=0.5, repeats=2), rounds=1, iterations=1
     )
@@ -55,10 +54,11 @@ def test_bench_payload(benchmark):
     table = render_table(payload)
     print("\n" + table)
     benchmark.extra_info["table"] = table
-    # The tentpole claim: the pre-decoded fast path beats the reference
-    # interpreter by >=2x (asserted with headroom for noisy CI hosts).
-    rel = payload["kernels"]["functional_step"]["rel"]
-    assert rel >= 1.5, f"pre-decoded step only {rel:.2f}x the reference"
+    # The pre-decoded claim: the functional stage every fresh run
+    # executes beats the reference interpreter by >=2x (asserted with
+    # headroom for noisy CI hosts).
+    rel = payload["kernels"]["stream_fill"]["rel"]
+    assert rel >= 1.5, f"pre-decoded stream_fill only {rel:.2f}x the reference"
     kernels = payload["kernels"]
     # No-regression floor against the pinned v0 ooo_loop rel: the
     # successor kernel must at least match the loop it replaced.

@@ -396,11 +396,12 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_p = sub.add_parser(
         "bench",
         help="measure simulator throughput (instructions simulated per second)",
-        description="Times the simulator's hot kernels — functional step"
-        " (reference vs pre-decoded), the bulk loop, the functional stage, the"
-        " OoO timing loop, the memory hierarchy, and the VR vector engine —"
-        " and reports work-units per second plus throughput relative to the"
-        " reference interpreter. See docs/performance.md.",
+        description="Times the simulator's hot kernels — the reference"
+        " interpreter, the pre-decoded functional stage, the OoO timing loop,"
+        " the memory hierarchy with and without translation, the VR vector"
+        " engine and batch dispatch — and reports work-units per second plus"
+        " throughput relative to reference-interpreter repeats run beside"
+        " each kernel's own. See docs/performance.md.",
     )
     bench_p.add_argument(
         "--kernels", default=None, metavar="A,B,...",

@@ -109,6 +109,18 @@ class MemoryConfig:
     # hierarchy stays bit-identical to the pre-TLB goldens.
     tlb: TLBConfig = field(default_factory=TLBConfig)
 
+    def __post_init__(self) -> None:
+        # The hierarchy numbers lines with ``line_bytes`` while each
+        # cache sizes its sets with its own: they must agree, or a level
+        # silently holds more (or fewer) bytes than it is configured to.
+        for label in ("l1d", "l2", "l3"):
+            level = getattr(self, label)
+            if level.line_bytes != self.line_bytes:
+                raise ConfigError(
+                    f"memory.{label}.line_bytes ({level.line_bytes}) must equal "
+                    f"memory.line_bytes ({self.line_bytes})"
+                )
+
     @staticmethod
     def paper() -> "MemoryConfig":
         return MemoryConfig(
@@ -196,7 +208,6 @@ class BranchPredictorConfig:
     tag_bits: int = 8
     min_history: int = 8
     max_history: int = 64
-    mispredict_penalty_extra: int = 0  # on top of frontend refill
 
 
 @dataclass(frozen=True)
@@ -252,9 +263,14 @@ class RunaheadConfig:
 #: when unchanged (spec-key stability across the TLB axis's addition).
 _TLB_DEFAULT_DICT = asdict(TLBConfig())
 _TLB_POLICY_DEFAULT = RunaheadConfig.tlb_policy
-#: The retired ``runahead.vector_engine`` field, pinned in the wire
-#: format at its one product value (docs/spec.md rule 7).
-_LEGACY_VECTOR_ENGINE = "slice"
+#: Retired fields, pinned in the wire format at their one product value
+#: (docs/spec.md rule 7): ``(section, field, value, the field it
+#: follows)``. :meth:`SimConfig.to_dict` writes each in its old slot and
+#: :meth:`SimConfig.from_dict` accepts and drops exactly that value.
+_RETIRED_FIELDS = (
+    ("runahead", "vector_engine", "slice", "subthread_issue_width"),
+    ("branch", "mispredict_penalty_extra", 0, "max_history"),
+)
 
 
 @dataclass(frozen=True)
@@ -300,20 +316,22 @@ class SimConfig:
         Fields added after ``repro.spec/1`` shipped (the TLB axis) are
         omitted while at their defaults: a run that never mentions the
         TLB keeps the key it had before the axis existed. The retired
-        ``runahead.vector_engine`` field is still written, as
-        ``"slice"`` in its old position, so keys that embed it survive
-        its removal. :meth:`from_dict` undoes both, so the round trip is
-        exact either way.
+        fields (``runahead.vector_engine`` and
+        ``branch.mispredict_penalty_extra``) are still written, each at
+        its one product value in its old position, so keys that embed
+        them survive their removal. :meth:`from_dict` undoes both, so the
+        round trip is exact either way.
         """
         data = asdict(self)
         if data["memory"]["tlb"] == _TLB_DEFAULT_DICT:
             del data["memory"]["tlb"]
         if data["runahead"]["tlb_policy"] == _TLB_POLICY_DEFAULT:
             del data["runahead"]["tlb_policy"]
-        runahead = list(data["runahead"].items())
-        at = [name for name, _ in runahead].index("subthread_issue_width") + 1
-        runahead.insert(at, ("vector_engine", _LEGACY_VECTOR_ENGINE))
-        data["runahead"] = dict(runahead)
+        for section, name, value, after in _RETIRED_FIELDS:
+            items = list(data[section].items())
+            at = [key for key, _ in items].index(after) + 1
+            items.insert(at, (name, value))
+            data[section] = dict(items)
         return data
 
     @staticmethod
@@ -323,21 +341,21 @@ class SimConfig:
         Strict: an unknown key anywhere in the tree raises
         :class:`ConfigError` (a typo in a spec file must not silently
         fall back to a default), and every dataclass ``__post_init__``
-        validation re-runs on the reconstructed values. The legacy
-        ``runahead.vector_engine`` key is accepted and dropped only with
-        the value :meth:`to_dict` writes; any other value raises.
+        validation re-runs on the reconstructed values. A retired key is
+        accepted and dropped only with the value :meth:`to_dict` writes
+        (equal and of the same type); any other value raises.
         """
-        runahead = data.get("runahead") if isinstance(data, Mapping) else None
-        if isinstance(runahead, Mapping) and "vector_engine" in runahead:
-            engine = runahead["vector_engine"]
-            if engine != _LEGACY_VECTOR_ENGINE:
+        for section, name, value, _ in _RETIRED_FIELDS:
+            node = data.get(section) if isinstance(data, Mapping) else None
+            if not isinstance(node, Mapping) or name not in node:
+                continue
+            got = node[name]
+            if type(got) is not type(value) or got != value:
                 raise ConfigError(
-                    f"config.runahead.vector_engine: the field is retired and "
-                    f"only its legacy value {_LEGACY_VECTOR_ENGINE!r} is "
-                    f"accepted, got {engine!r}"
+                    f"config.{section}.{name}: the field is retired and only "
+                    f"its legacy value {value!r} is accepted, got {got!r}"
                 )
-            runahead = {k: v for k, v in runahead.items() if k != "vector_engine"}
-            data = {**data, "runahead": runahead}
+            data = {**data, section: {k: v for k, v in node.items() if k != name}}
         return _dataclass_from_dict(SimConfig, data, "config")
 
 

@@ -1,8 +1,9 @@
-"""Dynamic (executed) instruction records: ``FunctionalCore.step``'s output.
+"""Executed-instruction records: ``FunctionalCore.step_reference``'s output.
 
 The timing kernel reads the architectural stream as columns
-(``repro.perf.trace``); these records serve the step-by-step
-interpreters, the test oracles and the bench harness.
+(``repro.perf.trace``); these records serve the reference interpreter
+and its users: the audit's ``functional.equivalence`` re-execution,
+the test oracles and the bench harness's reference kernel.
 """
 
 from __future__ import annotations

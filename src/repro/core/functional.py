@@ -8,20 +8,21 @@ store to the shared memory image at that instruction's turn, so
 speculative interpreters (runahead engines) observe memory as of the
 fetch point — see DESIGN.md for why this is faithful.
 
-Three entry points share the pre-decoded program
-(:mod:`repro.isa.predecode`: one list index selects a per-PC
-specialized closure, so there is no per-step opcode dispatch and no
-``Instruction`` attribute chasing) and one reference:
+One loop runs the pre-decoded program (:mod:`repro.isa.predecode`: one
+list index selects a per-PC specialized closure, so there is no
+per-step opcode dispatch and no ``Instruction`` attribute chasing),
+beside one reference:
 
 * :meth:`FunctionalCore.fill` — the stage the timing kernel reads;
-* :meth:`FunctionalCore.step` — one :class:`DynInstr` per call, for
-  the test oracles and the ``repro bench`` harness;
-* :meth:`FunctionalCore.run_to_completion` — functional-only runs;
+  :meth:`FunctionalCore.run_to_completion` runs a program functionally
+  over it, applying each chunk's stores in order;
 * :meth:`FunctionalCore.step_reference` — the original interpreter,
-  kept verbatim as the executable specification. The differential
-  property suite (``tests/test_predecode_replay.py``) asserts the
-  others produce its stream over random programs, and the
-  ``repro bench`` harness measures the fast paths against it.
+  kept verbatim as the executable specification, one
+  :class:`DynInstr` per call. The differential suite
+  (``tests/test_stream_stage.py``) asserts ``fill`` produces its stream
+  over random programs, the audit's ``functional.equivalence``
+  re-executes runs with it, the test oracles step with it, and the
+  ``repro bench`` harness measures ``fill`` against it.
 """
 
 from __future__ import annotations
@@ -53,53 +54,21 @@ class _UndoImage:
 class FunctionalCore:
     """Sequential interpreter with architectural register state."""
 
-    def __init__(
-        self,
-        program: Program,
-        memory: MemoryImage,
-        entry: int = 0,
-        initial_regs: Optional[List] = None,
-    ) -> None:
+    def __init__(self, program: Program, memory: MemoryImage) -> None:
         self.program = program
         self.memory = memory
-        self.pc = entry
-        self.regs: List = list(initial_regs) if initial_regs else [0] * NUM_REGS
-        if len(self.regs) != NUM_REGS:
-            raise SimulationError("initial register file has wrong size")
+        self.pc = 0
+        self.regs: List = [0] * NUM_REGS
         self.halted = False
         self.executed = 0
-        # Pre-decoded fast path: hoisted once, shared across every core
-        # that runs this program (decode is cached on the Program).
-        decoded = program.decoded() if isinstance(program, Program) else None
-        if decoded is None:
-            from ..isa.predecode import decode_program
-
-            decoded = decode_program(program)
+        # Pre-decoded handlers: decoded once and cached on the Program,
+        # so every core that runs it shares them.
+        decoded = program.decoded()
         self._handlers = decoded.handlers
-        self._instrs = decoded.instrs
         self._kinds = decoded.kinds
         self._plen = len(decoded.instrs)
         self._undo: list = []
         self._undo_image = _UndoImage(memory, self._undo)
-
-    def step(self) -> Optional[DynInstr]:
-        """Execute one instruction; None once the program has halted."""
-        if self.halted:
-            return None
-        pc = self.pc
-        if 0 <= pc < self._plen:
-            value, addr, taken, next_pc = self._handlers[pc](self.regs, self.memory)
-        else:
-            raise SimulationError(f"PC out of range: {pc}")
-        seq = self.executed
-        self.executed = seq + 1
-        if next_pc is None:
-            self.halted = True
-            return DynInstr(seq, pc, self._instrs[pc], next_pc=pc)
-        self.pc = next_pc
-        if self._kinds[pc] == K_STORE:
-            value = None  # the handler's value is the stored word
-        return DynInstr(seq, pc, self._instrs[pc], value, addr, taken, next_pc)
 
     def fill(self, trace: ArchTrace, upto: int) -> None:
         """Append the stream's next chunk to ``trace``'s columns.
@@ -107,9 +76,9 @@ class FunctionalCore:
         Executes at most :data:`~repro.perf.trace.CHUNK` instructions,
         and never past ``upto`` instructions in all; HALT ends the
         stream (its ``next_pcs`` entry is its own pc, as
-        :meth:`step` reports it). Each store writes the shared image as
-        it executes, so later loads of the chunk read it, and logs the
-        word it overwrote; the log is rolled back before ``fill``
+        :meth:`step_reference` reports it). Each store writes the shared
+        image as it executes, so later loads of the chunk read it, and
+        logs the word it overwrote; the log is rolled back before ``fill``
         returns, also when a handler raises, so the image is left as
         the fill found it. The consumer applies each store (its word is
         in ``values``) at that instruction's turn, and must have applied
@@ -166,8 +135,11 @@ class FunctionalCore:
     def step_reference(self) -> Optional[DynInstr]:
         """The original (un-predecoded) interpreter, kept as the spec.
 
-        Bit-identical to :meth:`step`; used by the differential tests
-        and as the baseline of the ``repro bench`` functional kernel.
+        One :class:`DynInstr` per call, None once the program has
+        halted; a store writes the image as it executes. :meth:`fill`
+        produces the same stream; the differential tests, the audit's
+        re-execution and the test oracles step with this, and it is the
+        baseline of every ``repro bench`` kernel.
         """
         if self.halted:
             return None
@@ -223,33 +195,23 @@ class FunctionalCore:
     def run_to_completion(self, max_instructions: int = 10_000_000) -> int:
         """Run functionally only (no timing); returns instruction count.
 
-        This path needs no :class:`DynInstr` records at all, so it runs
-        the handlers directly with everything hoisted into locals —
-        the alloc-free bulk loop of the pre-decoded kernel.
+        Fills the stream a chunk at a time and applies each chunk's
+        stores in order, as the timing kernel does, keeping no chunk.
+        A handler that raises (unmapped store, type error from garbage
+        register values) rolls its chunk's stores back with the fill,
+        so the image is left as of the last whole chunk.
         """
-        handlers = self._handlers
-        regs = self.regs
-        memory = self.memory
-        plen = self._plen
-        pc = self.pc
-        executed = self.executed
-        try:
-            while not self.halted:
-                if executed >= max_instructions:
-                    raise SimulationError(
-                        f"program did not halt within {max_instructions} instructions"
-                    )
-                if not 0 <= pc < plen:
-                    raise SimulationError(f"PC out of range: {pc}")
-                next_pc = handlers[pc](regs, memory)[3]
-                executed += 1
-                if next_pc is None:
-                    self.halted = True
-                    break
-                pc = next_pc
-        finally:
-            # Keep observable state consistent even if a handler raised
-            # (unmapped store, type error from garbage register values).
-            self.pc = pc
-            self.executed = executed
-        return executed
+        stream = ArchTrace()
+        kinds = self._kinds
+        write_word = self.memory.write_word
+        while not self.halted:
+            if self.executed >= max_instructions:
+                raise SimulationError(
+                    f"program did not halt within {max_instructions} instructions"
+                )
+            self.fill(stream, len(stream) + max_instructions - self.executed)
+            pcs, values, addrs, _, _ = stream.chunks.pop()
+            for j, pc in enumerate(pcs):
+                if kinds[pc] == K_STORE:
+                    write_word(addrs[j], values[j])
+        return self.executed

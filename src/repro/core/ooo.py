@@ -64,7 +64,6 @@ from ..isa.predecode import (
     K_LOAD,
     K_PREFETCH,
     K_STORE,
-    decode_program,
 )
 from ..isa.program import Program
 from ..memory.hierarchy import (
@@ -284,11 +283,7 @@ class OoOCore:
     ) -> None:
         self.config = config or SimConfig()
         self.program = program
-        self.decoded = (
-            program.decoded()
-            if isinstance(program, Program)
-            else decode_program(program)
-        )
+        self.decoded = program.decoded()
         self.memory_image = memory_image
         self.technique = technique or NullTechnique()
         self.workload_name = workload_name
@@ -633,7 +628,7 @@ class OoOCore:
                         # The L1 stride prefetcher is confident in this
                         # load's stream: prefetch up to ``degree`` lines
                         # ahead while an MSHR is free at the access's
-                        # start (as StridePrefetcher.on_demand_load).
+                        # start.
                         stride = fe_strides[code]
                         target = addr
                         for _ in stride_lines:

@@ -1,9 +1,10 @@
 """Pre-decoded program representation: the simulation fast path.
 
-``FunctionalCore.step`` originally re-decoded every instruction on every
-dynamic execution: an ``Opcode`` enum identity chain (up to eight
-comparisons before even reaching :func:`~repro.isa.semantics.alu_evaluate`,
-itself another ~20-way chain), fresh attribute lookups on the frozen
+The original interpreter (``FunctionalCore.step_reference``, kept as
+the spec) re-decodes every instruction on every dynamic execution: an
+``Opcode`` enum identity chain (up to eight comparisons before even
+reaching :func:`~repro.isa.semantics.alu_evaluate`, itself another
+~20-way chain), fresh attribute lookups on the frozen
 ``Instruction`` dataclass, and a bounds check per step. This module
 lowers a :class:`~repro.isa.program.Program` once into flat parallel
 arrays plus one *specialized closure per PC* — threaded code in the
@@ -19,10 +20,10 @@ Handlers share one calling convention::
 and, for a store, the stored word: the architectural stream's columns
 keep it so a consumer can apply the store later (``DynInstr.value``
 stays None for stores). Handlers have *identical architectural
-semantics* to the reference interpreter (``FunctionalCore.step_reference``);
-the differential property tests in ``tests/test_predecode_replay.py``
-pin this over random programs, and the golden-trace digests pin it over
-the real workloads.
+semantics* to the reference interpreter; the differential property
+tests in ``tests/test_stream_stage.py`` pin this over random programs
+(through ``FunctionalCore.fill``, the one loop that runs them), and the
+golden-trace digests pin it over the real workloads.
 
 The flat arrays (``kinds``, ``fu_classes``, ``op_values``, operand
 indices) are consumed by the timing cores, which previously paid an

@@ -4,9 +4,10 @@ Each kernel times one hot path of the simulator and reports throughput
 in work-units per second (dynamic instructions for the core kernels,
 accesses for the hierarchy, prefetches for the vector engine). The
 interesting metric across machines is ``rel`` — each kernel's
-throughput normalised to the ``functional_reference`` kernel measured
-in the same run — which cancels host speed and is what the CI
-regression gate compares (see ``check_regression``).
+throughput normalised to the ``functional_reference`` kernel, one
+repeat of which runs right before each of the kernel's own repeats —
+which cancels host speed, also when the host slows down mid-run, and
+is what the CI regression gate compares (see ``check_regression``).
 
 Kernels:
 
@@ -14,16 +15,11 @@ Kernels:
     The original un-predecoded interpreter
     (:meth:`~repro.core.functional.FunctionalCore.step_reference`),
     kept as the executable spec. Everything else is relative to this.
-``functional_step``
-    The pre-decoded fast path (:meth:`FunctionalCore.step`): per-PC
-    specialized handlers, one DynInstr per step.
-``functional_bulk``
-    :meth:`FunctionalCore.run_to_completion` — the alloc-free handler
-    loop (no DynInstr records at all).
 ``stream_fill``
-    The functional stage (:meth:`FunctionalCore.fill`) writing the
-    stream's columns chunk by chunk, undo log and rollback included —
-    the front-end cost of a fresh timing run.
+    The functional stage (:meth:`FunctionalCore.fill`), the one loop
+    over the pre-decoded per-PC handlers, writing the stream's columns
+    chunk by chunk, undo log and rollback included — the front-end
+    cost of a fresh timing run.
 ``ooo_event_loop``
     The full OoO timing core on the plain baseline — functional stage +
     event-driven dataflow model + memory hierarchy — via
@@ -51,6 +47,7 @@ documents the schema and the regression policy.
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import sys
@@ -61,7 +58,7 @@ import numpy as np
 
 from ..config import SimConfig
 from ..core.functional import FunctionalCore
-from ..errors import ReproError, SimulationError, check_writable
+from ..errors import ReproError, check_writable
 from ..isa.program import ProgramBuilder
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.memory_image import MemoryImage
@@ -83,26 +80,6 @@ def _functional_reference(n: int) -> Tuple[int, float]:
     for _ in range(n):
         step()
     return n, time.perf_counter() - t0
-
-
-def _functional_step(n: int) -> Tuple[int, float]:
-    wl = build_workload(_BENCH_WORKLOAD)
-    step = FunctionalCore(wl.program, wl.memory).step
-    t0 = time.perf_counter()
-    for _ in range(n):
-        step()
-    return n, time.perf_counter() - t0
-
-
-def _functional_bulk(n: int) -> Tuple[int, float]:
-    wl = build_workload(_BENCH_WORKLOAD)
-    core = FunctionalCore(wl.program, wl.memory)
-    t0 = time.perf_counter()
-    try:
-        core.run_to_completion(n)
-    except SimulationError:
-        pass  # budget reached — exactly n instructions executed
-    return core.executed, time.perf_counter() - t0
 
 
 def _stream_fill(n: int) -> Tuple[int, float]:
@@ -239,8 +216,6 @@ def _batch_dispatch(n: int) -> Tuple[int, float]:
 #: name -> (kernel, default work units, unit label)
 KERNELS: Dict[str, Tuple[Callable[[int], Tuple[int, float]], int, str]] = {
     "functional_reference": (_functional_reference, 40_000, "instr"),
-    "functional_step": (_functional_step, 40_000, "instr"),
-    "functional_bulk": (_functional_bulk, 40_000, "instr"),
     "stream_fill": (_stream_fill, 40_000, "instr"),
     "ooo_event_loop": (_ooo_event_loop, 15_000, "instr"),
     "hierarchy": (_hierarchy, 40_000, "access"),
@@ -248,6 +223,19 @@ KERNELS: Dict[str, Tuple[Callable[[int], Tuple[int, float]], int, str]] = {
     "vector_engine": (_vector_engine, 8_000, "prefetch"),
     "batch_dispatch": (_batch_dispatch, 1_500, "spec"),
 }
+
+
+#: The kernel every ``rel`` divides by.
+REFERENCE = "functional_reference"
+
+
+def _measure(name: str, scale: float) -> Dict:
+    """One timed call of kernel ``name``, after a full collection."""
+    fn, default_work, unit = KERNELS[name]
+    gc.collect()
+    work, seconds = fn(max(1, int(default_work * scale)))
+    ips = work / seconds if seconds > 0 else 0.0
+    return {"unit": unit, "work": work, "seconds": seconds, "ips": ips}
 
 
 def run_bench(
@@ -258,8 +246,11 @@ def run_bench(
     """Run the selected kernels; best-of-``repeats`` per kernel.
 
     Returns the ``repro.bench-core/1`` payload. ``rel`` entries are
-    throughput relative to ``functional_reference`` and only present
-    when that kernel is part of the run.
+    present only when :data:`REFERENCE` is part of the run: then one
+    reference repeat runs right before each repeat of every other
+    kernel, and that kernel's ``rel`` is its best throughput over the
+    best of the reference repeats beside it, so a slow phase of the
+    host that covers a kernel's repeats slows its reference as well.
     """
     names = list(KERNELS) if kernels is None else list(kernels)
     unknown = [name for name in names if name not in KERNELS]
@@ -270,28 +261,22 @@ def run_bench(
         )
     if repeats < 1:
         raise ReproError("bench repeats must be >= 1")
+    paired = REFERENCE in names
     results: Dict[str, Dict] = {}
     for name in names:
-        fn, default_work, unit = KERNELS[name]
-        target = max(1, int(default_work * scale))
-        best_ips = 0.0
-        best: Dict = {}
+        runs: List[Dict] = []
+        references: List[float] = []
         for _ in range(repeats):
-            work, seconds = fn(target)
-            ips = work / seconds if seconds > 0 else 0.0
-            if ips > best_ips:
-                best_ips = ips
-                best = {
-                    "unit": unit,
-                    "work": work,
-                    "seconds": seconds,
-                    "ips": ips,
-                }
+            if paired and name != REFERENCE:
+                references.append(_measure(REFERENCE, scale)["ips"])
+            runs.append(_measure(name, scale))
+        best = max(runs, key=lambda entry: entry["ips"])
+        if paired:
+            # The reference's own rel is 1.0: its repeats are its pairs.
+            reference_ips = max(references, default=best["ips"])
+            if reference_ips > 0:
+                best["rel"] = best["ips"] / reference_ips
         results[name] = best
-    reference = results.get("functional_reference")
-    if reference and reference["ips"] > 0:
-        for entry in results.values():
-            entry["rel"] = entry["ips"] / reference["ips"]
     return {
         "schema": BENCH_SCHEMA,
         "python": platform.python_version(),
@@ -338,7 +323,7 @@ def check_regression(
     compared = 0
     baseline_kernels = baseline.get("kernels", {})
     for name, entry in current.get("kernels", {}).items():
-        if not absolute and name == "functional_reference":
+        if not absolute and name == REFERENCE:
             continue
         base_entry = baseline_kernels.get(name)
         if base_entry is None or metric not in base_entry or metric not in entry:

@@ -73,8 +73,7 @@ class ClassicRunahead(Technique):
         for k in range(budget):
             if start + k // width >= end:
                 break
-            step = interp.step(load_cb)
-            if step is None:
+            if not interp.step(load_cb):
                 break
             issued = k
             self.instructions_executed += 1

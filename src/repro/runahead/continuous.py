@@ -138,13 +138,13 @@ class ContinuousRunahead(Technique):
         while self._engine_budget >= 1.0:
             pc = self._interp.pc
             if pc in self._chain_pcs:
-                step = self._interp.step(load_cb)
+                stepped = self._interp.step(load_cb)
                 self._engine_budget -= 1.0
             else:
                 # Non-chain instructions are skipped by the filtered
                 # engine (they were never handed to it).
-                step = self._interp.step(None)
-            if step is None:
+                stepped = self._interp.step(None)
+            if not stepped:
                 self._interp = None
                 break
             self._executed_since_seed += 1

@@ -377,7 +377,7 @@ class DecoupledVectorRunahead(EngineCounterMixin, Technique):
                     outer_pc = pc
                     outer_addr = interp.regs[base_reg] + instrs[pc].imm
                 break
-            if interp.step(load_cb) is None:
+            if not interp.step(load_cb):
                 break
 
         if outer_pc is None or outer_addr is None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from ..isa.instructions import NUM_REGS, Instruction, Opcode
+from ..isa.instructions import NUM_REGS, Opcode
 from ..isa.program import Program
 from ..isa.semantics import alu_evaluate
 from ..memory.memory_image import MemoryImage
@@ -23,28 +23,6 @@ from ..memory.memory_image import MemoryImage
 # Callback: (pc, addr) -> (value, value_is_valid). The engine decides
 # whether to issue a prefetch and whether data would return in time.
 LoadCallback = Callable[[int, int], Tuple[object, bool]]
-
-
-class SpecStep:
-    """Outcome of one speculatively executed instruction."""
-
-    __slots__ = ("pc", "instr", "addr", "addr_valid", "taken", "value_valid")
-
-    def __init__(
-        self,
-        pc: int,
-        instr: Instruction,
-        addr: Optional[int] = None,
-        addr_valid: bool = False,
-        taken: Optional[bool] = None,
-        value_valid: bool = True,
-    ) -> None:
-        self.pc = pc
-        self.instr = instr
-        self.addr = addr
-        self.addr_valid = addr_valid
-        self.taken = taken
-        self.value_valid = value_valid
 
 
 class SpeculativeInterpreter:
@@ -74,59 +52,46 @@ class SpeculativeInterpreter:
             return None, True
         return self.regs[reg], self.valid[reg]
 
-    def step(self, load_cb: Optional[LoadCallback] = None) -> Optional[SpecStep]:
-        """Execute one instruction; None once halted / out of range."""
+    def step(self, load_cb: Optional[LoadCallback] = None) -> bool:
+        """Execute one instruction; False once halted / out of range.
+
+        Executing HALT returns True and halts the interpreter, so the
+        next call returns False.
+        """
         instrs = self._instrs
         if self.halted or not 0 <= self.pc < len(instrs):
             self.halted = True
-            return None
+            return False
         pc = self.pc
         instr = instrs[pc]
         op = instr.opcode
         self.steps += 1
         next_pc = pc + 1
-        result = SpecStep(pc, instr)
 
         if op is Opcode.HALT:
             self.halted = True
-            self.pc = pc
-            return result
+            return True
         if op is Opcode.LOAD:
             base, base_valid = self._read(instr.rs1)
             if base_valid and isinstance(base, int):
                 addr = base + instr.imm
-                result.addr = addr
-                result.addr_valid = True
                 if load_cb is not None:
                     value, value_valid = load_cb(pc, addr)
                 else:
                     value, value_valid = self.memory.read_word_speculative(addr)
                 self.regs[instr.rd] = value if value_valid else 0
                 self.valid[instr.rd] = value_valid
-                result.value_valid = value_valid
             else:
                 self.regs[instr.rd] = 0
                 self.valid[instr.rd] = False
-                result.value_valid = False
-        elif op is Opcode.STORE:
-            base, base_valid = self._read(instr.rs1)
-            if base_valid and isinstance(base, int):
-                result.addr = base + instr.imm
-                result.addr_valid = True
-            # Transient execution: the store itself is discarded.
-        elif op is Opcode.PREFETCH:
-            base, base_valid = self._read(instr.rs1)
-            if base_valid and isinstance(base, int):
-                result.addr = base + instr.imm
-                result.addr_valid = True
+        elif op is Opcode.STORE or op is Opcode.PREFETCH:
+            pass  # transient execution: the store itself is discarded
         elif op in (Opcode.BNZ, Opcode.BEZ):
             cond, cond_valid = self._read(instr.rs1)
             if cond_valid:
                 taken = (cond != 0) if op is Opcode.BNZ else (cond == 0)
             else:
                 taken = False  # INV condition: fall through
-            result.taken = taken
-            result.value_valid = cond_valid
             if taken:
                 next_pc = instr.target
         elif op is Opcode.JMP:
@@ -146,7 +111,6 @@ class SpeculativeInterpreter:
                 value = 0
             self.regs[instr.rd] = value
             self.valid[instr.rd] = valid
-            result.value_valid = valid
 
         self.pc = next_pc
-        return result
+        return True

@@ -80,8 +80,7 @@ class PreciseRunahead(Technique):
             if charged >= budget or start + charged // width >= end:
                 break
             pc = interp.pc
-            step = interp.step(load_cb)
-            if step is None:
+            if not interp.step(load_cb):
                 break
             if pc in slice_pcs:
                 charged += 1

@@ -122,7 +122,7 @@ class VectorRunahead(EngineCounterMixin, Technique):
                 if isinstance(base, int) and interp.valid[instrs[pc].rs1]:
                     stride_addr = base + instrs[pc].imm
                 break
-            if interp.step(load_cb) is None:
+            if not interp.step(load_cb):
                 break
         if stride_pc is None or stride_addr is None:
             self.emit_event(start, EV_RUNAHEAD_EXIT)

@@ -4,8 +4,9 @@
 its queue constraints are analytical approximations. This is the slow,
 literal counterpart: an explicit cycle loop with a fetch pipe, a ROB of
 entry objects, an issue queue with operand wakeup and per-class select,
-an LSQ, and in-order commit, driving the *same* functional front-end,
-branch predictor, and timed memory hierarchy.
+an LSQ, and in-order commit, driving the reference functional
+interpreter (``FunctionalCore.step_reference``) and the *same* branch
+predictor, stride table and timed memory hierarchy.
 
 No product path runs it. ``tests/test_cross_validation.py`` uses it to
 check that the two models agree on architectural results exactly and on
@@ -34,7 +35,6 @@ from repro.isa.predecode import (
     K_LOAD,
     K_PREFETCH,
     K_STORE,
-    decode_program,
 )
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
@@ -43,6 +43,8 @@ from repro.observability.counters import CounterRegistry
 from repro.observability.probes import Observability
 from repro.observability.trace import EV_COMPLETE, EV_FETCH, EV_ISSUE, EV_RETIRE
 from repro.prefetch.stride import StridePrefetcher
+
+from . import issue_stride_prefetches
 
 _WAITING = 0
 _READY = 1
@@ -88,8 +90,7 @@ class CycleCore:
         self.l1_stride_prefetcher: Optional[StridePrefetcher] = None
         if self.config.stride_prefetcher_enabled:
             self.l1_stride_prefetcher = StridePrefetcher(
-                streams=self.config.stride_prefetcher_streams,
-                degree=self.config.stride_prefetcher_degree,
+                streams=self.config.stride_prefetcher_streams
             )
         self._ran = False
 
@@ -127,15 +128,11 @@ class CycleCore:
 
         # Pre-decoded arrays and bound methods, hoisted out of the cycle
         # loop (every site below runs once per cycle or per instruction).
-        decoded = (
-            self.program.decoded()
-            if isinstance(self.program, Program)
-            else decode_program(self.program)
-        )
+        decoded = self.program.decoded()
         kinds = decoded.kinds
         fu_classes = decoded.fu_classes
         op_values = decoded.op_values
-        functional_step = self.functional.step
+        functional_step = self.functional.step_reference
         hierarchy = self.hierarchy
         hierarchy_access = hierarchy.access
         load_needs_mshr = hierarchy.load_needs_mshr
@@ -144,6 +141,7 @@ class CycleCore:
         predict = self.predictor.predict
         predictor_update = self.predictor.update
         stride_pf = self.l1_stride_prefetcher
+        stride_degree = self.config.stride_prefetcher_degree
 
         rob: Deque[_Entry] = deque()
         iq_occupancy = 0
@@ -213,7 +211,9 @@ class CycleCore:
                     result = hierarchy_access(addr, cycle, source="main")
                     entry.complete_cycle = result.ready
                     if stride_pf is not None:
-                        stride_pf.on_demand_load(epc, addr, cycle, hierarchy)
+                        issue_stride_prefetches(
+                            stride_pf, epc, addr, cycle, hierarchy, stride_degree
+                        )
                 elif ekind == K_STORE:
                     hierarchy_access(entry.dyn.addr, cycle, source="main", write=True)
                     entry.complete_cycle = cycle + 1

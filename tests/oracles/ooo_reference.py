@@ -2,12 +2,12 @@
 
 :func:`run_reference` is the loop ``OoOCore.run`` was restructured from,
 unchanged apart from taking the core as an argument: per-PC decoded
-arrays, one ``DynInstr`` per step from its own live
-``FunctionalCore.step`` (stores write the image at fetch; it shares
-nothing with the product's column stream), its own live TAGE-lite
-predictor and L1 stride prefetcher built from the core's config and
-called per branch and per load (the product kernel reads both as
-front-end columns), dict-keyed functional-unit books, and every
+arrays, one ``DynInstr`` per step from its own
+``FunctionalCore.step_reference`` (stores write the image at fetch; it
+shares nothing with the product's column stream), its own live
+TAGE-lite predictor and L1 stride prefetcher built from the core's
+config and called per branch and per load (the product kernel reads
+both as front-end columns), dict-keyed functional-unit books, and every
 technique hook at the same point as the product kernel — called
 unconditionally, with the hooks' plain-value signatures. The
 differential suites (``tests/test_ooo_event_kernel.py``,
@@ -46,6 +46,8 @@ from repro.memory.hierarchy import LEVEL_DRAM, LEVEL_MSHR
 from repro.observability.counters import CounterRegistry
 from repro.observability.trace import EV_COMPLETE, EV_FETCH, EV_ISSUE, EV_RETIRE
 from repro.prefetch.stride import StridePrefetcher
+
+from . import issue_stride_prefetches
 
 
 def run_reference(
@@ -110,10 +112,8 @@ def run_reference(
     predictor = TageLitePredictor(config.branch)
     stride_pf = None
     if config.stride_prefetcher_enabled:
-        stride_pf = StridePrefetcher(
-            streams=config.stride_prefetcher_streams,
-            degree=config.stride_prefetcher_degree,
-        )
+        stride_pf = StridePrefetcher(streams=config.stride_prefetcher_streams)
+    stride_degree = config.stride_prefetcher_degree
 
     # Pre-decoded per-PC arrays and hoisted bound methods: the loop
     # below runs once per dynamic instruction, so every attribute
@@ -126,7 +126,7 @@ def run_reference(
     rd_of = decoded.rd
     rs1_of = decoded.rs1
     rs2_of = decoded.rs2
-    functional_step = FunctionalCore(core.program, core.memory_image).step
+    functional_step = FunctionalCore(core.program, core.memory_image).step_reference
     mshr_available = hierarchy.mshr_available
     load_needs_mshr = hierarchy.load_needs_mshr
     hierarchy_access = hierarchy.access
@@ -276,7 +276,9 @@ def run_reference(
             if was_memory_miss and complete > last_miss_complete:
                 last_miss_complete = complete
             if stride_pf is not None:
-                stride_pf.on_demand_load(pc, addr, mem_start, hierarchy)
+                issue_stride_prefetches(
+                    stride_pf, pc, addr, mem_start, hierarchy, stride_degree
+                )
             technique.on_demand_load(pc, addr, dyn.value, mem_start)
             heapq.heappush(lq_heap, complete)
             if len(lq_heap) > lq_size:

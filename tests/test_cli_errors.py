@@ -227,6 +227,41 @@ class TestExperimentFailureSurfaces:
         assert reason in captured.err
         assert "Traceback" not in captured.err
 
+    def test_cache_line_size_mismatch_fails_before_any_simulation(self, capsys):
+        reset_batch_counters()
+        argv = ["sweep", "--workload", "camel", "--technique", "ooo",
+                "--param", "memory.line_bytes", "--values", "128",
+                "--instructions", "800"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "error: memory.l1d.line_bytes (64) must equal memory.line_bytes (128)"
+        )
+        assert BATCH_COUNTERS.get("batch.sim.runs", 0) == 0
+
+    def test_retired_branch_override_in_a_spec_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.core.ooo import OoOCore
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "schema": "repro.spec/1", "workload": "bfs", "max_instructions": 3000,
+            "overrides": {"branch.mispredict_penalty_extra": 50},
+        }))
+        runs = []
+        monkeypatch.setattr(OoOCore, "run", lambda self, *a, **k: runs.append(self))
+        assert main(["run", "--spec", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert "branch.mispredict_penalty_extra" in captured.err
+        assert "Traceback" not in captured.err
+        assert runs == []
+
     @pytest.mark.parametrize("tail", [["--dump-spec"], ["--instructions", "500"]],
                              ids=["dump-spec", "run"])
     def test_unknown_technique_fails_before_any_simulation(self, tail, capsys):

@@ -1,5 +1,7 @@
 """Configuration object tests."""
 
+import json
+
 import pytest
 
 from repro.config import (
@@ -11,6 +13,9 @@ from repro.config import (
     SimConfig,
 )
 from repro.errors import ConfigError
+from repro.experiments.batch import run_batch
+from repro.experiments.cache import BATCH_COUNTERS, reset_batch_counters
+from repro.experiments.spec import RunSpec, apply_override
 
 
 class TestCacheConfig:
@@ -75,6 +80,22 @@ class TestMemoryConfig:
     def test_scaled_keeps_l1(self):
         assert MemoryConfig.scaled().l1d.size_bytes == 32 * 1024
 
+    def test_cache_line_size_must_match_the_hierarchy(self):
+        # The hierarchy numbers lines with memory.line_bytes, each cache
+        # sizes its sets with its own: a mismatch would silently double
+        # (or halve) every level's capacity.
+        with pytest.raises(
+            ConfigError,
+            match=r"memory\.l1d\.line_bytes \(64\) must equal memory\.line_bytes \(128\)",
+        ):
+            apply_override(SimConfig(), "memory.line_bytes", 128)
+        with pytest.raises(ConfigError, match=r"memory\.l3\.line_bytes \(128\)"):
+            apply_override(SimConfig(), "memory.l3.line_bytes", 128)
+        wide = [CacheConfig(size, 8, latency=4, line_bytes=128)
+                for size in (32 * 1024, 128 * 1024, 512 * 1024)]
+        cfg = MemoryConfig(*wide, line_bytes=128)
+        assert cfg.l1d.num_sets == 32  # 32 KiB: 8-way sets of 128 B lines
+
 
 class TestSimConfig:
     def test_defaults(self):
@@ -101,3 +122,41 @@ class TestSimConfig:
         cfg = BranchPredictorConfig()
         assert cfg.num_tagged_tables == 4
         assert cfg.min_history < cfg.max_history
+
+
+class TestRetiredBranchField:
+    """``branch.mispredict_penalty_extra`` is retired like
+    ``runahead.vector_engine`` (docs/spec.md rule 7)."""
+
+    FIELD = "mispredict_penalty_extra"
+
+    def test_stays_in_the_wire_format_as_branch_last_entry(self):
+        branch = SimConfig().to_dict()["branch"]
+        assert list(branch)[-1] == self.FIELD and branch[self.FIELD] == 0
+        assert list(branch)[:-1] == [
+            "bimodal_bits", "num_tagged_tables", "tagged_entries_bits",
+            "tag_bits", "min_history", "max_history",
+        ]
+        legacy = json.loads(json.dumps(SimConfig(max_instructions=900).to_dict()))
+        assert SimConfig.from_dict(legacy).to_dict() == legacy
+
+    @pytest.mark.parametrize("value", [50, 1, -1, "0", 0.0, False, None])
+    def test_other_values_are_rejected(self, value):
+        doc = SimConfig().to_dict()
+        doc["branch"][self.FIELD] = value
+        with pytest.raises(ConfigError, match="retired"):
+            SimConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("value", [0, 50])
+    def test_every_override_is_rejected(self, value):
+        with pytest.raises(ConfigError, match=f"branch.{self.FIELD}"):
+            apply_override(SimConfig(), f"branch.{self.FIELD}", value)
+
+    def test_a_strict_batch_fails_before_simulating(self):
+        reset_batch_counters()
+        spec = RunSpec("bfs", max_instructions=3000,
+                       overrides=((f"branch.{self.FIELD}", 50),))
+        with pytest.raises(ConfigError, match=f"branch.{self.FIELD}"):
+            run_batch([spec], strict=True)
+        assert BATCH_COUNTERS.get("batch.sim.runs", 0) == 0
+        assert BATCH_COUNTERS.get("batch.batches", 0) == 0

@@ -210,6 +210,6 @@ class TestClassicRunaheadINV:
         interp = SpeculativeInterpreter(
             b.build(), mem, 0, [0] * 32, invalid_regs=[4]
         )
-        while interp.step(cb) is not None:
+        while interp.step(cb):
             pass
         assert calls == []  # neither load had a valid address

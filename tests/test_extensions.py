@@ -146,7 +146,7 @@ class TestContinuousRunahead:
         program_ref, mem_ref = build_indirect_kernel(n=1024, levels=2, seed=5)
         ref = FunctionalCore(program_ref, mem_ref)
         for _ in range(3000):
-            if ref.step() is None:
+            if ref.step_reference() is None:
                 break
         OoOCore(
             program,

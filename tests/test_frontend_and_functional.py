@@ -90,8 +90,8 @@ class TestFunctionalCore:
         b.li("r1", seg.base)
         b.load("r2", "r1")
         core = FunctionalCore(b.build(), mem)
-        core.step()
-        dyn = core.step()
+        core.step_reference()
+        dyn = core.step_reference()
         assert dyn.addr == seg.base
         assert dyn.value == 42
         assert dyn.instr.opcode is Opcode.LOAD
@@ -106,11 +106,11 @@ class TestFunctionalCore:
         mem = MemoryImage()
         mem.allocate("pad", 1)
         core = FunctionalCore(b.build(), mem)
-        core.step()
-        dyn = core.step()
+        core.step_reference()
+        dyn = core.step_reference()
         assert dyn.taken is True
         assert dyn.next_pc == 3
-        assert core.step().instr.opcode is Opcode.HALT
+        assert core.step_reference().instr.opcode is Opcode.HALT
 
     def test_branch_not_taken(self):
         b = ProgramBuilder()
@@ -122,15 +122,37 @@ class TestFunctionalCore:
         mem = MemoryImage()
         mem.allocate("pad", 1)
         core = FunctionalCore(b.build(), mem)
-        core.step()
-        dyn = core.step()
+        core.step_reference()
+        dyn = core.step_reference()
         assert dyn.taken is False and dyn.next_pc == 2
 
     def test_halt_returns_none_afterwards(self):
         program, mem = build_counted_loop(1)
         core = FunctionalCore(program, mem)
         core.run_to_completion()
-        assert core.step() is None
+        assert core.step_reference() is None
+
+    def test_fault_leaves_the_image_as_of_the_last_whole_chunk(self, monkeypatch):
+        """run_to_completion applies each whole chunk's stores; a fault
+        rolls back the faulting chunk's, as the fill does."""
+        import repro.core.functional as functional
+        from repro.errors import MemoryError_
+
+        mem = MemoryImage()
+        seg = mem.allocate("a", [0, 0])
+        b = ProgramBuilder()
+        b.li("r1", seg.base)         # chunk 1
+        b.li("r2", 7)
+        b.store("r2", "r1")          # chunk 2: applied
+        b.li("r3", 1 << 20)
+        b.store("r2", "r1", 8)       # chunk 3: rolled back
+        b.load("r4", "r3")           # unmapped: faults here
+        core = FunctionalCore(b.build(), mem)
+        monkeypatch.setattr(functional, "CHUNK", 2)
+        with pytest.raises(MemoryError_):
+            core.run_to_completion()
+        assert list(mem.segment("a").data) == [7, 0]
+        assert (core.pc, core.executed, core.halted) == (5, 5, False)
 
     def test_non_halting_program_detected(self):
         b = ProgramBuilder()

@@ -5,7 +5,7 @@ the four per-instruction hooks to call (``repro.prefetch.base.
 kernel_hooks``): a class that keeps the base no-op is never called. A
 technique that overrides a hook sees, at every call site, exactly the
 values the reference loop (``tests/oracles/ooo_reference.py``, driven by
-its own ``FunctionalCore.step`` stream) hands it.
+its own ``FunctionalCore.step_reference`` stream) hands it.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def test_recorded_hook_values_match_the_oracle(workload):
 
     # on_commit carries the architectural stream's DynInstr fields.
     wl = build_workload(workload)
-    step = FunctionalCore(wl.program, wl.memory).step
+    step = FunctionalCore(wl.program, wl.memory).step_reference
     kinds = wl.program.decoded().kinds
     stores = 0
     for pc, value, addr, next_pc, _cycle, _complete in calls["on_commit"]:

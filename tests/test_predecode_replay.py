@@ -1,13 +1,12 @@
-"""Differential tests for the pre-decoded kernel and trace replay.
+"""Random programs for the pre-decoded kernel, and trace replay.
 
-The fast path (:meth:`FunctionalCore.step`, per-PC specialized
-closures) must be bit-identical to the original interpreter
-(:meth:`FunctionalCore.step_reference`, kept verbatim as the spec) —
-hypothesis drives both over randomly generated programs mixing ALU
-ops, loads, stores, prefetches, and a conditional loop, comparing the
-full ``DynInstr`` stream and every piece of architectural state. The
-functional stage (:meth:`FunctionalCore.fill`) is pinned against the
-same programs in ``tests/test_stream_stage.py``.
+The random-program strategy here (ALU ops, loads, stores, prefetches
+and a conditional loop) drives the differential suites: the functional
+stage (:meth:`FunctionalCore.fill`, per-PC specialized closures) is
+pinned against the original interpreter
+(:meth:`FunctionalCore.step_reference`, kept verbatim as the spec) in
+``tests/test_stream_stage.py``, and the front-end columns in
+``tests/test_frontend_columns.py``.
 
 The replay half asserts the ``repro.perf`` claim: a memoised
 architectural stream replayed into a timing run produces *exactly* the
@@ -18,9 +17,7 @@ golden suite.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SimConfig
@@ -93,43 +90,6 @@ def _build(seeds, body, iterations):
     b.nop()  # skipped: the BEZ above is always taken at loop exit
     b.label("done")
     return b.build(), mem
-
-
-@given(
-    seeds=st.lists(st.integers(-1000, 1000), min_size=7, max_size=7),
-    body=st.lists(_body_item, min_size=1, max_size=20),
-    iterations=st.integers(1, 4),
-)
-@settings(max_examples=50, deadline=None)
-def test_fast_path_matches_reference_interpreter(seeds, body, iterations):
-    """step() and step_reference() emit identical DynInstr streams."""
-    program, mem = _build(seeds, body, iterations)
-    fast = FunctionalCore(program, mem)
-    program_ref, mem_ref = _build(seeds, body, iterations)
-    ref = FunctionalCore(program_ref, mem_ref)
-
-    for _ in range(100_000):
-        a = fast.step()
-        b = ref.step_reference()
-        if a is None or b is None:
-            assert (a is None) and (b is None)
-            break
-        assert (a.seq, a.pc, a.value, a.addr, a.taken, a.next_pc) == (
-            b.seq,
-            b.pc,
-            b.value,
-            b.addr,
-            b.taken,
-            b.next_pc,
-        )
-        # Instruction identity must come from the live program object.
-        assert a.instr is program[a.pc]
-
-    assert fast.halted and ref.halted
-    assert fast.regs == ref.regs
-    assert (fast.pc, fast.executed) == (ref.pc, ref.executed)
-    for seg_ref in mem_ref.segments():
-        assert np.array_equal(mem.segment(seg_ref.name).data, seg_ref.data)
 
 
 # -- replay vs from-scratch over the golden suite -----------------------------

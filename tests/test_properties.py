@@ -128,7 +128,7 @@ def test_techniques_never_corrupt_architectural_state(n_log, levels, seed, techn
     ref_core = FunctionalCore(program_ref, mem_ref)
     budget = 2_000
     for _ in range(budget):
-        if ref_core.step() is None:
+        if ref_core.step_reference() is None:
             break
 
     core = OoOCore(

@@ -116,7 +116,7 @@ def test_random_programs_preserve_architecture(seed):
 
     ref = FunctionalCore(program_a, mem_a)
     for _ in range(2000):
-        if ref.step() is None:
+        if ref.step_reference() is None:
             break
     OoOCore(
         program_b, mem_b, quick_config(2000), technique=make_technique(technique)

@@ -272,8 +272,7 @@ class TestSpeculativeInterpreter:
         interp = SpeculativeInterpreter(
             self._program(), mem, 0, [0] * 32, invalid_regs=[1]
         )
-        step = interp.step()
-        assert not step.value_valid
+        assert interp.step()
         assert not interp.valid[2]
 
     def test_inv_address_means_no_load(self):
@@ -282,9 +281,15 @@ class TestSpeculativeInterpreter:
         interp = SpeculativeInterpreter(
             self._program(), mem, 0, [0] * 32, invalid_regs=[1]
         )
+        seen = []
+
+        def load_cb(pc, addr):
+            seen.append(addr)
+            return 42, True
+
         interp.step()
-        step = interp.step()
-        assert not step.addr_valid
+        assert interp.step(load_cb)
+        assert seen == []  # no address, so no access
         assert not interp.valid[3]
 
     def test_inv_branch_falls_through(self):
@@ -295,9 +300,8 @@ class TestSpeculativeInterpreter:
         )
         interp.step()
         interp.step()
-        step = interp.step()
-        assert step.taken is False  # INV condition: not taken
-        assert interp.pc == 3
+        assert interp.step()
+        assert interp.pc == 3  # INV condition: not taken
 
     def test_valid_load_uses_callback(self):
         mem = MemoryImage()
@@ -326,13 +330,13 @@ class TestSpeculativeInterpreter:
         regs[1] = seg.base
         regs[2] = 99
         interp = SpeculativeInterpreter(program, mem, 0, regs)
-        step = interp.step()
-        assert step.addr == seg.base
+        assert interp.step()
         assert mem.read_word(seg.base) == 7  # unchanged
 
     def test_halts(self):
         mem = MemoryImage()
         mem.allocate("pad", 4)
         interp = SpeculativeInterpreter(self._program(), mem, 4, [0] * 32)
-        assert interp.step().instr.opcode is Opcode.HALT
-        assert interp.step() is None
+        assert interp.step() is True  # executes the HALT
+        assert interp.halted and interp.pc == 4
+        assert interp.step() is False

@@ -86,30 +86,36 @@ class TestRegistry:
 
 class TestStridePrefetcherUnit:
     def test_observe_confidence(self):
-        pf = StridePrefetcher(streams=4, degree=2)
+        pf = StridePrefetcher(streams=4)
         assert not pf.observe(1, 0x1000)
         assert not pf.observe(1, 0x1040)
         assert not pf.observe(1, 0x1080)
-        assert pf.observe(1, 0x10C0)
-        assert pf.stride_of(1) == 0x40
+        assert pf.observe(1, 0x10C0) == 0x40
 
     def test_table_eviction(self):
         pf = StridePrefetcher(streams=2)
-        pf.observe(1, 0)
+        for k in range(4):
+            pf.observe(1, 8 * k)
+        assert pf.observe(1, 32) == 8  # confident
         pf.observe(2, 0)
-        pf.observe(3, 0)
-        assert pf.stride_of(1) == 0  # evicted
+        pf.observe(3, 0)  # evicts pc 1, the least recently used
+        assert pf.observe(1, 40) == 0  # a new stream, trained from scratch
 
     def test_issues_prefetches_into_hierarchy(self):
         from repro.config import MemoryConfig
         from repro.memory import MemoryHierarchy
 
+        from oracles import issue_stride_prefetches
+
         h = MemoryHierarchy(MemoryConfig.scaled())
-        pf = StridePrefetcher(streams=4, degree=2)
+        pf = StridePrefetcher(streams=4)
+        issued = 0
         for k in range(6):
-            pf.on_demand_load(7, 0x10000 + 64 * k, cycle=k * 10, hierarchy=h)
-        assert pf.issued > 0
-        assert h.stats.prefetches_by_source.get("prefetcher", 0) == pf.issued
+            issued += issue_stride_prefetches(
+                pf, 7, 0x10000 + 64 * k, k * 10, h, degree=2
+            )
+        assert issued > 0
+        assert h.stats.prefetches_by_source.get("prefetcher", 0) == issued
 
 
 class TestClassicAndPre:

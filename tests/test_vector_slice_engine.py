@@ -43,6 +43,7 @@ from repro.techniques import make_technique
 from repro.workloads.registry import build_workload
 
 from conftest import build_indirect_kernel, quick_config
+from oracles import issue_stride_prefetches
 from oracles.vector_reference import ReferenceVectorChainRun, use_reference_engine
 
 WORKLOADS = ("camel", "nas_is")
@@ -532,8 +533,9 @@ def test_stride_prefetches_match_unfused_access(tlb):
     unfused.prefetch_ready = lambda addr, cycle, source: unfused.access(
         addr, cycle, source=source, prefetch=True
     ).ready
-    fused_pf = StridePrefetcher(streams=4, degree=3)
-    unfused_pf = StridePrefetcher(streams=4, degree=3)
+    fused_pf = StridePrefetcher(streams=4)
+    unfused_pf = StridePrefetcher(streams=4)
+    fused_issued = unfused_issued = 0
     # Six striding load PCs over a 256 KiB window, interleaved, with
     # occasional stride breaks: confident streams prefetch, and enough
     # misses are in flight that the MSHR gate stops some of them.
@@ -553,11 +555,13 @@ def test_stride_prefetches_match_unfused_access(tlb):
         # query the gate alike.
         gated += not fused.mshr_available(start_a)
         unfused.mshr_available(start_b)
-        fused_pf.on_demand_load(pc, addr, start_a, fused)
-        unfused_pf.on_demand_load(pc, addr, start_b, unfused)
-    assert fused_pf.issued == unfused_pf.issued > 0
+        fused_issued += issue_stride_prefetches(fused_pf, pc, addr, start_a, fused, 3)
+        unfused_issued += issue_stride_prefetches(
+            unfused_pf, pc, addr, start_b, unfused, 3
+        )
+    assert fused_issued == unfused_issued > 0
     assert gated
-    assert fused.stats.prefetches_by_source["prefetcher"] == fused_pf.issued
+    assert fused.stats.prefetches_by_source["prefetcher"] == fused_issued
     _assert_same_hierarchy(fused, unfused)
 
 
@@ -578,7 +582,7 @@ def test_commit_hooks_keep_the_shadow_state_update_keeps(technique):
     rng = np.random.default_rng(13)
     cycle = 0
     for _ in range(3000):
-        dyn = functional.step()
+        dyn = functional.step_reference()
         if dyn is None:
             break
         cycle += int(rng.integers(0, 3))
