@@ -12,8 +12,9 @@ Two canonical configurations are provided:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Dict, Mapping
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import lru_cache
+from typing import Dict, Mapping, Tuple
 
 from .errors import ConfigError
 
@@ -259,9 +260,31 @@ class RunaheadConfig:
             )
 
 
+@lru_cache(maxsize=None)
+def _field_names(cls) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _plain_dict(node) -> Dict:
+    """``dataclasses.asdict`` for the config tree, without its deep copy.
+
+    Every leaf of a config is an immutable scalar, so walking the fields
+    gives the same dict (same keys, same order) at a fraction of the
+    cost; the result is read on every run's identity path.
+    """
+    out = {}
+    for name in _field_names(type(node)):
+        value = getattr(node, name)
+        # ``hasattr`` rather than ``is_dataclass``: a third of the cost.
+        if hasattr(value, "__dataclass_fields__"):
+            value = _plain_dict(value)
+        out[name] = value
+    return out
+
+
 #: Wire-format defaults for the fields :meth:`SimConfig.to_dict` omits
 #: when unchanged (spec-key stability across the TLB axis's addition).
-_TLB_DEFAULT_DICT = asdict(TLBConfig())
+_TLB_DEFAULT_DICT = _plain_dict(TLBConfig())
 _TLB_POLICY_DEFAULT = RunaheadConfig.tlb_policy
 #: Retired fields, pinned in the wire format at their one product value
 #: (docs/spec.md rule 7): ``(section, field, value, the field it
@@ -322,7 +345,7 @@ class SimConfig:
         them survive their removal. :meth:`from_dict` undoes both, so the
         round trip is exact either way.
         """
-        data = asdict(self)
+        data = _plain_dict(self)
         if data["memory"]["tlb"] == _TLB_DEFAULT_DICT:
             del data["memory"]["tlb"]
         if data["runahead"]["tlb_policy"] == _TLB_POLICY_DEFAULT:

@@ -33,6 +33,7 @@ every call site::
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -139,8 +140,20 @@ def spec_key(resolved: Dict, fingerprint: Optional[str] = None) -> str:
 # -- result (de)serialisation -------------------------------------------------
 
 def result_to_payload(result: SimulationResult) -> Dict:
-    """Full dataclass field set (unlike ``to_dict``, which is lossy)."""
-    return dataclasses.asdict(result)
+    """Full dataclass field set (unlike ``to_dict``, which is lossy).
+
+    Built field by field in declaration order, which is what
+    ``dataclasses.asdict`` returns without its deep copy of every
+    counter value: only the two containers are copied.
+    """
+    return {
+        "workload": result.workload,
+        "technique": result.technique,
+        "counters": dict(result.counters),
+        "trace_digest": result.trace_digest,
+        "trace_events": result.trace_events,
+        "audit": copy.deepcopy(result.audit),
+    }
 
 
 def result_from_payload(payload: Dict) -> SimulationResult:

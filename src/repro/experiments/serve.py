@@ -16,6 +16,11 @@ boundary, so a poisoned spec comes back as a structured
 ``repro.batch-result/1`` failure document instead of killing the
 server, and a killed pool worker fails only the requests in flight.
 
+A repeated request is answered from two bounded in-process memos: a
+body the server has seen maps to its parsed spec and key, and a key
+whose result is cached maps to its exact response bytes, so a hit
+re-derives nothing. The on-disk cache stays the store of record.
+
 The server publishes a ``serve.*`` counter book into
 :data:`BATCH_COUNTERS` and its request law is checkable at any instant
 (:func:`repro.audit.check_serve_counters`)::
@@ -31,8 +36,10 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import sys
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -73,12 +80,26 @@ PROGRESS_SCHEMA = "repro.progress/1"
 _MAX_HEAD = 64 * 1024
 _MAX_BODY = 4 * 1024 * 1024
 
+#: Entries each request-path memo holds (body -> identity, key ->
+#: response bytes); the oldest entry goes first. A stats document is a
+#: few KiB, so both memos together stay within a few MiB.
+_MEMO_ENTRIES = 1024
+#: Longest body the identity memo keeps (a full-config spec document is
+#: about 1.5 KB); a longer one is parsed and keyed on every request.
+_MEMO_BODY_BYTES = 4 * 1024
+
 
 def _dump(payload: Dict) -> bytes:
     # sort_keys makes the body byte-deterministic: the bit-identity
     # contract ("every coalesced caller sees the same document") is
     # checked on raw bytes by the load harness.
     return json.dumps(payload, sort_keys=True).encode()
+
+
+def _remember(memo: Dict, key, value) -> None:
+    memo[key] = value
+    if len(memo) > _MEMO_ENTRIES:
+        del memo[next(iter(memo))]
 
 
 @dataclass
@@ -126,6 +147,10 @@ class SimulationServer:
         for name in SERVE_COUNTER_NAMES:
             self.counters.counter(name)
         self._flights: Dict[str, _Flight] = {}
+        # Request body -> (spec, runtime extras, key), and key -> the
+        # repro.stats/1 bytes of its cached result (see _run).
+        self._identities: Dict[bytes, Tuple[RunSpec, Dict, str]] = {}
+        self._documents: Dict[str, bytes] = {}
         self._tasks: set = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._workers = WorkerPool(pool_size)
@@ -164,7 +189,9 @@ class SimulationServer:
             status, headers, body = await self._dispatch(reader)
         except asyncio.CancelledError:
             raise
-        except Exception:
+        except Exception:  # noqa: BLE001 — the server outlives a request
+            print("serve: internal error answering a request", file=sys.stderr)
+            traceback.print_exc()
             status, headers, body = 500, {}, _dump({"error": "internal error"})
         reason = {
             200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -239,24 +266,30 @@ class SimulationServer:
         # request-conservation law holds at every event-loop step, not
         # just at quiescence.
         self.counters.inc("serve.requests")
-        try:
-            entry = json.loads(body.decode() or "null")
-            spec, runtime = parse_spec_entry(entry)
-            key = spec.key()
-        except Exception as exc:  # noqa: BLE001 — the front-door boundary
-            # Unparsable requests are misses that failed before the
-            # pool: still classified, so the law never skips a request.
-            self.counters.inc("serve.misses")
-            self.counters.inc("serve.failures")
-            failure = BatchFailure(
-                spec={"raw": body[:512].decode(errors="replace")},
-                error_type=type(exc).__name__,
-                message=str(exc),
-                traceback="",
-            )
-            return 400, {"X-Repro-Served": "miss"}, _dump(
-                outcome_to_payload("", failure)
-            )
+        # Audited requests neither read nor fill either memo.
+        identity = None if audit else self._identities.get(body)
+        if identity is None:
+            try:
+                entry = json.loads(body.decode() or "null")
+                spec, runtime = parse_spec_entry(entry)
+                identity = (spec, runtime, spec.key())
+            except Exception as exc:  # noqa: BLE001 — the front-door boundary
+                # Unparsable requests are misses that failed before the
+                # pool: still classified, so the law never skips a request.
+                self.counters.inc("serve.misses")
+                self.counters.inc("serve.failures")
+                failure = BatchFailure(
+                    spec={"raw": body[:512].decode(errors="replace")},
+                    error_type=type(exc).__name__,
+                    message=str(exc),
+                    traceback="",
+                )
+                return 400, {"X-Repro-Served": "miss"}, _dump(
+                    outcome_to_payload("", failure)
+                )
+            if not audit and len(body) <= _MEMO_BODY_BYTES:
+                _remember(self._identities, body, identity)
+        spec, runtime, key = identity
 
         if audit:
             runtime = dict(runtime, audit=True)
@@ -268,14 +301,22 @@ class SimulationServer:
         if flight is not None:
             self.counters.inc("serve.coalesced")
             flight.waiters += 1
-            outcome = await asyncio.shield(flight.future)
-            return self._respond(key, outcome, "coalesced", audit)
+            response = await asyncio.shield(flight.future)
+            return _reply(key, "coalesced", response)
 
+        # The document memo fills only behind a cache, so a server
+        # without one simulates every request that does not coalesce.
         if self.cache is not None and cacheable(runtime):
-            hit = self.cache.get(key)
-            if hit is not None:
+            document = self._documents.get(key)
+            hit = self.cache.get(key) if document is None else None
+            if document is not None or hit is not None:
+                # Counted before rendering: a render fault is still a
+                # classified request.
                 self.counters.inc("serve.cache_hits")
-                return self._respond(key, hit, "hit", audit)
+                if document is None:
+                    document = _dump(stats_payload(hit))
+                    _remember(self._documents, key, document)
+                return _reply(key, "hit", (200, document))
 
         self.counters.inc("serve.misses")
         loop = asyncio.get_running_loop()
@@ -285,49 +326,58 @@ class SimulationServer:
         # The flight is a server-owned task: if the requesting client
         # disconnects mid-simulation, coalesced waiters still get their
         # result and the cache still gets warmed.
-        task = loop.create_task(self._fly(flight_key, spec, runtime))
+        task = loop.create_task(self._fly(flight_key, spec, runtime, audit))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
-        outcome = await asyncio.shield(flight.future)
-        return self._respond(key, outcome, "miss", audit)
+        response = await asyncio.shield(flight.future)
+        return _reply(key, "miss", response)
 
-    async def _fly(self, flight_key: str, spec: RunSpec, runtime: Dict):
+    async def _fly(self, flight_key: str, spec: RunSpec, runtime: Dict, audit: bool):
+        # Every flight ends popped with its future resolved, whatever
+        # stops it: a flight left behind would hang its requester and
+        # every later identical request coalesced onto it. The future
+        # carries the one (status, body) every waiter sends.
         flight = self._flights[flight_key]
         try:
-            outcome = await asyncio.wrap_future(self._workers.submit((spec, runtime)))
+            outcome = await self._simulate(spec, runtime)
+            response = _render(flight.key, outcome, audit)
+            if isinstance(outcome, BatchFailure):
+                self.counters.inc("serve.failures")
+            elif self.cache is not None and cacheable(runtime):
+                try:
+                    self.cache.put(flight.key, outcome)
+                except OSError as exc:
+                    # A full disk or a read-only cache directory costs
+                    # the store, not the answer.
+                    print(
+                        f"serve: cannot store {flight.key} in the result cache: {exc}",
+                        file=sys.stderr,
+                    )
+                _remember(self._documents, flight.key, response[1])
         except asyncio.CancelledError:
-            if not flight.future.done():
-                flight.future.cancel()
+            flight.future.cancel()
             raise
+        except Exception as exc:  # noqa: BLE001 — each waiter answers 500
+            flight.future.set_exception(exc)
+        else:
+            flight.future.set_result(response)
+        finally:
+            self._flights.pop(flight_key, None)
+            self.counters.set("serve.inflight", len(self._flights))
+
+    async def _simulate(self, spec: RunSpec, runtime: Dict):
+        try:
+            return await asyncio.wrap_future(self._workers.submit((spec, runtime)))
         except Exception as exc:  # noqa: BLE001 — e.g. BrokenProcessPool
             # The pool itself died (a worker was OOM-killed, say): the
             # next request gets a rebuilt pool, and the waiters get a
             # structured failure rather than an exception.
-            outcome = BatchFailure(
+            return BatchFailure(
                 spec=_failure_payload(spec, runtime),
                 error_type=type(exc).__name__,
                 message=str(exc),
                 traceback="",
             )
-        if isinstance(outcome, BatchFailure):
-            self.counters.inc("serve.failures")
-        elif self.cache is not None and cacheable(runtime):
-            self.cache.put(flight.key, outcome)
-        self._flights.pop(flight_key, None)
-        self.counters.set("serve.inflight", len(self._flights))
-        if not flight.future.done():
-            flight.future.set_result(outcome)
-
-    def _respond(
-        self, key: str, outcome, served: str, audit: bool
-    ) -> Tuple[int, Dict, bytes]:
-        headers = {"X-Repro-Key": key, "X-Repro-Served": served}
-        if isinstance(outcome, SimulationResult):
-            payload = stats_payload(outcome)
-            if audit:
-                payload["audit"] = outcome.audit
-            return 200, headers, _dump(payload)
-        return 422, headers, _dump(outcome_to_payload(key, outcome))
 
     # -- introspection --------------------------------------------------------
 
@@ -374,6 +424,23 @@ class SimulationServer:
         payload["waiters"] = flight.waiters
         payload["elapsed_seconds"] = round(time.monotonic() - flight.started, 6)
         return 200, {}, _dump(payload)
+
+
+def _render(key: str, outcome, audit: bool) -> Tuple[int, bytes]:
+    """The (status, body) a flight's outcome is answered with."""
+    if isinstance(outcome, SimulationResult):
+        payload = stats_payload(outcome)
+        if audit:
+            payload["audit"] = outcome.audit
+        return 200, _dump(payload)
+    return 422, _dump(outcome_to_payload(key, outcome))
+
+
+def _reply(
+    key: str, served: str, response: Tuple[int, bytes]
+) -> Tuple[int, Dict, bytes]:
+    status, body = response
+    return status, {"X-Repro-Key": key, "X-Repro-Served": served}, body
 
 
 # -- running the server from synchronous code ---------------------------------

@@ -1,5 +1,6 @@
 """Fault-tolerant batch runner + content-addressed result cache tests."""
 
+import dataclasses
 import json
 import os
 import threading
@@ -190,6 +191,15 @@ class TestResultCache:
         direct = run_simulation(**spec)
         assert second.to_dict() == first.to_dict() == direct.to_dict()
         assert BATCH_COUNTERS.get("batch.cache.hits") == 1
+
+    def test_result_payload_is_the_full_field_set(self):
+        # The entry and wire format read result_to_payload: it must be
+        # asdict exactly, field order included, with its own containers.
+        result = run_simulation("camel", "ooo", max_instructions=800, audit=True)
+        payload = cache_module.result_to_payload(result)
+        assert json.dumps(payload) == json.dumps(dataclasses.asdict(result))
+        assert payload["counters"] is not result.counters
+        assert payload["audit"] == result.audit and payload["audit"] is not result.audit
 
     def test_invalidation_on_config_change(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -1,5 +1,6 @@
 """Configuration object tests."""
 
+import dataclasses
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from repro.config import (
     MemoryConfig,
     RunaheadConfig,
     SimConfig,
+    _plain_dict,
 )
 from repro.errors import ConfigError
 from repro.experiments.batch import run_batch
@@ -122,6 +124,19 @@ class TestSimConfig:
         cfg = BranchPredictorConfig()
         assert cfg.num_tagged_tables == 4
         assert cfg.min_history < cfg.max_history
+
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(),
+        SimConfig.paper(max_instructions=900),
+        apply_override(SimConfig(), "memory.tlb.enable", True),
+        apply_override(SimConfig(), "runahead.tlb_policy", "drop"),
+    ])
+    def test_field_walk_is_asdict(self, cfg):
+        # to_dict, and so every spec key, reads the walk: it must be
+        # asdict exactly, key order included.
+        walked, reference = _plain_dict(cfg), dataclasses.asdict(cfg)
+        assert json.dumps(walked) == json.dumps(reference)
+        assert walked["memory"] is not _plain_dict(cfg)["memory"]
 
 
 class TestRetiredBranchField:

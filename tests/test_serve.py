@@ -9,9 +9,13 @@ The load-bearing guarantees under test:
 * a poisoned spec comes back as a structured ``repro.batch-result/1``
   failure document with the server still healthy afterwards;
 * audited requests bypass the cache in both directions;
+* a repeated body is answered from the server's memos without reading
+  the cache, with the bytes of the first reply;
 * the ``serve.request-conservation`` law balances at every snapshot.
 """
 
+import errno
+import http.client
 import json
 import pathlib
 import threading
@@ -32,6 +36,7 @@ from repro.experiments import (
     run_load_test,
     run_simulation,
 )
+from repro.experiments import serve as serve_module
 from repro.experiments.serve import (
     SERVE_COUNTER_NAMES,
     _dump,
@@ -62,6 +67,39 @@ def _serve_snapshot():
     }
 
 
+def _post_audit(address, body, timeout=120):
+    conn = http.client.HTTPConnection(*address, timeout=timeout)
+    try:
+        conn.request("POST", "/run?audit=1", body=body)
+        response = conn.getresponse()
+        return response.status, response.getheader("X-Repro-Served"), response.read()
+    finally:
+        conn.close()
+
+
+def _serial_bytes(spec):
+    return _dump(stats_payload(run_simulation(spec)))
+
+
+class _CountingCache(ResultCache):
+    """A result cache that counts its disk reads."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.gets = 0
+
+    def get(self, key):
+        self.gets += 1
+        return super().get(key)
+
+
+class _FullDiskCache(ResultCache):
+    """A result cache whose every store fails as on a full disk."""
+
+    def put(self, key, result):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
 class TestSingleFlight:
     def test_n_clients_one_novel_spec_cost_one_simulation(self, tmp_path):
         spec = _spec()
@@ -82,25 +120,42 @@ class TestSingleFlight:
         serial = stats_payload(run_simulation(spec))
         assert payload == json.loads(_dump(serial))
 
-    def test_second_request_is_a_cache_hit(self, tmp_path):
+    def test_second_request_is_a_cache_hit(self, tmp_path, monkeypatch):
         spec = _spec()
-        with ServerThread(cache=ResultCache(tmp_path)) as server:
-            first = _post_run(server.address, _dump(spec.to_payload()), 60)
-            second = _post_run(server.address, _dump(spec.to_payload()), 60)
+        body = _dump(spec.to_payload())
+        cache = _CountingCache(tmp_path)
+        keyed = []
+        real_key = RunSpec.key
+        monkeypatch.setattr(
+            RunSpec, "key", lambda self, *a: keyed.append(self) or real_key(self, *a)
+        )
+        with ServerThread(cache=cache) as server:
+            first = _post_run(server.address, body, 60)
+            reads, keys = cache.gets, len(keyed)
+            second = _post_run(server.address, body, 60)
         assert first[1] == "miss" and second[1] == "hit"
-        assert first[2] == second[2]  # byte-identical across serving paths
+        # The repeat is answered from memory: no disk read, no keying.
+        assert (cache.gets, len(keyed)) == (reads, keys)
+        # Byte-identical across serving paths.
+        assert first[2] == second[2] == _serial_bytes(spec)
         snapshot = _serve_snapshot()
         assert snapshot["serve.misses"] == 1
         assert snapshot["serve.cache_hits"] == 1
 
     def test_cache_is_shared_across_server_restarts(self, tmp_path):
         spec = _spec()
+        body = _dump(spec.to_payload())
         with ServerThread(cache=ResultCache(tmp_path)) as server:
-            first = _post_run(server.address, _dump(spec.to_payload()), 60)
-        with ServerThread(cache=ResultCache(tmp_path)) as server:
-            second = _post_run(server.address, _dump(spec.to_payload()), 60)
-        assert first[1] == "miss" and second[1] == "hit"
-        assert first[2] == second[2]
+            first = _post_run(server.address, body, 60)
+        cache = _CountingCache(tmp_path)
+        with ServerThread(cache=cache) as server:
+            second = _post_run(server.address, body, 60)
+            reads = cache.gets
+            third = _post_run(server.address, body, 60)
+        assert (first[1], second[1], third[1]) == ("miss", "hit", "hit")
+        # The fresh server reads the disk once, then answers from memory.
+        assert (reads, cache.gets) == (1, 1)
+        assert first[2] == second[2] == third[2]
 
     def test_conservation_law_balances_after_traffic(self, tmp_path):
         with ServerThread(cache=ResultCache(tmp_path)) as server:
@@ -193,26 +248,137 @@ class TestFailureDocuments:
 class TestAuditRequests:
     def test_audit_carries_record_and_bypasses_cache(self, tmp_path):
         spec = _spec(instructions=1000)
+        body = _dump(spec.to_payload())
         cache = ResultCache(tmp_path)
         with ServerThread(cache=cache) as server:
-            plain = _post_run(server.address, _dump(spec.to_payload()), 120)
+            plain = _post_run(server.address, body, 120)
             assert plain[1] == "miss"
-            # The cache now holds the result, but an audited request
-            # must re-execute: it cannot be served as a hit.
-            import http.client
-
-            conn = http.client.HTTPConnection(*server.address, timeout=120)
-            conn.request("POST", "/run?audit=1", body=_dump(spec.to_payload()))
-            response = conn.getresponse()
-            audited = json.loads(response.read())
-            assert response.getheader("X-Repro-Served") == "miss"
-            conn.close()
-            # ...and it must not poison the cache for plain requests.
-            again = _post_run(server.address, _dump(spec.to_payload()), 120)
-        assert again[1] == "hit"
+            # The cache and the server's memory now hold the result,
+            # but an audited request must re-execute: it cannot be
+            # served as a hit.
+            assert _post_run(server.address, body, 120)[1] == "hit"
+            _status, served, audited = _post_audit(server.address, body)
+            assert served == "miss"
+            # ...and it must not poison either for plain requests.
+            again = _post_run(server.address, body, 120)
+            documents = dict(server._documents)
+        assert again[1] == "hit" and again[2] == plain[2]
+        audited = json.loads(audited)
         assert audited["audit"]["passed"] is True
         assert audited["audit"]["checks"]
         assert "audit" not in json.loads(plain[2])
+        assert documents == {spec.key(): plain[2]}
+
+
+class TestRequestMemos:
+    def test_without_a_cache_every_repeat_simulates(self):
+        body = _dump(_spec().to_payload())
+        with ServerThread(cache=None) as server:
+            replies = [_post_run(server.address, body, 60) for _ in range(3)]
+            documents = dict(server._documents)
+        assert [served for _status, served, _body in replies] == ["miss"] * 3
+        assert len({reply for _status, _served, reply in replies}) == 1
+        assert documents == {}
+        assert _serve_snapshot()["serve.misses"] == 3
+
+    def test_memos_stay_at_their_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(serve_module, "_MEMO_ENTRIES", 2)
+        specs = [_spec(i, instructions=1000) for i in range(4)]
+        bodies = [_dump(spec.to_payload()) for spec in specs]
+        cache = _CountingCache(tmp_path)
+        with ServerThread(cache=cache) as server:
+            first = [_post_run(server.address, body, 60) for body in bodies]
+            sizes = [(len(server._identities), len(server._documents))]
+            reads = cache.gets
+            # Oldest out first: cycling through twice the bound evicts
+            # every key before its repeat, which then reads the disk.
+            again = [_post_run(server.address, body, 60) for body in bodies]
+            sizes.append((len(server._identities), len(server._documents)))
+        assert sizes == [(2, 2), (2, 2)]
+        assert [r[1] for r in first] == ["miss"] * 4
+        assert [r[1] for r in again] == ["hit"] * 4
+        assert cache.gets - reads == 4
+        assert [r[2] for r in again] == [r[2] for r in first]
+        assert again[0][2] == _serial_bytes(specs[0])
+
+    def test_a_long_body_is_served_but_not_memoised(self, tmp_path):
+        spec = _spec()
+        body = _dump(spec.to_payload()) + b" " * serve_module._MEMO_BODY_BYTES
+        with ServerThread(cache=ResultCache(tmp_path)) as server:
+            first = _post_run(server.address, body, 60)
+            second = _post_run(server.address, body, 60)
+            identities = dict(server._identities)
+        assert (first[1], second[1]) == ("miss", "hit")
+        assert first[2] == second[2] == _serial_bytes(spec)
+        assert identities == {}
+
+    def test_request_law_balances_after_mixed_traffic(self, tmp_path):
+        hot, novel = _spec(), _spec(1)
+        hot_body = _dump(hot.to_payload())
+        with ServerThread(cache=ResultCache(tmp_path)) as server:
+            run_load_test(server.address, [novel], clients=3)
+            for body in (hot_body, hot_body, hot_body + b" " * 5000,
+                         b"{not json", _dump(POISONED)):
+                _post_run(server.address, body, 60)
+            _post_audit(server.address, hot_body)
+            _post_run(server.address, hot_body, 60)
+            health = _get_json(server.address, "/healthz")
+        assert health["conservation"]["passed"], health["conservation"]
+        counters = health["counters"]
+        assert counters["serve.requests"] == 13
+        assert counters["serve.cache_hits"] == 6  # 3 warm + 3 repeats of hot
+        assert counters["serve.coalesced"] == 2
+        assert counters["serve.misses"] == 5  # novel, hot, junk, poison, audit
+        assert counters["serve.failures"] == 2
+        assert counters["serve.inflight"] == 0
+
+
+class TestFlightFaults:
+    def test_a_failing_store_still_answers_and_ends_the_flight(
+        self, tmp_path, capsys
+    ):
+        spec = _spec()
+        body = _dump(spec.to_payload())
+        with ServerThread(cache=_FullDiskCache(tmp_path)) as server:
+            # Short timeouts: a stranded flight hangs these requests.
+            first = _post_run(server.address, body, 30)
+            second = _post_run(server.address, body, 10)
+            health = _get_json(server.address, "/healthz")
+        assert (first[:2], second[:2]) == ((200, "miss"), (200, "hit"))
+        assert first[2] == second[2] == _serial_bytes(spec)
+        assert health["counters"]["serve.inflight"] == 0
+        assert health["conservation"]["passed"]
+        err = capsys.readouterr().err
+        assert spec.key() in err and "No space left on device" in err
+
+    def test_an_internal_error_is_a_500_with_its_traceback(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        real = serve_module.stats_payload
+        calls = []
+
+        def export_once_broken(result):
+            calls.append(result)
+            if len(calls) == 1:
+                raise RuntimeError("injected export fault")
+            return real(result)
+
+        monkeypatch.setattr(serve_module, "stats_payload", export_once_broken)
+        spec = _spec()
+        body = _dump(spec.to_payload())
+        with ServerThread(cache=ResultCache(tmp_path)) as server:
+            broken = _post_run(server.address, body, 60)
+            fine = _post_run(server.address, body, 60)
+            health = _get_json(server.address, "/healthz")
+        assert broken[0] == 500
+        assert json.loads(broken[2]) == {"error": "internal error"}
+        err = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert "RuntimeError: injected export fault" in err
+        assert fine[:2] == (200, "miss")
+        assert fine[2] == _serial_bytes(spec)
+        assert health["conservation"]["passed"]
+        assert health["counters"]["serve.inflight"] == 0
 
 
 class TestEndpoints:
@@ -251,8 +417,6 @@ class TestEndpoints:
 
     def test_progress_unknown_key_is_404(self):
         with ServerThread() as server:
-            import http.client
-
             conn = http.client.HTTPConnection(*server.address, timeout=10)
             conn.request("GET", "/progress/deadbeef")
             response = conn.getresponse()
@@ -262,8 +426,6 @@ class TestEndpoints:
         assert doc["state"] == "unknown"
 
     def test_unknown_route_and_wrong_method(self):
-        import http.client
-
         with ServerThread() as server:
             conn = http.client.HTTPConnection(*server.address, timeout=10)
             conn.request("GET", "/nope")
