@@ -4,13 +4,18 @@ Examples::
 
     repro list
     repro run --workload camel --technique dvr -n 20000
-    repro figure figure7 --instructions 10000
+    repro figure figure7 -n 10000
     repro table table2
     repro batch specs.json --jobs 8 --cache .repro-cache
     repro campaign run specs.json --workers 4 --manifest camp/ --cache
     repro cache stats --dir .repro-cache
     repro sweep --workload nas_cg --technique dvr \\
           --param runahead.dvr_lanes --values 32 64 --cache
+
+A flag that several subcommands take is defined once, in ``_FLAGS``.
+A usage or input error is raised as a ``ReproError`` and leaves through
+:func:`main` as one ``error:`` line and exit 2 (docs/README.md lists the
+exit codes).
 """
 
 from __future__ import annotations
@@ -34,61 +39,98 @@ _FIGURES = (
     "lanes", "tlb",
 )
 _TABLES = {"table1": "table1_rows", "table2": "table2_rows", "hwcost": "hardware_cost_table"}
+_TECHNIQUES = technique_names() + ["swpf"]
 
 
-def _add_dump_spec_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+def _flag(*option_strings: str, **kwargs):
+    return option_strings, kwargs
+
+
+#: Every flag more than one subcommand takes, defined once: its option
+#: strings and ``add_argument`` keywords. A subcommand takes entries with
+#: :func:`_add`, naming only the keywords it sets differently.
+_FLAGS = {
+    "workload": _flag("--workload", choices=WORKLOAD_NAMES),
+    "workloads": _flag("--workloads", nargs="+", choices=WORKLOAD_NAMES),
+    "technique": _flag("--technique", default="ooo", choices=_TECHNIQUES),
+    "techniques": _flag("--techniques", nargs="+", choices=_TECHNIQUES),
+    "instructions": _flag(
+        "-n", "--instructions", type=int, default=8_000,
+        help="instructions to simulate per run",
+    ),
+    "seeds": _flag("--seeds", type=int, default=1, help="workload seeds to average"),
+    "format": _flag("--format", choices=["text", "csv", "json"], default="text"),
+    "jobs": _flag(
+        "--jobs", type=int, default=None, metavar="N",
+        help="simulate across N worker processes",
+    ),
+    "cache": _flag(
+        "--cache", nargs="?", const="", default=None, metavar="DIR",
+        help="serve results from (and store them into) an on-disk result"
+        " cache; DIR defaults to $REPRO_CACHE_DIR or ~/.cache/repro",
+    ),
+    "resume": _flag(
+        "--resume", action="store_true",
+        help="re-run only the points missing from the cache (implies --cache)",
+    ),
+    "audit": _flag(
+        "--audit", action="store_true",
+        help="run the repro.audit invariant sanitizer on every simulation"
+        " (fresh runs only — bypasses the result cache; see docs/audit.md)",
+    ),
+    "dump_spec": _flag(
         "--dump-spec", action="store_true",
         help="print the canonical resolved repro.spec/1 document(s) this"
         " command would run (consumable by 'repro run --spec' / 'repro"
         " batch --specs') and exit without simulating",
-    )
+    ),
+    "specs": _flag(
+        "--specs", metavar="FILE", default=None,
+        help="JSON spec file: a list of repro.spec/1 documents, or one",
+    ),
+    "retries": _flag(
+        "--retries", type=int, default=2,
+        help="re-dispatches of a spec whose worker died before it fails",
+    ),
+    "json": _flag("--json", action="store_true", help="print machine-readable JSON"),
+    "dir": _flag(
+        "--dir", metavar="DIR", default=None,
+        help="cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
+    ),
+}
 
 
-def _add_audit_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--audit", action="store_true",
-        help="run the repro.audit invariant sanitizer on every simulation"
-        " (fresh runs only — bypasses the result cache; see docs/audit.md)",
-    )
-
-
-def _add_batch_flags(parser: argparse.ArgumentParser) -> None:
-    """--jobs/--cache/--resume, shared by sweep/compare/figure/batch."""
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="simulate across N worker processes",
-    )
-    parser.add_argument(
-        "--cache", nargs="?", const="", default=None, metavar="DIR",
-        help="serve clean points from (and store results into) an on-disk"
-        " result cache; DIR defaults to $REPRO_CACHE_DIR or ~/.cache/repro",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="re-run only the points missing from the cache (implies --cache)",
-    )
+def _add(parser: argparse.ArgumentParser, *names: str, **changes: dict) -> None:
+    """Add the shared flags ``names`` to ``parser``, in order; ``changes``
+    maps an entry to the keywords this subcommand sets differently."""
+    for name in names:
+        flags, kwargs = _FLAGS[name]
+        parser.add_argument(*flags, **{**kwargs, **changes.get(name, {})})
 
 
 def _make_cache(args):
-    """Build the ResultCache requested by --cache/--resume, or None."""
-    if args.cache is None and not args.resume:
+    """The ResultCache that --cache/--resume ask for, or None; a subcommand
+    without one of those flags leaves it unset."""
+    path, resume = getattr(args, "cache", None), getattr(args, "resume", False)
+    if path is None and not resume:
         return None
     from .experiments import ResultCache
 
-    return ResultCache(args.cache or None)
+    return ResultCache(path or None)
 
 
-def _emit_batch_stats() -> None:
-    """One stderr line with the full batch.* counter family (pre-created
-    at zero so consumers — e.g. the CI cache smoke — can grep any of
-    them unconditionally)."""
-    from .experiments.cache import BATCH_COUNTER_NAMES, BATCH_COUNTERS
+def _emit_stats(family: str, snapshot=None) -> None:
+    """One stderr line with a whole counter family, ``<family> stats``.
+    The ``batch`` family comes from the process-wide registry, with every
+    name present (at zero when untouched) so a consumer can grep any."""
+    if snapshot is None:
+        from .experiments.cache import BATCH_COUNTER_NAMES, BATCH_COUNTERS
 
-    for name in BATCH_COUNTER_NAMES:
-        BATCH_COUNTERS.counter(name)
-    line = " ".join(f"{k}={v:g}" for k, v in BATCH_COUNTERS.snapshot().items())
-    print(f"batch stats  : {line}", file=sys.stderr)
+        for name in BATCH_COUNTER_NAMES:
+            BATCH_COUNTERS.counter(name)
+        snapshot = BATCH_COUNTERS.snapshot()
+    line = " ".join(f"{k}={v:g}" for k, v in sorted(snapshot.items()))
+    print(f"{family + ' stats':13}: {line}", file=sys.stderr)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,25 +140,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    text_or_json = {"choices": ["text", "json"]}
 
     list_p = sub.add_parser("list", help="list workloads, techniques, and experiments")
-    list_p.add_argument(
-        "--json", action="store_true",
-        help="machine-readable JSON (for external spec-file generators)",
-    )
+    _add(list_p, "json")
 
     run_p = sub.add_parser("run", help="simulate one workload/technique pair")
-    run_p.add_argument("--workload", default=None, choices=WORKLOAD_NAMES)
+    _add(run_p, "workload")
     run_p.add_argument(
         "--spec", metavar="FILE", default=None,
         help="run the repro.spec/1 document in FILE instead of describing"
         " the run with flags (mutually exclusive with --workload)",
     )
-    run_p.add_argument(
-        "--technique", default="ooo", choices=technique_names() + ["swpf"]
-    )
+    _add(run_p, "technique")
     run_p.add_argument("--input", default=None, choices=sorted(GRAPH_PROFILES))
-    run_p.add_argument("-n", "--instructions", type=int, default=20_000)
+    _add(run_p, "instructions", instructions={"default": 20_000})
     run_p.add_argument(
         "--cpi", action="store_true", help="print the CPI-stack breakdown"
     )
@@ -142,50 +180,37 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace-capacity", type=int, default=65_536,
         help="event ring-buffer capacity (digest covers all events)",
     )
-    _add_audit_flag(run_p)
-    _add_dump_spec_flag(run_p)
+    _add(run_p, "audit", "dump_spec")
 
     fig_p = sub.add_parser("figure", help="regenerate a paper figure")
     fig_p.add_argument("name", choices=sorted(_FIGURES))
-    fig_p.add_argument("--instructions", type=int, default=15_000)
-    fig_p.add_argument("--workloads", nargs="*", default=None)
-    fig_p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    _add_batch_flags(fig_p)
-    _add_dump_spec_flag(fig_p)
-    fig_p.set_defaults(audit=False)
+    _add(
+        fig_p, "instructions", "workloads", "format", "jobs", "cache", "resume", "dump_spec",
+        instructions={"default": 15_000}, workloads={"nargs": "*", "choices": None},
+    )
 
     tab_p = sub.add_parser("table", help="regenerate a paper table")
     tab_p.add_argument("name", choices=sorted(_TABLES))
-    tab_p.add_argument("--instructions", type=int, default=8_000)
-    tab_p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    tab_p.set_defaults(jobs=None, cache=None, resume=False, audit=False, dump_spec=False)
+    _add(tab_p, "instructions", "format")
 
     sweep_p = sub.add_parser("sweep", help="sweep one config parameter")
-    sweep_p.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
-    sweep_p.add_argument(
-        "--technique", default="dvr", choices=technique_names() + ["swpf"]
-    )
+    _add(sweep_p, "workload", "technique",
+         workload={"required": True}, technique={"default": "dvr"})
     sweep_p.add_argument(
         "--param", required=True,
         help="dotted config path, e.g. runahead.dvr_lanes or core.rob_size",
     )
     sweep_p.add_argument("--values", nargs="+", required=True)
-    sweep_p.add_argument("--instructions", type=int, default=8_000)
-    sweep_p.add_argument("--seeds", type=int, default=1, help="workload seeds to average")
-    sweep_p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    _add_audit_flag(sweep_p)
-    _add_batch_flags(sweep_p)
-    _add_dump_spec_flag(sweep_p)
+    _add(sweep_p, "instructions", "seeds", "format", "audit", "jobs", "cache", "resume",
+         "dump_spec")
 
     cmp_p = sub.add_parser("compare", help="workload x technique speedup matrix")
-    cmp_p.add_argument("--workloads", nargs="+", required=True, choices=WORKLOAD_NAMES)
-    cmp_p.add_argument("--techniques", nargs="+", default=["pre", "vr", "dvr"])
-    cmp_p.add_argument("--instructions", type=int, default=8_000)
-    cmp_p.add_argument("--seeds", type=int, default=1)
-    cmp_p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    _add_audit_flag(cmp_p)
-    _add_batch_flags(cmp_p)
-    _add_dump_spec_flag(cmp_p)
+    _add(
+        cmp_p, "workloads", "techniques", "instructions", "seeds", "format", "audit",
+        "jobs", "cache", "resume", "dump_spec",
+        workloads={"required": True},
+        techniques={"default": ["pre", "vr", "dvr"], "choices": None},
+    )
 
     batch_p = sub.add_parser(
         "batch",
@@ -201,16 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "specs", metavar="SPECS", nargs="?", default=None,
         help="path to the JSON spec file",
     )
-    batch_p.add_argument(
-        "--specs", metavar="FILE", dest="specs_opt", default=None,
-        help="path to the JSON spec file (same as the positional)",
-    )
-    batch_p.add_argument("--retries", type=int, default=2,
-                         help="extra pool attempts after transient worker death")
-    batch_p.add_argument("--format", choices=["text", "json"], default="text")
-    _add_audit_flag(batch_p)
-    _add_batch_flags(batch_p)
-    _add_dump_spec_flag(batch_p)
+    _add(batch_p, "specs", "retries", "format", "audit", "jobs", "cache", "resume",
+         "dump_spec", specs={"dest": "specs_opt"}, format=text_or_json)
 
     camp_p = sub.add_parser(
         "campaign",
@@ -245,13 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="campaign directory (repro.campaign/1 manifest + completion"
         " ledger); an existing DIR resumes, a fresh one is created",
     )
-    crun_p.add_argument(
-        "--cache", nargs="?", const="", default=None, metavar="DIR",
-        help="result cache backing the campaign (required for resume to"
-        " skip completed specs); DIR defaults to $REPRO_CACHE_DIR",
-    )
-    crun_p.add_argument("--retries", type=int, default=2,
-                        help="lease requeues per spec before giving up")
+    _add(crun_p, "cache", "retries")
     crun_p.add_argument("--lease-timeout", type=float, default=30.0,
                         metavar="SECONDS",
                         help="heartbeat deadline before a lease is requeued")
@@ -262,9 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="additionally spawn N fault-injection workers that each pull"
         " one spec and die holding the lease (recovery smoke test)",
     )
-    crun_p.add_argument("--format", choices=["text", "json"], default="text")
-    _add_audit_flag(crun_p)
-    crun_p.set_defaults(resume=False)
+    _add(crun_p, "format", "audit", format=text_or_json)
     cworker_p = camp_sub.add_parser(
         "worker", help="join a running coordinator as one pull-based worker"
     )
@@ -288,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "status", help="summarize a campaign manifest's completion ledger"
     )
     cstatus_p.add_argument("manifest", metavar="DIR")
-    cstatus_p.add_argument("--json", action="store_true")
+    _add(cstatus_p, "json")
 
     cache_p = sub.add_parser(
         "cache",
@@ -300,13 +309,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cache_sub = cache_p.add_subparsers(dest="cache_command", required=True)
     cstats_p = cache_sub.add_parser("stats", help="entry count, bytes, per-shard breakdown")
-    cstats_p.add_argument(
-        "--dir", metavar="DIR", default=None,
-        help="cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    cstats_p.add_argument("--json", action="store_true")
+    _add(cstats_p, "dir", "json")
     cgc_p = cache_sub.add_parser("gc", help="evict entries by age and/or LRU byte budget")
-    cgc_p.add_argument("--dir", metavar="DIR", default=None)
+    _add(cgc_p, "dir")
     cgc_p.add_argument(
         "--max-bytes", metavar="SIZE", default=None,
         help="evict least-recently-used entries until under SIZE"
@@ -336,11 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--pool", type=int, default=2, metavar="N",
         help="simulation process-pool size (bounds concurrent novel specs)",
     )
-    serve_p.add_argument(
-        "--cache", nargs="?", const="", default=None, metavar="DIR",
-        help="result cache answering repeat requests without simulation;"
-        " DIR defaults to $REPRO_CACHE_DIR or ~/.cache/repro",
-    )
+    _add(serve_p, "cache")
     serve_p.add_argument(
         "--load-test", metavar="CLIENTSxSPECS", default=None,
         help="do not run a server for clients: start one in-process,"
@@ -353,7 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-instructions", type=int, default=3000, metavar="N",
         help="simulated region size for the synthetic --load-test specs",
     )
-    serve_p.set_defaults(resume=False)
 
     audit_p = sub.add_parser(
         "audit",
@@ -363,31 +363,23 @@ def _build_parser() -> argparse.ArgumentParser:
         " reports every broken conservation law. Exit code 1 when any"
         " invariant is violated. See docs/audit.md.",
     )
-    audit_p.add_argument(
-        "--workloads", nargs="+", default=["camel", "nas_is"],
-        choices=WORKLOAD_NAMES,
-    )
-    audit_p.add_argument(
-        "--techniques", nargs="+", default=["ooo", "vr", "dvr", "dvr-offload"],
-        choices=technique_names() + ["swpf"],
-    )
-    audit_p.add_argument("-n", "--instructions", type=int, default=5_000)
-    audit_p.add_argument(
-        "--specs", metavar="FILE", default=None,
-        help="audit the repro.spec/1 documents in FILE instead of the"
-        " workload x technique matrix",
+    _add(
+        audit_p, "workloads", "techniques", "instructions", "specs",
+        workloads={"default": ["camel", "nas_is"]},
+        techniques={"default": ["ooo", "vr", "dvr", "dvr-offload"]},
+        instructions={"default": 5_000},
     )
     audit_p.add_argument(
         "--out", metavar="FILE", default=None,
         help="write the repro.audit/1 JSON report to FILE",
     )
-    audit_p.add_argument("--format", choices=["text", "json"], default="text")
+    _add(audit_p, "format", format=text_or_json)
 
     pipe_p = sub.add_parser(
         "pipeview", help="ASCII pipeline timeline of a run's first instructions"
     )
-    pipe_p.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
-    pipe_p.add_argument("--technique", default="ooo", choices=technique_names())
+    _add(pipe_p, "workload", "technique",
+         workload={"required": True}, technique={"choices": technique_names()})
     pipe_p.add_argument("--rows", type=int, default=40)
     pipe_p.add_argument("--skip", type=int, default=0,
                         help="trace after this many warmup instructions")
@@ -452,14 +444,16 @@ def _dump_specs_and_exit(specs, single: bool = False) -> int:
     from .experiments import RunSpec
 
     payloads = [RunSpec.from_any(s).resolved().to_payload() for s in specs]
-    if single:
-        print(json.dumps(payloads[0], indent=2))
-    else:
-        print(json.dumps(payloads, indent=2))
+    print(json.dumps(payloads[0] if single else payloads, indent=2))
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """The CLI's one exit: 0 on success, 1 when a run, law, conservation
+    check or regression gate failed (each handler reports its own), and 2
+    for a usage or input error, which every handler raises as a
+    :class:`~repro.errors.ReproError` and which is printed here as one
+    ``error:`` line."""
     from .errors import ReproError
 
     args = _build_parser().parse_args(argv)
@@ -498,7 +492,7 @@ def _dispatch(args) -> int:
                     "sizes": list(SIZES),
                     "techniques": {
                         name: {"pins": dict(technique_pins(name))}
-                        for name in technique_names() + ["swpf"]
+                        for name in _TECHNIQUES
                     },
                     "figures": sorted(_FIGURES),
                     "tables": sorted(_TABLES),
@@ -513,126 +507,7 @@ def _dispatch(args) -> int:
         print("tables: " + " ".join(sorted(_TABLES)))
         return 0
     if args.command == "run":
-        from .errors import ReproError, check_writable
-        from .experiments import RunSpec, run_simulation
-        from .observability import Observability, write_stats
-
-        replay = "auto"
-        if args.spec is not None:
-            if args.workload is not None:
-                print(
-                    "error: --spec and --workload are mutually exclusive",
-                    file=sys.stderr,
-                )
-                return 2
-            from .experiments import load_specs
-
-            try:
-                entries = load_specs(args.spec)
-            except (OSError, ReproError) as exc:
-                print(
-                    f"error: cannot load spec file {args.spec!r}: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
-            if len(entries) != 1:
-                print(
-                    f"error: 'repro run --spec' takes exactly one spec; "
-                    f"{args.spec!r} holds {len(entries)} (use 'repro batch"
-                    f" --specs' for lists)",
-                    file=sys.stderr,
-                )
-                return 2
-            spec, runtime = entries[0]
-            replay = runtime.get("replay", "auto")
-        else:
-            if args.workload is None:
-                print("error: one of --workload or --spec is required", file=sys.stderr)
-                return 2
-            spec = RunSpec(
-                args.workload,
-                technique=args.technique,
-                max_instructions=args.instructions,
-                input_name=args.input,
-                trace=bool(args.trace or args.trace_out),
-                trace_capacity=args.trace_capacity,
-            )
-        if args.dump_spec:
-            return _dump_specs_and_exit([spec], single=True)
-        # Refuse before simulating: an output file that cannot be created
-        # or an event ring that cannot hold an event is one error line.
-        obs = None
-        try:
-            for path, what in ((args.stats_out, "stats file"), (args.trace_out, "trace file")):
-                if path:
-                    check_writable(path, what)
-            if spec.trace or args.trace_out or args.stats_out or args.counters:
-                obs = Observability(
-                    trace=bool(spec.trace or args.trace_out),
-                    trace_capacity=spec.trace_capacity,
-                )
-        except (ReproError, ValueError) as exc:  # ValueError: trace capacity < 1
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            result = run_simulation(
-                spec, observability=obs, replay=replay, audit=args.audit
-            )
-        except ReproError as exc:
-            from .errors import AuditError
-
-            if isinstance(exc, AuditError):
-                print(f"AUDIT FAILED : {exc}", file=sys.stderr)
-                return 1
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        # Write the files before printing the report, so a reader that
-        # closes stdout early cannot cost them.
-        written = []
-        try:
-            if args.trace_out and obs is not None and obs.trace is not None:
-                if args.trace_out.endswith(".csv"):
-                    events = obs.trace.write_csv(args.trace_out)
-                else:
-                    events = obs.trace.write_jsonl(args.trace_out)
-                written.append(f"trace file   : {args.trace_out} ({events} events)")
-            if args.stats_out:
-                write_stats(result, args.stats_out)
-                written.append(f"stats file   : {args.stats_out}")
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return 2
-        if args.audit and result.audit is not None:
-            print(f"audit        : {len(result.audit['checks'])} checks ok")
-        print(f"workload     : {result.workload}")
-        print(f"technique    : {result.technique}")
-        print(f"instructions : {result.instructions}")
-        print(f"cycles       : {result.cycles}")
-        print(f"IPC          : {result.ipc:.3f}")
-        print(f"backend stall: {100 * result.full_rob_stall_fraction:.1f}%")
-        print(f"LLC MPKI     : {result.llc_mpki():.1f}")
-        print(f"mean MSHRs   : {result.mean_mshr_occupancy:.1f}")
-        print(f"branch MPKI  : {1000 * result.branch_mispredictions / max(1, result.instructions):.1f}")
-        print(f"demand levels: {result.demand_level_counts}")
-        print(f"DRAM sources : {result.dram_by_source}")
-        if args.cpi:
-            print("CPI stack    :")
-            for bucket, value in result.cpi_stack().items():
-                if value >= 0.005:
-                    print(f"  {bucket:16s} {value:6.2f}")
-        if result.technique_stats:
-            print("technique    :")
-            for key, value in sorted(result.technique_stats.items()):
-                print(f"  {key} = {value:.0f}")
-        if result.trace_digest is not None:
-            print(f"trace        : {result.trace_events} events, digest {result.trace_digest}")
-        if args.counters:
-            print("counters     :")
-            for name, value in sorted(result.counters.items()):
-                print(f"  {name} = {value:g}")
-        for line in written:
-            print(line)
-        return 0
+        return _run_command(args)
     if args.command == "table" and args.name != "table2":
         print(_render(getattr(experiments, _TABLES[args.name])(), args.format))
         return 0
@@ -687,6 +562,106 @@ def _dispatch(args) -> int:
     return 1  # pragma: no cover
 
 
+def _run_command(args) -> int:
+    """``repro run``: one simulation, described by flags or a spec file."""
+    from .errors import AuditError, ReproError, check_writable
+    from .experiments import RunSpec, run_simulation
+    from .observability import Observability, write_stats
+
+    replay = "auto"
+    if args.spec is not None:
+        if args.workload is not None:
+            raise ReproError("--spec and --workload are mutually exclusive")
+        from .experiments.spec import load_specs
+
+        entries = load_specs(args.spec)
+        if len(entries) != 1:
+            raise ReproError(
+                f"'repro run --spec' takes exactly one spec; {args.spec!r} holds"
+                f" {len(entries)} (use 'repro batch --specs' for lists)"
+            )
+        spec, runtime = entries[0]
+        replay = runtime.get("replay", "auto")
+    elif args.workload is None:
+        raise ReproError("one of --workload or --spec is required")
+    else:
+        spec = RunSpec(
+            args.workload,
+            technique=args.technique,
+            max_instructions=args.instructions,
+            input_name=args.input,
+            trace=bool(args.trace or args.trace_out),
+            trace_capacity=args.trace_capacity,
+        )
+    if args.dump_spec:
+        return _dump_specs_and_exit([spec], single=True)
+    # Refuse before simulating: an output file that cannot be created
+    # or an event ring that cannot hold an event is one error line.
+    for path, what in ((args.stats_out, "stats file"), (args.trace_out, "trace file")):
+        if path:
+            check_writable(path, what)
+    obs = None
+    if spec.trace or args.trace_out or args.stats_out or args.counters:
+        try:
+            obs = Observability(
+                trace=bool(spec.trace or args.trace_out),
+                trace_capacity=spec.trace_capacity,
+            )
+        except ValueError as exc:  # trace capacity < 1
+            raise ReproError(str(exc)) from exc
+    try:
+        result = run_simulation(spec, observability=obs, replay=replay, audit=args.audit)
+    except AuditError as exc:
+        print(f"AUDIT FAILED : {exc}", file=sys.stderr)
+        return 1
+    # Write the files before printing the report, so a reader that
+    # closes stdout early cannot cost them.
+    written = []
+    try:
+        if args.trace_out and obs is not None and obs.trace is not None:
+            if args.trace_out.endswith(".csv"):
+                events = obs.trace.write_csv(args.trace_out)
+            else:
+                events = obs.trace.write_jsonl(args.trace_out)
+            written.append(f"trace file   : {args.trace_out} ({events} events)")
+        if args.stats_out:
+            write_stats(result, args.stats_out)
+            written.append(f"stats file   : {args.stats_out}")
+    except OSError as exc:
+        raise ReproError(f"cannot write output: {exc}") from exc
+    if args.audit and result.audit is not None:
+        print(f"audit        : {len(result.audit['checks'])} checks ok")
+    print(f"workload     : {result.workload}")
+    print(f"technique    : {result.technique}")
+    print(f"instructions : {result.instructions}")
+    print(f"cycles       : {result.cycles}")
+    print(f"IPC          : {result.ipc:.3f}")
+    print(f"backend stall: {100 * result.full_rob_stall_fraction:.1f}%")
+    print(f"LLC MPKI     : {result.llc_mpki():.1f}")
+    print(f"mean MSHRs   : {result.mean_mshr_occupancy:.1f}")
+    print(f"branch MPKI  : {1000 * result.branch_mispredictions / max(1, result.instructions):.1f}")
+    print(f"demand levels: {result.demand_level_counts}")
+    print(f"DRAM sources : {result.dram_by_source}")
+    if args.cpi:
+        print("CPI stack    :")
+        for bucket, value in result.cpi_stack().items():
+            if value >= 0.005:
+                print(f"  {bucket:16s} {value:6.2f}")
+    if result.technique_stats:
+        print("technique    :")
+        for key, value in sorted(result.technique_stats.items()):
+            print(f"  {key} = {value:.0f}")
+    if result.trace_digest is not None:
+        print(f"trace        : {result.trace_events} events, digest {result.trace_digest}")
+    if args.counters:
+        print("counters     :")
+        for name, value in sorted(result.counters.items()):
+            print(f"  {name} = {value:g}")
+    for line in written:
+        print(line)
+    return 0
+
+
 def _experiment_plan(args):
     """The plan ``(specs, reduce)`` a figure/table2/sweep/compare command runs."""
     if args.command == "figure":
@@ -710,32 +685,23 @@ def _experiment_plan(args):
 
 def _run_experiment_command(args) -> int:
     """``repro figure/sweep/compare`` and ``repro table table2``: build the
-    plan once, then print its specs (``--dump-spec``) or run and render it."""
+    plan once, then print its specs (``--dump-spec``) or run and render it.
+    A flag the subcommand does not take (``table`` has no --dump-spec,
+    --jobs or --cache, ``figure`` no --audit) reads as unset."""
     plan = _experiment_plan(args)
-    if args.dump_spec:
+    if getattr(args, "dump_spec", False):
         return _dump_specs_and_exit(plan[0])
     from .experiments import run_plan
 
     cache = _make_cache(args)
-    result = run_plan(plan, jobs=args.jobs, cache=cache, audit=args.audit)
+    result = run_plan(
+        plan, jobs=getattr(args, "jobs", None), cache=cache,
+        audit=getattr(args, "audit", False),
+    )
     print(_render(result, args.format))
     if cache is not None:
-        _emit_batch_stats()
+        _emit_stats("batch")
     return 0
-
-
-def _load_spec_list(path: str) -> Optional[list]:
-    """A spec file's JSON list of objects, or ``None`` after printing why not."""
-    try:
-        with open(path) as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read spec file {path!r}: {exc}", file=sys.stderr)
-        return None
-    if not isinstance(raw, list) or not all(isinstance(s, dict) for s in raw):
-        print("error: spec file must hold a JSON list of objects", file=sys.stderr)
-        return None
-    return raw
 
 
 def _print_outcomes(outcomes, fmt: str) -> int:
@@ -761,67 +727,45 @@ def _print_outcomes(outcomes, fmt: str) -> int:
 
 def _run_batch_command(args) -> int:
     """``repro batch SPECS.json``: fault-tolerant spec-list execution."""
+    from .errors import ReproError
+    from .experiments.spec import load_specs, read_spec_file
+
     if args.specs is not None and args.specs_opt is not None:
-        print(
-            "error: pass the spec file once (positionally or via --specs)",
-            file=sys.stderr,
-        )
-        return 2
+        raise ReproError("pass the spec file once (positionally or via --specs)")
     path = args.specs if args.specs is not None else args.specs_opt
     if path is None:
-        print("error: a spec file is required (SPECS or --specs FILE)", file=sys.stderr)
-        return 2
-    raw = _load_spec_list(path)
-    if raw is None:
-        return 2
+        raise ReproError("a spec file is required (SPECS or --specs FILE)")
     if args.dump_spec:
-        from .errors import ReproError
-        from .experiments import parse_spec_entry
-
-        try:
-            return _dump_specs_and_exit(
-                [parse_spec_entry(entry)[0] for entry in raw]
-            )
-        except ReproError as exc:
-            print(f"error: bad spec in {path!r}: {exc}", file=sys.stderr)
-            return 2
+        return _dump_specs_and_exit([spec for spec, _runtime in load_specs(path)])
+    # Entries go to run_batch unparsed: a malformed entry becomes a
+    # BatchFailure in its slot (exit 1) instead of sinking the batch.
+    raw = read_spec_file(path)
     from .experiments import run_batch
 
-    # Entries go to run_batch unresolved: a malformed entry becomes a
-    # BatchFailure in its slot (exit 1) instead of sinking the batch.
     cache = _make_cache(args)
     results = run_batch(
         raw, jobs=args.jobs, cache=cache, retries=args.retries, audit=args.audit
     )
     failures = _print_outcomes(results, args.format)
     if cache is not None:
-        _emit_batch_stats()
+        _emit_stats("batch")
     return 1 if failures else 0
-
-
-def _emit_fabric_stats(snapshot) -> None:
-    """One stderr line with the full fabric.* counter family."""
-    line = " ".join(f"{k}={v:g}" for k, v in sorted(snapshot.items()))
-    print(f"fabric stats : {line}", file=sys.stderr)
 
 
 def _run_campaign_command(args) -> int:
     """``repro campaign run/worker/status``: the distributed sweep fabric."""
     from .errors import ReproError
     from .experiments.fabric import CampaignManifest, Worker, parse_address, run_campaign
+    from .experiments.spec import read_spec_file
 
     if args.campaign_command == "worker":
-        try:
-            worker = Worker(
-                parse_address(args.connect),
-                poll=args.poll,
-                self_destruct=args.self_destruct,
-                hang_after=args.hang_after,
-            )
-            sent = worker.run()
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        worker = Worker(
+            parse_address(args.connect),
+            poll=args.poll,
+            self_destruct=args.self_destruct,
+            hang_after=args.hang_after,
+        )
+        sent = worker.run()
         print(
             f"worker {worker.worker_id}: {sent} results sent, "
             f"{worker.completions} simulations",
@@ -829,12 +773,7 @@ def _run_campaign_command(args) -> int:
         )
         return 0
     if args.campaign_command == "status":
-        try:
-            manifest = CampaignManifest.load(args.manifest)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        status = manifest.status()
+        status = CampaignManifest.load(args.manifest).status()
         if args.json:
             print(json.dumps(status, indent=2))
         else:
@@ -849,18 +788,14 @@ def _run_campaign_command(args) -> int:
 
     # campaign run
     if args.specs is not None:
-        specs = _load_spec_list(args.specs)
-        if specs is None:
-            return 2
+        specs = read_spec_file(args.specs)
     elif args.manifest is not None and CampaignManifest.exists(args.manifest):
         specs = CampaignManifest.load(args.manifest).specs
     else:
-        print(
-            "error: a spec file is required (or --manifest DIR holding an"
-            " existing campaign to resume)",
-            file=sys.stderr,
+        raise ReproError(
+            "a spec file is required (or --manifest DIR holding an existing"
+            " campaign to resume)"
         )
-        return 2
     cache = _make_cache(args)
     if args.manifest is not None:
         try:
@@ -874,42 +809,32 @@ def _run_campaign_command(args) -> int:
             " re-simulate); pass --cache for zero re-simulation",
             file=sys.stderr,
         )
-    try:
-        campaign = run_campaign(
-            specs,
-            workers=args.workers,
-            cache=cache,
-            manifest_dir=args.manifest,
-            lease_timeout=args.lease_timeout,
-            retries=args.retries,
-            timeout=args.timeout,
-            worker_mode=args.worker_mode,
-            chaos_workers=args.chaos_workers,
-            audit=args.audit,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    campaign = run_campaign(
+        specs,
+        workers=args.workers,
+        cache=cache,
+        manifest_dir=args.manifest,
+        lease_timeout=args.lease_timeout,
+        retries=args.retries,
+        timeout=args.timeout,
+        worker_mode=args.worker_mode,
+        chaos_workers=args.chaos_workers,
+        audit=args.audit,
+    )
     failures = _print_outcomes(campaign.outcomes, args.format)
     completions = " ".join(
         f"{worker}={count}" for worker, count in sorted(campaign.worker_completions.items())
     )
     if completions and args.format != "json":
         print(f"workers      : {completions}", file=sys.stderr)
-    _emit_fabric_stats(campaign.fabric)
+    _emit_stats("fabric", campaign.fabric)
     if cache is not None:
-        _emit_batch_stats()
+        _emit_stats("batch")
     if not campaign.conservation.passed:
         for violation in campaign.conservation.violations:
             print(f"CONSERVATION : {violation}", file=sys.stderr)
         return 1
     return 1 if failures else 0
-
-
-def _emit_serve_stats(snapshot) -> None:
-    """One stderr line with the full serve.* counter family."""
-    line = " ".join(f"{k}={v:g}" for k, v in sorted(snapshot.items()))
-    print(f"serve stats  : {line}", file=sys.stderr)
 
 
 def _run_serve_command(args) -> int:
@@ -927,12 +852,9 @@ def _run_serve_command(args) -> int:
     if args.load_test is not None:
         clients, sep, spec_count = args.load_test.lower().partition("x")
         if not sep or not clients.isdigit() or not spec_count.isdigit():
-            print(
-                "error: --load-test expects CLIENTSxSPECS (e.g. 8x3), got"
-                f" {args.load_test!r}",
-                file=sys.stderr,
+            raise ReproError(
+                f"--load-test expects CLIENTSxSPECS (e.g. 8x3), got {args.load_test!r}"
             )
-            return 2
         if cache is None:
             # The warm volley proves cache hits, so the self-test always
             # runs against a (private, throwaway) cache.
@@ -945,15 +867,11 @@ def _run_serve_command(args) -> int:
             RunSpec("camel", max_instructions=args.max_instructions + 100 * i)
             for i in range(int(spec_count))
         ]
-        try:
-            with ServerThread(
-                host=args.host, port=0, pool_size=args.pool, cache=cache
-            ) as server:
-                report = run_load_test(server.address, specs, clients=int(clients))
-                snapshot = server.serve_snapshot()
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with ServerThread(
+            host=args.host, port=0, pool_size=args.pool, cache=cache
+        ) as server:
+            report = run_load_test(server.address, specs, clients=int(clients))
+            snapshot = server.serve_snapshot()
 
         def volley(delta):
             return " ".join(f"{k}={v:g}" for k, v in sorted(delta.items()))
@@ -963,7 +881,7 @@ def _run_serve_command(args) -> int:
         print(f"warm volley  : {volley(report.warm)}")
         print(f"bit-identical: {'yes' if report.bit_identical else 'NO'}")
         print(f"conservation : {'ok' if report.conservation_passed else 'BROKEN'}")
-        _emit_serve_stats(snapshot)
+        _emit_stats("serve", snapshot)
         if report.violations:
             for violation in report.violations:
                 print(f"VIOLATION    : {violation}", file=sys.stderr)
@@ -1010,50 +928,38 @@ def _run_serve_command(args) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:
         pass
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
-        print(f"error: cannot listen on {args.host}:{args.port}: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        _emit_serve_stats(server.serve_snapshot())
+        raise ReproError(f"cannot listen on {args.host}:{args.port}: {exc}") from exc
+    _emit_stats("serve", server.serve_snapshot())
     return 0
 
 
-def _parse_bytes(text: str) -> int:
-    """``256M``-style size → bytes."""
-    scales = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
+def _parse_scaled(text: str, scales: dict, what: str, examples: str) -> float:
+    """``256M``/``7d``-style quantity: a finite number with an optional unit suffix."""
+    import math
+
+    from .errors import ReproError
+
     raw = text.strip().lower()
     scale = scales.get(raw[-1:], None)
     if scale is not None:
         raw = raw[:-1]
     try:
-        return int(float(raw) * (scale or 1))
+        value = float(raw) * (scale or 1)
     except ValueError:
-        raise ValueError(f"bad size {text!r} (expected e.g. 1048576, 256M, 2G)")
-
-
-def _parse_age(text: str) -> float:
-    """``7d``-style age → seconds."""
-    scales = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
-    raw = text.strip().lower()
-    scale = scales.get(raw[-1:], None)
-    if scale is not None:
-        raw = raw[:-1]
-    try:
-        return float(raw) * (scale or 1.0)
-    except ValueError:
-        raise ValueError(f"bad age {text!r} (expected e.g. 3600, 36h, 7d)")
+        value = math.nan
+    if not math.isfinite(value):
+        raise ReproError(f"bad {what} {text!r} (expected e.g. {examples})")
+    return value
 
 
 def _run_cache_command(args) -> int:
     """``repro cache stats/gc``: result-cache maintenance."""
+    from .errors import ReproError
     from .experiments import ResultCache
 
-    cache = ResultCache(args.dir or None)
     if args.cache_command == "stats":
-        stats = cache.stats()
+        stats = ResultCache(args.dir or None).stats()
         if args.json:
             print(json.dumps(stats, indent=2))
             return 0
@@ -1067,16 +973,22 @@ def _run_cache_command(args) -> int:
             print(f"  {shard}: {info['entries']} entries, {info['bytes']} bytes")
         return 0
     # cache gc
-    try:
-        max_bytes = _parse_bytes(args.max_bytes) if args.max_bytes is not None else None
-        max_age = _parse_age(args.max_age) if args.max_age is not None else None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    max_bytes = max_age = None
+    if args.max_bytes is not None:
+        max_bytes = int(_parse_scaled(
+            args.max_bytes, {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30},
+            "size", "1048576, 256M, 2G",
+        ))
+    if args.max_age is not None:
+        max_age = _parse_scaled(
+            args.max_age, {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0},
+            "age", "3600, 36h, 7d",
+        )
     if max_bytes is None and max_age is None:
-        print("error: cache gc needs --max-bytes and/or --max-age", file=sys.stderr)
-        return 2
-    report = cache.gc(max_bytes=max_bytes, max_age=max_age, dry_run=args.dry_run)
+        raise ReproError("cache gc needs --max-bytes and/or --max-age")
+    report = ResultCache(args.dir or None).gc(
+        max_bytes=max_bytes, max_age=max_age, dry_run=args.dry_run
+    )
     verb = "would evict" if args.dry_run else "evicted"
     print(
         f"{verb} {report['evicted']} entries ({report['freed_bytes']} bytes), "
@@ -1088,22 +1000,14 @@ def _run_cache_command(args) -> int:
 def _run_audit_command(args) -> int:
     """``repro audit``: sanitizer sweep over a spec matrix."""
     from .audit import audit_specs, format_report, write_report
-    from .errors import ReproError, check_writable
+    from .errors import check_writable
     from .experiments import RunSpec
+    from .experiments.spec import load_specs
 
     if args.out:
         check_writable(args.out, "audit report")
     if args.specs is not None:
-        from .experiments import load_specs
-
-        try:
-            specs = [spec for spec, _runtime in load_specs(args.specs)]
-        except (OSError, ReproError) as exc:
-            print(
-                f"error: cannot load spec file {args.specs!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
+        specs = [spec for spec, _runtime in load_specs(args.specs)]
     else:
         specs = [
             RunSpec(workload, technique=tech, max_instructions=args.instructions)

@@ -254,10 +254,11 @@ class RunaheadConfig:
                 f"runahead.subthread_issue_width must be >= 1, "
                 f"got {self.subthread_issue_width}"
             )
-        if self.vector_width < 1:
-            raise ConfigError(
-                f"runahead.vector_width must be >= 1, got {self.vector_width}"
-            )
+        for name in ("vector_width", "vr_lanes", "dvr_lanes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"runahead.{name} must be >= 1, got {getattr(self, name)}"
+                )
 
 
 @lru_cache(maxsize=None)
@@ -313,6 +314,16 @@ class SimConfig:
     stride_prefetcher_enabled: bool = True
     stride_prefetcher_streams: int = 16
     stride_prefetcher_degree: int = 2
+
+    def __post_init__(self) -> None:
+        if self.max_instructions < 1:
+            raise ConfigError(
+                f"max_instructions must be >= 1, got {self.max_instructions}"
+            )
+        if self.warmup_instructions < 0:
+            raise ConfigError(
+                f"warmup_instructions must be >= 0, got {self.warmup_instructions}"
+            )
 
     @staticmethod
     def paper(**overrides: object) -> "SimConfig":

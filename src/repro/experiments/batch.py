@@ -144,9 +144,9 @@ def cacheable(runtime: Dict) -> bool:
 class SpecSet:
     """One spec list resolved once, for every front end that dispatches it.
 
-    Each entry is parsed (a malformed one becomes a :class:`BatchFailure`
-    in its own slot) and deduped by content address, so identical specs
-    simulate once. :meth:`resolve_cached` answers cacheable specs from
+    Each entry is parsed and keyed (a malformed one, or one whose config
+    does not resolve, becomes a :class:`BatchFailure` in its own slot)
+    and deduped by content address, so identical specs simulate once. :meth:`resolve_cached` answers cacheable specs from
     ``cache``, :meth:`run_local` runs facade specs in this process (a
     live facade cannot cross a process boundary), :meth:`resolve`
     records every other outcome and stores cacheable successes, and
@@ -171,9 +171,16 @@ class SpecSet:
         for index, raw in enumerate(specs):
             try:
                 spec, runtime = parse_spec_entry(raw)
+                # Facade specs are never deduped: each caller's facade
+                # must be populated by its own run.
+                if runtime.get("observability") is None:
+                    key = spec.key()
+                else:
+                    key = f"uncacheable-{index}"
             except Exception as exc:  # noqa: BLE001 — the isolation boundary
+                record = raw.to_payload() if isinstance(raw, RunSpec) else raw
                 self.slots.append(BatchFailure(
-                    spec=canonical_spec(dict(raw)) if isinstance(raw, dict) else {},
+                    spec=canonical_spec(dict(record)) if isinstance(record, dict) else {},
                     error_type=type(exc).__name__,
                     message=str(exc),
                     traceback=traceback_module.format_exc(),
@@ -181,12 +188,6 @@ class SpecSet:
                 continue
             if audit:
                 runtime = dict(runtime, audit=True)
-            # Facade specs are never deduped: each caller's facade must
-            # be populated by its own run.
-            if runtime.get("observability") is None:
-                key = spec.key()
-            else:
-                key = f"uncacheable-{index}"
             self.items.setdefault(key, (spec, runtime))
             self.slots.append(key)
         self.parse_failures = sum(isinstance(s, BatchFailure) for s in self.slots)

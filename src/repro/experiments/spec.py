@@ -434,21 +434,37 @@ def parse_spec_entry(entry: object) -> Tuple[RunSpec, Dict]:
     return split_run_kwargs(entry)
 
 
+def read_spec_file(path: Union[str, os.PathLike]) -> List[Dict]:
+    """A spec file's entries, unparsed: a JSON list of objects, or one object.
+
+    The one reader every front end uses. A list's entries are parsed
+    where they run, so a malformed one fails only its own slot; a lone
+    object is the whole file, so it must parse as a spec here. Any
+    failure is one :class:`ConfigError` naming the file.
+    """
+    try:
+        with open(path) as handle:
+            raw = json.load(handle)
+        if isinstance(raw, dict):
+            parse_spec_entry(raw)
+            raw = [raw]
+        elif not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
+            raise ConfigError("expected a JSON list of objects or one spec object")
+    except (OSError, ValueError, ConfigError) as exc:  # ValueError: bad JSON
+        raise ConfigError(f"cannot read spec file {path!r}: {exc}") from exc
+    return raw
+
+
 def load_specs(path: Union[str, os.PathLike]) -> List[Tuple[RunSpec, Dict]]:
-    """Read a spec file: a JSON list of spec documents (or one object).
+    """Read and parse a spec file (see :func:`read_spec_file`).
 
     Entries may mix ``repro.spec/1`` documents and legacy kwargs dicts.
     """
-    with open(path) as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"cannot parse spec file {path!r}: {exc}") from exc
-    if isinstance(raw, Mapping):
-        raw = [raw]
-    if not isinstance(raw, list):
-        raise ConfigError("spec file must hold a JSON list of objects")
-    return [parse_spec_entry(entry) for entry in raw]
+    entries = read_spec_file(path)
+    try:
+        return [parse_spec_entry(entry) for entry in entries]
+    except ConfigError as exc:
+        raise ConfigError(f"cannot read spec file {path!r}: {exc}") from exc
 
 
 def dump_specs(

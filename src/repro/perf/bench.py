@@ -361,26 +361,22 @@ def load_payload(path: str) -> Dict:
 def main_bench(args) -> int:
     """Back end of the ``repro bench`` CLI subcommand.
 
-    Exit codes: 0 ok, 1 a regression (or a ``--check`` that compared no
-    kernel), 2 a usage error (unknown kernel, unwritable ``--json``,
-    unreadable baseline), reported before any kernel runs.
+    Returns 0, or 1 on a regression (or a ``--check`` that compared no
+    kernel). A usage error (unknown kernel, unwritable ``--json``,
+    unreadable baseline) raises :class:`ReproError` before any kernel
+    runs; the CLI reports it as one ``error:`` line and exit 2.
     """
     kernels = args.kernels.split(",") if args.kernels else None
-    try:
-        if args.json:
-            check_writable(args.json, "bench file")
-        baseline = load_payload(args.check) if args.check else None
-        payload = run_bench(kernels=kernels, scale=args.scale, repeats=args.repeats)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.json:
+        check_writable(args.json, "bench file")
+    baseline = load_payload(args.check) if args.check else None
+    payload = run_bench(kernels=kernels, scale=args.scale, repeats=args.repeats)
     print(render_table(payload))
     if args.json:
         try:
             write_payload(payload, args.json)
         except OSError as exc:
-            print(f"error: cannot write bench file {args.json!r}: {exc}", file=sys.stderr)
-            return 2
+            raise ReproError(f"cannot write bench file {args.json!r}: {exc}") from exc
         print(f"bench file   : {args.json}", file=sys.stderr)
     if baseline is not None:
         failures, compared = check_regression(

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.config import SimConfig
+from repro.core.ooo import SimulationResult
 from repro.errors import ReproError
 from repro.experiments import (
     BATCH_COUNTERS,
@@ -28,6 +29,7 @@ from repro.experiments import (
 )
 from repro.experiments import batch as batch_module
 from repro.experiments import cache as cache_module
+from repro.experiments.cache import canonical_spec
 from repro.observability import Observability
 from repro.perf.trace import clear_trace_memo
 
@@ -67,6 +69,22 @@ class TestIsolation:
             "SimulationResult", "SimulationResult", "BatchFailure", "SimulationResult",
         ]
         assert batch_failures(results)[0].spec["workload"] == "no_such_workload"
+
+    @pytest.mark.parametrize("override", [
+        ("bogus.field", 1), ("runahead.vector_width", 0), ("runahead.dvr_lanes", 0),
+    ], ids=["unknown-field", "vector-width", "dvr-lanes"])
+    def test_unresolvable_override_fails_only_its_slot(self, override):
+        path, value = override
+        entry = {"workload": "camel", "max_instructions": 800, "overrides": {path: value}}
+        results = run_batch([_spec(), entry, RunSpec("camel", overrides=(override,))])
+        assert isinstance(results[0], SimulationResult)
+        for failure in results[1:]:
+            assert isinstance(failure, BatchFailure)
+            assert failure.error_type == "ConfigError" and path in failure.message
+        # The slot records the raw entry, as a parse failure does.
+        assert results[1].spec == canonical_spec(entry)
+        assert results[2].spec["overrides"] == {path: value}
+        assert BATCH_COUNTERS.get("batch.failures") == 2
 
     def test_strict_mode_raises_with_worker_traceback(self):
         with pytest.raises(ReproError, match="no_such_workload"):

@@ -361,6 +361,18 @@ class TestOutputAndPortFailureSurfaces:
         self._assert_one_error_line(capsys, "99999")
 
 
+    def test_serve_port_in_use_is_one_error_line(self, capsys):
+        import socket
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = str(taken.getsockname()[1])
+            reset_batch_counters()
+            assert main(["serve", "--port", port]) == 2
+        self._assert_one_error_line(capsys, "cannot listen on", port)
+
+
 class TestFigureJobs:
     ARGV = ["figure", "figure9", "--workloads", "camel", "--instructions", "1000"]
 
@@ -387,3 +399,94 @@ class TestFigureJobs:
         assert roots == [] and list(scratch.rglob("*")) == []
         # The pool ran every point; this process simulated none of them.
         assert BATCH_COUNTERS.get("batch.sim.runs", 0) == 0
+
+
+class TestOutOfRangeRunSizes:
+    """An out-of-range run size or lane count is reported the way each
+    front end reports any bad spec; the CLI adds no range check of its own."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--workload", "camel", "-n", "0"],
+        ["run", "--workload", "camel", "-n", "-3"],
+        ["compare", "--workloads", "camel", "--techniques", "ooo", "--instructions", "0"],
+        ["figure", "figure7", "--workloads", "camel", "--instructions", "-5"],
+        ["table", "table2", "-n", "0"],
+        ["sweep", "--workload", "camel", "--param", "runahead.dvr_lanes",
+         "--values", "0", "-4", "-n", "500"],
+        ["sweep", "--workload", "camel", "--param", "warmup_instructions",
+         "--values", "-5", "-n", "500"],
+    ], ids=["run-zero", "run-negative", "compare", "figure", "table", "sweep-lanes",
+            "sweep-warmup"])
+    def test_spec_shaped_command_is_one_error_line(self, argv, capsys):
+        reset_batch_counters()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "must be >= " in captured.err
+        assert BATCH_COUNTERS.get("batch.sim.runs", 0) == 0
+
+    def test_batch_fails_only_that_slot(self, tmp_path, capsys):
+        path = tmp_path / "specs.json"
+        path.write_text(json.dumps([
+            {"workload": "camel", "max_instructions": 500},
+            {"workload": "camel", "max_instructions": 0},
+        ]))
+        assert main(["batch", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "ok   camel/ooo" in out
+        assert "FAIL camel/ooo: ConfigError: max_instructions must be >= 1, got 0" in out
+        assert "1/2 specs succeeded" in out
+
+    def test_audit_records_a_config_error(self, capsys):
+        argv = ["audit", "-n", "0", "--workloads", "camel", "--techniques", "ooo"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "run-error: ConfigError: max_instructions must be >= 1, got 0" in out
+        assert "TypeError" not in out
+
+    def test_serve_answers_400(self):
+        from repro.experiments import ServerThread
+        from repro.experiments.serve import _dump, _post_run
+
+        body = _dump({"schema": "repro.spec/1", "workload": "camel", "max_instructions": 0})
+        with ServerThread() as server:
+            status, served, reply = _post_run(server.address, body, 60)
+        assert (status, served) == (400, "miss")
+        assert json.loads(reply)["failure"]["error_type"] == "ConfigError"
+
+
+class TestSpecFiles:
+    """One reader serves every command that reads a spec file: the same
+    shape rule and the same error line."""
+
+    COMMANDS = {
+        "run": ["run", "--spec"],
+        "audit": ["audit", "--specs"],
+        "batch": ["batch"],
+        "batch-dump": ["batch", "--dump-spec", "--specs"],
+        "campaign": ["campaign", "run", "--worker-mode", "thread"],
+    }
+
+    @pytest.mark.parametrize("content", [
+        None, "{not json", '"camel"', '[{"workload": "camel"}, 7]', '{"not": "a spec"}',
+    ], ids=["missing", "bad-json", "string", "non-object-entry", "lone-non-spec"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unreadable_file_is_one_error_line(self, command, content, tmp_path, capsys):
+        path = tmp_path / "specs.json"
+        if content is not None:
+            path.write_text(content)
+        reset_batch_counters()
+        assert main(self.COMMANDS[command] + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read spec file {str(path)!r}: ")
+        assert captured.err.count("\n") == 1
+        assert BATCH_COUNTERS.get("batch.sim.runs", 0) == 0
+
+    @pytest.mark.parametrize("command", ["batch", "campaign"])
+    def test_lone_spec_object_runs_as_a_list_of_one(self, command, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"workload": "camel", "max_instructions": 500}))
+        assert main(self.COMMANDS[command] + [str(path)]) == 0
+        assert "1/1 specs succeeded" in capsys.readouterr().out

@@ -175,3 +175,49 @@ class TestRetiredBranchField:
             run_batch([spec], strict=True)
         assert BATCH_COUNTERS.get("batch.sim.runs", 0) == 0
         assert BATCH_COUNTERS.get("batch.batches", 0) == 0
+
+
+class TestRunSizeRanges:
+    """Out-of-range run sizes and lane counts fail where the config is
+    built, so every front end meets them as a ``ConfigError``."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_instructions": 0},
+        {"max_instructions": -3},
+        {"warmup_instructions": -5},
+    ], ids=["n-zero", "n-negative", "warmup-negative"])
+    def test_sim_config_rejects(self, kwargs):
+        (name, value), = kwargs.items()
+        with pytest.raises(ConfigError, match=f"{name} must be >= .*, got {value}"):
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [0, -4])
+    @pytest.mark.parametrize("name", ["vr_lanes", "dvr_lanes"])
+    def test_runahead_config_rejects_lanes(self, name, value):
+        with pytest.raises(ConfigError, match=f"runahead.{name} must be >= 1, got {value}"):
+            RunaheadConfig(**{name: value})
+
+    def test_smallest_legal_values(self):
+        cfg = SimConfig(max_instructions=1, warmup_instructions=0,
+                        runahead=RunaheadConfig(vr_lanes=1, dvr_lanes=1))
+        assert cfg.max_instructions == 1
+
+    @pytest.mark.parametrize("path,value", [
+        ("max_instructions", 0),
+        ("warmup_instructions", -5),
+        ("runahead.dvr_lanes", 0),
+        ("runahead.vr_lanes", -4),
+    ])
+    def test_overrides_are_rejected_before_they_key(self, path, value):
+        with pytest.raises(ConfigError, match=">= "):
+            apply_override(SimConfig(), path, value)
+        # No cache entry can be keyed for an out-of-range value.
+        with pytest.raises(ConfigError, match=">= "):
+            RunSpec("camel", overrides=((path, value),)).key()
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_spec_run_size_is_rejected(self, n):
+        with pytest.raises(ConfigError, match=f"max_instructions must be >= 1, got {n}"):
+            RunSpec("camel", max_instructions=n).key()
+        with pytest.raises(ConfigError, match="max_instructions must be >= 1"):
+            run_batch([RunSpec("camel", max_instructions=n)], strict=True)

@@ -233,6 +233,20 @@ class TestCampaign:
         assert campaign.fabric["fabric.parse_failures"] == 1
         assert campaign.conservation.passed, campaign.conservation.violations
 
+    def test_unresolvable_override_fails_only_its_slot(self):
+        bogus = {"workload": "camel", "max_instructions": 400,
+                 "overrides": {"bogus.field": 1}}
+        campaign = _campaign(_payloads(1) + [bogus] + _payloads(2)[1:])
+        outcomes = campaign.outcomes
+        assert [type(o).__name__ for o in outcomes] == [
+            "SimulationResult", "BatchFailure", "SimulationResult",
+        ]
+        assert outcomes[1].error_type == "ConfigError"
+        assert "bogus.field" in outcomes[1].message
+        assert outcomes[1].spec["overrides"] == {"bogus.field": 1}
+        assert campaign.fabric["fabric.parse_failures"] == 1
+        assert campaign.conservation.passed, campaign.conservation.violations
+
     def test_duplicate_specs_simulate_once(self):
         spec = _payloads(1)[0]
         campaign = _campaign([spec, dict(spec), dict(spec)])
