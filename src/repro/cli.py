@@ -254,8 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     crun_p.add_argument(
         "--worker-mode", choices=["thread", "process"], default="process",
-        help="worker isolation: one subprocess each (default) or in-process"
-        " threads (faster startup, shared interpreter)",
+        help="worker isolation: one forked process each (default) or"
+        " in-process threads (shared interpreter)",
     )
     crun_p.add_argument(
         "--manifest", metavar="DIR", default=None,
@@ -525,9 +525,15 @@ def _dispatch(args) -> int:
         return _run_audit_command(args)
     if args.command == "pipeview":
         from .core import OoOCore, pipeview_legend, render_pipeview
+        from .errors import ReproError
         from .techniques import make_technique
         from .workloads import build_workload
 
+        for flag, value, least in (
+            ("--rows", args.rows, 1), ("--width", args.width, 1), ("--skip", args.skip, 0),
+        ):
+            if value < least:
+                raise ReproError(f"{flag} must be >= {least}, got {value}")
         wl = build_workload(args.workload)
         core = OoOCore(
             wl.program,
@@ -672,8 +678,11 @@ def _experiment_plan(args):
         from .experiments.tables import table2_plan
 
         return table2_plan(args.instructions)
+    from .errors import ReproError
     from .experiments.sweep import compare_plan, sweep_plan
 
+    if args.seeds < 1:
+        raise ReproError(f"--seeds must be >= 1, got {args.seeds}")
     seeds = list(range(1, args.seeds + 1)) if args.seeds > 1 else None
     if args.command == "sweep":
         values = [_parse_value(v) for v in args.values]

@@ -12,6 +12,7 @@ Two canonical configurations are provided:
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
 from typing import Dict, Mapping, Tuple
@@ -393,18 +394,24 @@ class SimConfig:
         return _dataclass_from_dict(SimConfig, data, "config")
 
 
-def _dataclass_from_dict(cls, data: Mapping, path: str):
-    import typing
+@lru_cache(maxsize=None)
+def _type_hints(cls) -> Dict[str, object]:
+    """``cls``'s resolved field annotations, once per config class.
 
+    PEP 563 stores annotations as strings; resolving them compiles each
+    one, which used to dominate parsing a spec that carries a config.
+    """
+    return typing.get_type_hints(cls)
+
+
+def _dataclass_from_dict(cls, data: Mapping, path: str):
     if not isinstance(data, Mapping):
         raise ConfigError(f"{path}: expected a mapping for {cls.__name__}, got {data!r}")
-    names = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - names)
+    unknown = sorted(set(data) - set(_field_names(cls)))
     if unknown:
         raise ConfigError(f"{path}: unknown {cls.__name__} fields {unknown}")
-    # PEP 563 stores annotations as strings; resolve them to classes so
-    # nested dataclass fields recurse.
-    hints = typing.get_type_hints(cls)
+    # Resolved to classes so nested dataclass fields recurse.
+    hints = _type_hints(cls)
     kwargs = {}
     for name, value in data.items():
         hint = hints.get(name)

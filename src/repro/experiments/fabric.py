@@ -45,13 +45,12 @@ import itertools
 import json
 import os
 import socket
-import subprocess
-import sys
 import threading
 import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -63,10 +62,11 @@ from .batch import (
     BatchItem,
     BatchOutcome,
     SpecSet,
+    _POOL_CONTEXT,
     _execute_spec,
     _failure_payload,
 )
-from .cache import ResultCache
+from .cache import ResultCache, use_cache
 from .protocol import (
     FABRIC_SCHEMA,
     ProtocolError,
@@ -344,11 +344,20 @@ class Coordinator:
     @property
     def address(self) -> Tuple[str, int]:
         if self._server is None:
-            raise ReproError("coordinator is not started")
+            raise ReproError("coordinator is not listening")
         return self._server.getsockname()[:2]
 
+    def listen(self) -> "Coordinator":
+        """Bind the listening socket. Workers may connect from here on;
+        they wait in the backlog until :meth:`start` runs the accept loop,
+        so they can be forked in between, before any thread exists."""
+        if self._server is None:
+            self._server = socket.create_server((self._host, self._port))
+        return self
+
     def start(self) -> "Coordinator":
-        self._server = socket.create_server((self._host, self._port))
+        """Listen (if not yet) and serve workers: accept loop, lease monitor."""
+        self.listen()
         accept = threading.Thread(target=self._accept_loop, daemon=True)
         monitor = threading.Thread(target=self._lease_monitor, daemon=True)
         self._threads += [accept, monitor]
@@ -793,26 +802,39 @@ class CampaignResult:
         )
 
 
-def _spawn_worker_thread(address, poll, **kwargs) -> threading.Thread:
-    worker = Worker(address, poll=poll, **kwargs)
+def _spawn_worker_thread(address, poll, self_destruct=None) -> threading.Thread:
+    worker = Worker(address, poll=poll, self_destruct=self_destruct)
     thread = threading.Thread(target=worker.run, daemon=True)
-    thread.worker = worker  # type: ignore[attr-defined]
     thread.start()
     return thread
 
 
-def _spawn_worker_process(address, poll, self_destruct=None) -> subprocess.Popen:
-    command = [
-        sys.executable, "-m", "repro", "campaign", "worker",
-        "--connect", f"{address[0]}:{address[1]}", "--poll", str(poll),
-    ]
-    if self_destruct is not None:
-        command += ["--self-destruct", str(self_destruct)]
-    env = dict(os.environ)
-    src_root = str(Path(__file__).resolve().parents[2])
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
-    return subprocess.Popen(command, env=env)
+def _forked_worker_main(address, poll, self_destruct) -> None:
+    # The fork copies the coordinator's ambient cache; a spawned or
+    # thread worker never had one, and a worker's results reach the
+    # cache only through the coordinator.
+    with use_cache(None):
+        try:
+            Worker(address, poll=poll, self_destruct=self_destruct).run()
+        except ReproError as exc:
+            # The coordinator stopped before this worker connected (a
+            # campaign timeout, say): one line, as `campaign worker` prints.
+            raise SystemExit(f"error: {exc}")
+
+
+def _fork_worker(address, poll, self_destruct=None) -> BaseProcess:
+    """One worker process, forked from the coordinator where fork exists.
+
+    It inherits the imported simulator instead of booting an interpreter.
+    ``multiprocessing`` rather than a bare ``os.fork``: it flushes the
+    standard streams first, and its after-fork hooks and exit finalizers
+    run in the child.
+    """
+    process = _POOL_CONTEXT.Process(
+        target=_forked_worker_main, args=(address, poll, self_destruct)
+    )
+    process.start()
+    return process
 
 
 def run_campaign(
@@ -835,11 +857,13 @@ def run_campaign(
     Starts a coordinator on an ephemeral localhost port, spawns
     ``workers`` pull-based workers (``worker_mode="thread"`` for
     in-process workers — the fast path for tests and small campaigns —
-    or ``"process"`` for one subprocess per worker, the real fabric
-    shape), waits for every spec to resolve, and evaluates the
-    distributed conservation law. ``chaos_workers`` additionally spawns
-    that many fault-injection workers that each pull one spec and die
-    holding the lease (the recovery path must then re-run it).
+    or ``"process"`` for one process per worker, forked from this one
+    where the platform can fork), waits for every spec to resolve, and
+    evaluates the distributed conservation law. ``chaos_workers``
+    additionally spawns that many fault-injection workers that each pull
+    one spec and die holding the lease (the recovery path must then
+    re-run it). Every worker process is joined before this returns; one
+    still alive 5 s after the coordinator stops is killed.
 
     With ``manifest_dir``, the campaign is resumable: a fresh directory
     gets a ``repro.campaign/1`` manifest; an existing one must match
@@ -872,7 +896,8 @@ def run_campaign(
         poll=poll,
         audit=audit,
         counters=counters,
-    ).start()
+    ).listen()
+    start_worker = _fork_worker if worker_mode == "process" else _spawn_worker_thread
     handles: List = []
     try:
         # A fully-resumed (or all-cached/all-local) campaign has nothing
@@ -880,31 +905,19 @@ def run_campaign(
         # coordinator that is already shutting down.
         if not coordinator.remaining():
             workers = chaos_workers = 0
-        for _ in range(chaos_workers):
-            if worker_mode == "process":
-                handles.append(
-                    _spawn_worker_process(coordinator.address, poll, self_destruct=1)
-                )
-            else:
-                handles.append(
-                    _spawn_worker_thread(coordinator.address, poll, self_destruct=1)
-                )
-        for _ in range(workers):
-            if worker_mode == "process":
-                handles.append(_spawn_worker_process(coordinator.address, poll))
-            else:
-                handles.append(_spawn_worker_thread(coordinator.address, poll))
+        for self_destruct in [1] * chaos_workers + [None] * workers:
+            handles.append(start_worker(coordinator.address, poll, self_destruct))
+        # Only now does the coordinator start threads, so no fork above
+        # copied a thread or a lock one held.
+        coordinator.start()
         outcomes = coordinator.wait(timeout)
     finally:
         coordinator.stop()
         for handle in handles:
-            if isinstance(handle, subprocess.Popen):
-                try:
-                    handle.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:
-                    handle.kill()
-            else:
-                handle.join(timeout=5.0)
+            handle.join(timeout=5.0)
+            if isinstance(handle, BaseProcess) and handle.is_alive():
+                handle.kill()
+                handle.join()
     from ..audit.checks import check_fabric_counters
 
     snapshot = coordinator.counters.snapshot()

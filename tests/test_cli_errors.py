@@ -92,6 +92,18 @@ class TestSmallCommands:
         assert code == 0
         assert "cycles" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,value,reason", [
+        ("--width", "0", "--width must be >= 1, got 0"),
+        ("--rows", "0", "--rows must be >= 1, got 0"),
+        ("--rows", "-5", "--rows must be >= 1, got -5"),
+        ("--skip", "-2", "--skip must be >= 0, got -2"),
+    ])
+    def test_pipeview_out_of_range_is_one_error_line(self, flag, value, reason, capsys):
+        assert main(["pipeview", "--workload", "camel", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {reason}\n"
+
     def test_run_swpf_label(self, capsys):
         assert main(
             ["run", "--workload", "kangaroo", "--technique", "swpf", "-n", "1200"]
@@ -218,7 +230,14 @@ class TestExperimentFailureSurfaces:
          "unknown technique 'bogus'"),
         (["figure", "figure9", "--workloads", "bogus", "--instructions", "500"],
          "unknown workload 'bogus'"),
-    ], ids=["sweep-param", "sweep-value", "compare-technique", "figure-workload"])
+        # A seed count below one used to average one seed and exit 0.
+        (["compare", "--workloads", "camel", "--techniques", "ooo",
+          "--instructions", "500", "--seeds", "0"],
+         "--seeds must be >= 1, got 0"),
+        (SWEEP + ["--param", "core.rob_size", "--values", "128", "--seeds", "-1"],
+         "--seeds must be >= 1, got -1"),
+    ], ids=["sweep-param", "sweep-value", "compare-technique", "figure-workload",
+            "compare-seeds", "sweep-seeds"])
     def test_one_error_line(self, argv, reason, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()

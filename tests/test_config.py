@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import typing
+from collections import Counter
 
 import pytest
 
@@ -12,7 +14,9 @@ from repro.config import (
     MemoryConfig,
     RunaheadConfig,
     SimConfig,
+    TLBConfig,
     _plain_dict,
+    _type_hints,
 )
 from repro.errors import ConfigError
 from repro.experiments.batch import run_batch
@@ -137,6 +141,35 @@ class TestSimConfig:
         walked, reference = _plain_dict(cfg), dataclasses.asdict(cfg)
         assert json.dumps(walked) == json.dumps(reference)
         assert walked["memory"] is not _plain_dict(cfg)["memory"]
+
+
+class TestFromDict:
+    def test_repeated_parses_resolve_each_class_once(self, monkeypatch):
+        cfg = SimConfig.paper(max_instructions=900, warmup_instructions=100)
+        for path, value in (
+            ("memory.tlb.enable", True),
+            ("runahead.dvr_lanes", 32),
+            ("core.rob_size", 224),
+            ("branch.tag_bits", 10),
+        ):
+            cfg = apply_override(cfg, path, value)
+        resolved = []
+        real = typing.get_type_hints
+
+        def counting(cls, *args, **kwargs):
+            resolved.append(cls)
+            return real(cls, *args, **kwargs)
+
+        _type_hints.cache_clear()
+        monkeypatch.setattr(typing, "get_type_hints", counting)
+        for _ in range(3):
+            assert SimConfig.from_dict(cfg.to_dict()) == cfg
+        assert Counter(resolved) == Counter({
+            cls: 1 for cls in (
+                SimConfig, CoreConfig, MemoryConfig, CacheConfig, TLBConfig,
+                BranchPredictorConfig, RunaheadConfig,
+            )
+        })
 
 
 class TestRetiredBranchField:

@@ -13,6 +13,7 @@ The load-bearing guarantees under test:
 """
 
 import json
+import multiprocessing
 import socket
 import threading
 import time
@@ -35,7 +36,9 @@ from repro.experiments import (
     run_campaign,
     run_simulation,
     specs_digest,
+    use_cache,
 )
+from repro.experiments import fabric
 from repro.experiments.fabric import parse_address
 from repro.experiments.protocol import (
     ProtocolError,
@@ -391,6 +394,56 @@ class TestCampaign:
         assert sum(campaign.worker_completions.values()) == 2
         assert campaign.conservation.passed, campaign.conservation.violations
         serial = run_batch(_payloads(2))
+        assert [r.to_dict() for r in campaign.outcomes] == [r.to_dict() for r in serial]
+
+
+class TestForkedWorkers:
+    """``worker_mode="process"`` forks each worker from the coordinator."""
+
+    def test_forked_workers_ignore_the_ambient_cache(self, tmp_path):
+        other = tmp_path / "other"
+        with use_cache(ResultCache(other)):
+            campaign = _campaign(_payloads(2), worker_mode="process")
+        assert not campaign.failures
+        assert sum(campaign.worker_completions.values()) == 2
+        assert not [p for p in other.rglob("*") if p.is_file()]
+
+    def test_no_campaign_thread_exists_at_a_fork(self, monkeypatch):
+        before = threading.active_count()
+        at_fork = []
+        fork_worker = fabric._fork_worker
+
+        def counting(*args):
+            at_fork.append(threading.active_count())
+            return fork_worker(*args)
+
+        monkeypatch.setattr(fabric, "_fork_worker", counting)
+        campaign = _campaign(_payloads(2), worker_mode="process", chaos_workers=1)
+        assert not campaign.failures
+        assert at_fork == [before] * 3
+
+    def test_worker_that_cannot_connect_exits_with_one_line(self, capfd):
+        # A coordinator that stopped before its forks connected (say, a
+        # campaign timeout) leaves nothing listening on the port.
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            address = server.getsockname()[:2]
+        process = fabric._fork_worker(address, 0.05)
+        process.join(timeout=10.0)
+        assert not process.is_alive()
+        assert process.exitcode == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: cannot reach coordinator") and err.count("\n") == 1
+
+    def test_chaos_worker_death_is_requeued_and_every_child_reaped(self):
+        specs = _specs(4)
+        campaign = _campaign(
+            specs, worker_mode="process", chaos_workers=1, lease_timeout=5.0
+        )
+        assert campaign.fabric["fabric.requeued"] == 1
+        assert campaign.fabric["fabric.workers"] == 3
+        assert campaign.conservation.passed, campaign.conservation.violations
+        assert multiprocessing.active_children() == []
+        serial = run_batch(specs)
         assert [r.to_dict() for r in campaign.outcomes] == [r.to_dict() for r in serial]
 
 
