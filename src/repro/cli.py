@@ -108,6 +108,16 @@ def _add(parser: argparse.ArgumentParser, *names: str, **changes: dict) -> None:
         parser.add_argument(*flags, **{**kwargs, **changes.get(name, {})})
 
 
+def _check_bounds(*bounds) -> None:
+    """Reject the first ``(flag, value, op, bound)`` whose value fails
+    ``value op bound`` (``op`` is ``">="`` or ``">"``; ``None`` passes)."""
+    for flag, value, op, bound in bounds:
+        if value is not None and not (value >= bound if op == ">=" else value > bound):
+            from .errors import ReproError
+
+            raise ReproError(f"{flag} must be {op} {bound}, got {value}")
+
+
 def _make_cache(args):
     """The ResultCache that --cache/--resume ask for, or None; a subcommand
     without one of those flags leaves it unset."""
@@ -525,15 +535,14 @@ def _dispatch(args) -> int:
         return _run_audit_command(args)
     if args.command == "pipeview":
         from .core import OoOCore, pipeview_legend, render_pipeview
-        from .errors import ReproError
         from .techniques import make_technique
         from .workloads import build_workload
 
-        for flag, value, least in (
-            ("--rows", args.rows, 1), ("--width", args.width, 1), ("--skip", args.skip, 0),
-        ):
-            if value < least:
-                raise ReproError(f"{flag} must be >= {least}, got {value}")
+        _check_bounds(
+            ("--rows", args.rows, ">=", 1),
+            ("--width", args.width, ">=", 1),
+            ("--skip", args.skip, ">=", 0),
+        )
         wl = build_workload(args.workload)
         core = OoOCore(
             wl.program,
@@ -678,11 +687,9 @@ def _experiment_plan(args):
         from .experiments.tables import table2_plan
 
         return table2_plan(args.instructions)
-    from .errors import ReproError
     from .experiments.sweep import compare_plan, sweep_plan
 
-    if args.seeds < 1:
-        raise ReproError(f"--seeds must be >= 1, got {args.seeds}")
+    _check_bounds(("--seeds", args.seeds, ">=", 1))
     seeds = list(range(1, args.seeds + 1)) if args.seeds > 1 else None
     if args.command == "sweep":
         values = [_parse_value(v) for v in args.values]
@@ -739,6 +746,7 @@ def _run_batch_command(args) -> int:
     from .errors import ReproError
     from .experiments.spec import load_specs, read_spec_file
 
+    _check_bounds(("--retries", args.retries, ">=", 0))
     if args.specs is not None and args.specs_opt is not None:
         raise ReproError("pass the spec file once (positionally or via --specs)")
     path = args.specs if args.specs is not None else args.specs_opt
@@ -796,6 +804,12 @@ def _run_campaign_command(args) -> int:
         return 0
 
     # campaign run
+    _check_bounds(
+        ("--lease-timeout", args.lease_timeout, ">", 0),
+        ("--timeout", args.timeout, ">", 0),
+        ("--retries", args.retries, ">=", 0),
+        ("--chaos-workers", args.chaos_workers, ">=", 0),
+    )
     if args.specs is not None:
         specs = read_spec_file(args.specs)
     elif args.manifest is not None and CampaignManifest.exists(args.manifest):

@@ -6,7 +6,8 @@ from typing import List, Optional, Sequence
 
 from ..config import RunaheadConfig, SimConfig
 from ..runahead.hardware_cost import hardware_cost_bytes
-from ..workloads import GAP_WORKLOADS, GRAPH_PROFILES, make_graph
+from ..workloads import GAP_WORKLOADS, GRAPH_PROFILES
+from ..workloads.gap import shared_input
 from .batch import run_plan
 from .report import ExperimentResult
 from .spec import RunSpec
@@ -73,7 +74,8 @@ def table2_plan(
     def reduce(results) -> ExperimentResult:
         rows = []
         for profile, runs in points:
-            graph = make_graph(profile)
+            # The memoised input the runs built, not a rebuild.
+            graph = shared_input(profile)[0]
             total_misses = sum(results[run].dram_accesses for run in runs)
             total_instructions = sum(results[run].instructions for run in runs)
             mpki = 1000.0 * total_misses / max(1, total_instructions)

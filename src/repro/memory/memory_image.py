@@ -69,7 +69,8 @@ class MemoryImage:
         if isinstance(data_or_words, (int, np.integer)):
             data = np.zeros(int(data_or_words), dtype=dtype)
         else:
-            data = np.asarray(data_or_words, dtype=dtype).copy()
+            # One copy, which also widens a narrower source.
+            data = np.array(data_or_words, dtype=dtype)
         if len(data) == 0:
             raise MemoryError_(f"segment {name!r} must not be empty")
         if base is None:

@@ -46,12 +46,22 @@ _DEFAULT_INPUT = "KR"
 GraphInput = Tuple[Graph, np.ndarray, np.ndarray]
 
 
-def _graph_for(input_name: Optional[str], size: str, seed: Optional[int] = None) -> GraphInput:
+def _input_key(input_name: Optional[str], size: str, seed: Optional[int]) -> Tuple[str, str, int]:
     profile = input_name or _DEFAULT_INPUT
     graph_profile(profile)  # unknown names raise before the size branch
-    # Key the memo on the seed the graph is built from, so ``None`` and
+    # Key the memos on the seed the graph is built from, so ``None`` and
     # the profile's own seed share one entry.
-    return _graph_input(profile, size, _input_seed(profile, size, seed))
+    return profile, size, _input_seed(profile, size, seed)
+
+
+def shared_input(
+    input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None
+) -> GraphInput:
+    """``(graph, frontier, depth)`` of one GAP input, from the process memo.
+
+    Every caller gets the same read-only arrays (see :func:`_graph_input`).
+    """
+    return _graph_input(*_input_key(input_name, size, seed))
 
 
 def _input_seed(profile: str, size: str, seed: Optional[int]) -> int:
@@ -88,6 +98,19 @@ def _graph_input(profile: str, size: str, seed: Optional[int]) -> GraphInput:
     return graph, frontier, depth
 
 
+@functools.lru_cache(maxsize=len(GRAPH_PROFILES))
+def _edge_weights(profile: str, size: str, seed: Optional[int]) -> np.ndarray:
+    """sssp's edge weights for one input, drawn once per process per key.
+
+    ``add_weights`` draws them as int64 from its own fixed seed; each
+    lies in [1, 64), so the memo keeps them as read-only uint8, and
+    ``MemoryImage.allocate`` widens them into each build's image.
+    """
+    weights = add_weights(_graph_input(profile, size, seed)[0]).weights.astype(np.uint8)
+    weights.flags.writeable = False
+    return weights
+
+
 def _load_graph_csr(mem: MemoryImage, graph: Graph):
     row = mem.allocate("ROW", graph.row_offsets)
     col = mem.allocate("COL", graph.col_indices)
@@ -101,7 +124,7 @@ def _emit_indexed_load(b: ProgramBuilder, dst: str, base: str, idx: str, tmp: st
 
 
 def build_bfs(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph, frontier, depth = _graph_for(input_name, size, seed)
+    graph, frontier, depth = shared_input(input_name, size, seed)
     level = int(depth[frontier[0]]) if len(frontier) else 0
     visited = (depth >= 0) & (depth <= level)
 
@@ -162,7 +185,7 @@ def build_bfs(input_name: Optional[str] = None, size: str = "default", seed: Opt
 
 
 def build_graph500(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph, frontier, depth = _graph_for(input_name, size, seed)
+    graph, frontier, depth = shared_input(input_name, size, seed)
     level = int(depth[frontier[0]]) if len(frontier) else 0
     parent = np.where((depth >= 0) & (depth <= level), np.int64(1), np.int64(-1))
 
@@ -224,7 +247,7 @@ def build_graph500(input_name: Optional[str] = None, size: str = "default", seed
 
 
 def build_bc(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph, frontier, depth = _graph_for(input_name, size, seed)
+    graph, frontier, depth = shared_input(input_name, size, seed)
     level = int(depth[frontier[0]]) if len(frontier) else 0
     rng = np.random.default_rng(31)
     sigma = rng.integers(1, 16, graph.num_nodes)
@@ -286,7 +309,7 @@ def build_bc(input_name: Optional[str] = None, size: str = "default", seed: Opti
 
 
 def build_cc(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph = _graph_for(input_name, size, seed)[0]
+    graph = shared_input(input_name, size, seed)[0]
     comp = np.arange(graph.num_nodes, dtype=np.int64)
 
     mem = MemoryImage()
@@ -337,7 +360,7 @@ def build_cc(input_name: Optional[str] = None, size: str = "default", seed: Opti
 
 
 def build_pr(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph = _graph_for(input_name, size, seed)[0]
+    graph = shared_input(input_name, size, seed)[0]
     degrees = np.maximum(1, graph.degrees())
     rng = np.random.default_rng(33)
     rank = rng.random(graph.num_nodes)
@@ -390,14 +413,14 @@ def build_pr(input_name: Optional[str] = None, size: str = "default", seed: Opti
 
 
 def build_sssp(input_name: Optional[str] = None, size: str = "default", seed: Optional[int] = None) -> Workload:
-    graph, frontier, depth = _graph_for(input_name, size, seed)
-    graph = add_weights(graph)
+    key = _input_key(input_name, size, seed)
+    graph, frontier, depth = _graph_input(*key)
     dist = np.where(depth >= 0, depth * 32, np.int64(1 << 40))
 
     mem = MemoryImage()
     _load_graph_csr(mem, graph)
     wl = mem.allocate("WL", frontier)
-    wt = mem.allocate("WEIGHT", graph.weights)
+    wt = mem.allocate("WEIGHT", _edge_weights(*key))
     ds = mem.allocate("DIST", dist)
 
     b = ProgramBuilder("sssp")

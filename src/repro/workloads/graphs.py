@@ -32,7 +32,7 @@ class Graph:
     name: str
     num_nodes: int
     row_offsets: np.ndarray  # int64, length n+1
-    col_indices: np.ndarray  # int64, length m
+    col_indices: np.ndarray  # id_dtype(n), length m
     weights: Optional[np.ndarray] = None  # int64, length m
 
     @property
@@ -40,6 +40,7 @@ class Graph:
         return len(self.col_indices)
 
     def degree(self, node: int) -> int:
+        node = int(node)  # a narrow id's ``node + 1`` would wrap
         return int(self.row_offsets[node + 1] - self.row_offsets[node])
 
     def degrees(self) -> np.ndarray:
@@ -58,24 +59,75 @@ class Graph:
             raise WorkloadError("col_indices out of range")
 
 
+def id_dtype(num_nodes: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every node id of a graph.
+
+    ``col_indices`` keeps its ids in it: uint16 up to 65,536 nodes,
+    which covers every Table 2 profile. Widen an id (``int(v)`` or
+    ``astype(np.int64)``) before arithmetic on it: at the dtype's last
+    id, ``v + 1`` wraps to 0.
+    """
+    return np.min_scalar_type(max(num_nodes - 1, 0))
+
+
 def _csr_from_edges(name: str, n: int, src: np.ndarray, dst: np.ndarray) -> Graph:
-    # Sort the narrowest key that holds every node id: up to 65,536
-    # nodes that is 16 bits, which numpy radix-sorts. The sort is
-    # stable, so the edge order equals an int64 argsort's.
-    order = np.argsort(src.astype(np.min_scalar_type(n - 1)), kind="stable")
-    counts = np.bincount(src, minlength=n)
+    # Up to 65,536 nodes the ids are 16 bits, which numpy radix-sorts.
+    # The sort is stable, so the edge order equals an int64 argsort's.
+    ids = id_dtype(n)
+    src = src.astype(ids, copy=False)
+    # Count before sorting: bincount's intp copy of ``src`` is freed
+    # before the sort allocates ``order``.
     row_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_offsets[1:])
-    return Graph(name, n, row_offsets, dst[order].astype(np.int64, copy=False))
+    np.cumsum(np.bincount(src, minlength=n), out=row_offsets[1:])
+    order = np.argsort(src, kind="stable")
+    return Graph(name, n, row_offsets, dst.astype(ids, copy=False)[order])
 
 
 def uniform_random_graph(n: int, avg_degree: int, seed: int = 1) -> Graph:
     """Erdos-Renyi-style: every vertex has a small, uniform degree."""
     rng = np.random.default_rng(seed)
     m = n * avg_degree
-    src = rng.integers(0, n, m, dtype=np.int64)
-    dst = rng.integers(0, n, m, dtype=np.int64)
+    ids = id_dtype(n)
+    # The input is defined by int64 draws; each is narrowed as it lands.
+    src = rng.integers(0, n, m, dtype=np.int64).astype(ids)
+    dst = rng.integers(0, n, m, dtype=np.int64).astype(ids)
     return _csr_from_edges("uniform", n, src, dst)
+
+
+#: Edges per block of ``rmat_graph``'s bit loop: 512 KiB of draws.
+_RMAT_BLOCK = 1 << 16
+
+
+def _rmat_edges(rng, n: int, m: int, a: float, b: float, c: float):
+    """``m`` unpermuted RMAT edges ``(src, dst)``, one bit per level.
+
+    Each level draws its m numbers block by block into one reused
+    buffer, the same stream as one draw of m, and forms both bits in
+    reused masks: a block's working set stays in cache.
+    """
+    ids = id_dtype(n)
+    src = np.zeros(m, dtype=ids)
+    dst = np.zeros(m, dtype=ids)
+    draws = np.empty(min(m, _RMAT_BLOCK))
+    masks = np.empty((3, len(draws)), dtype=bool)
+    for _ in range(int(np.log2(n))):
+        for start in range(0, m, _RMAT_BLOCK):
+            src_part = src[start:start + _RMAT_BLOCK]
+            dst_part = dst[start:start + _RMAT_BLOCK]
+            k = len(src_part)
+            r = draws[:k]
+            src_bit, dst_bit, mask = masks[:, :k]
+            rng.random(out=r)
+            np.greater_equal(r, a + b, out=src_bit)
+            # dst's bit: a <= r < a + b, or r >= a + b + c.
+            np.greater_equal(r, a, out=dst_bit)
+            dst_bit &= np.logical_not(src_bit, out=mask)
+            dst_bit |= np.greater_equal(r, a + b + c, out=mask)
+            src_part <<= 1
+            src_part |= src_bit
+            dst_part <<= 1
+            dst_part |= dst_bit
+    return src, dst
 
 
 def rmat_graph(
@@ -87,22 +139,13 @@ def rmat_graph(
     c: float = 0.19,
 ) -> Graph:
     """Recursive-matrix (Kronecker-like) power-law graph generator."""
-    if n & (n - 1):
+    if n < 1 or n & (n - 1):
         raise WorkloadError("rmat_graph needs a power-of-two node count")
     rng = np.random.default_rng(seed)
-    m = n * avg_degree
-    levels = int(np.log2(n))
-    src = np.zeros(m, dtype=np.int64)
-    dst = np.zeros(m, dtype=np.int64)
-    for _ in range(levels):
-        r = rng.random(m)
-        src <<= 1
-        src |= r >= a + b
-        dst <<= 1
-        dst |= ((r >= a) & (r < a + b)) | (r >= a + b + c)
+    src, dst = _rmat_edges(rng, n, n * avg_degree, a, b, c)
     # Permute IDs so high-degree vertices are scattered (as in GAP).
     # Rebinding frees each unpermuted array before the CSR sort runs.
-    perm = rng.permutation(n)
+    perm = rng.permutation(n).astype(src.dtype)
     src = perm[src]
     dst = perm[dst]
     return _csr_from_edges("rmat", n, src, dst)
@@ -123,7 +166,8 @@ def bfs_frontier(graph: Graph, source: int = 0) -> Tuple[np.ndarray, np.ndarray]
     level gives a realistic mid-traversal snapshot. Each level is built
     in the order a queue-based BFS discovers it (the first level that
     reaches the widest size wins), because that order lays out the
-    kernels' worklist.
+    kernels' worklist. ``frontier`` and ``depth`` are int64 whatever
+    ``col_indices``' dtype.
     """
     row, col = graph.row_offsets, graph.col_indices
     depth = np.full(graph.num_nodes, -1, dtype=np.int64)
@@ -141,8 +185,10 @@ def bfs_frontier(graph: Graph, source: int = 0) -> Tuple[np.ndarray, np.ndarray]
         neighbours = col[np.repeat(starts - firsts, lengths) + np.arange(lengths.sum())]
         neighbours = neighbours[depth[neighbours] < 0]
         # Keep each newly reached node once, at its first discovery.
+        # The ids stay narrow through the sort; the level is widened,
+        # since ``frontier + 1`` above would wrap at the dtype's last id.
         _, first = np.unique(neighbours, return_index=True)
-        frontier = neighbours[np.sort(first)]
+        frontier = neighbours[np.sort(first)].astype(np.int64)
         level += 1
         depth[frontier] = level
     return best, depth

@@ -1,11 +1,12 @@
 """The loop versions of the graph set-up, kept as differential oracles.
 
-``repro.workloads.graphs`` builds RMAT bits in place, sorts a narrow
-key into CSR and runs a level-synchronous BFS over whole frontiers.
-These are the versions it was rewritten from: RMAT bits shifted into
-fresh int64 arrays, an int64 argsort, and a queue-order BFS that visits
-one edge at a time. ``tests/test_graph_oracles.py`` checks the product
-against them array for array, dtypes and frontier order included.
+``repro.workloads.graphs`` builds RMAT bits in place in narrow node
+ids, sorts them into CSR and runs a level-synchronous BFS over whole
+frontiers. These are the versions it was rewritten from: RMAT bits
+shifted into fresh int64 arrays, an int64 argsort, and a queue-order
+BFS that visits one edge at a time. ``tests/test_graph_oracles.py``
+checks the product against them array for array, frontier order
+included; only the product's node ids are narrower than int64.
 """
 
 from __future__ import annotations

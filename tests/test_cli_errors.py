@@ -475,6 +475,45 @@ class TestOutOfRangeRunSizes:
         assert json.loads(reply)["failure"]["error_type"] == "ConfigError"
 
 
+class TestDispatchFlagBounds:
+    """``campaign run`` and ``batch`` reject a duration, retry count or
+    chaos-worker count out of range before they write a manifest, start
+    a worker or simulate anything."""
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["campaign", "run", "--lease-timeout", "0"], "--lease-timeout must be > 0, got 0.0"),
+        (["campaign", "run", "--lease-timeout", "-1"], "--lease-timeout must be > 0, got -1.0"),
+        (["campaign", "run", "--timeout", "-1"], "--timeout must be > 0, got -1.0"),
+        (["campaign", "run", "--timeout", "nan"], "--timeout must be > 0, got nan"),
+        (["campaign", "run", "--retries", "-1"], "--retries must be >= 0, got -1"),
+        (["campaign", "run", "--chaos-workers", "-2"], "--chaos-workers must be >= 0, got -2"),
+        (["batch", "--retries", "-1"], "--retries must be >= 0, got -1"),
+    ], ids=["lease-zero", "lease-negative", "timeout-negative", "timeout-nan",
+            "campaign-retries", "chaos-workers", "batch-retries"])
+    def test_out_of_range_is_one_error_line(self, argv, reason, tmp_path, capsys):
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps([{"workload": "camel", "max_instructions": 500}]))
+        manifest = tmp_path / "campaign"
+        if argv[0] == "campaign":
+            argv = argv + ["--worker-mode", "thread", "--manifest", str(manifest)]
+        reset_batch_counters()
+        assert main(argv + [str(specs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {reason}\n"
+        assert not manifest.exists()
+        assert BATCH_COUNTERS.get("batch.sim.runs", 0) == 0
+
+    def test_in_range_bounds_run(self, tmp_path, capsys):
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps([{"workload": "camel", "max_instructions": 500}]))
+        argv = ["campaign", "run", "--worker-mode", "thread", "--retries", "0",
+                "--chaos-workers", "0", "--lease-timeout", "5", "--timeout", "60", str(specs)]
+        assert main(argv) == 0
+        assert main(["batch", "--retries", "0", str(specs)]) == 0
+        assert capsys.readouterr().out.count("1/1 specs succeeded") == 2
+
+
 class TestSpecFiles:
     """One reader serves every command that reads a spec file: the same
     shape rule and the same error line."""

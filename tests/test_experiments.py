@@ -20,6 +20,8 @@ from repro.experiments import (
     table2_rows,
 )
 from repro.experiments.report import geometric_mean
+from repro.workloads import GRAPH_PROFILES, graphs
+from repro.workloads.gap import _graph_input
 
 TINY = 1_500
 
@@ -83,6 +85,21 @@ class TestTables:
         assert result.headers == ["input", "nodes", "edges", "llc_mpki"]
         row = result.row_for("UR")
         assert row[1] > 0 and row[2] > 0 and row[3] > 0
+
+    def test_table2_builds_each_input_once(self, monkeypatch):
+        # The reducer reads node and edge counts from the inputs the
+        # runs built, through the per-process memo.
+        built = []
+        csr_from_edges = graphs._csr_from_edges
+        monkeypatch.setattr(
+            graphs, "_csr_from_edges", lambda *args: built.append(args[1]) or csr_from_edges(*args)
+        )
+        _graph_input.cache_clear()
+        result = table2_rows(instructions=300, kernels=["bfs"])
+        assert _graph_input.cache_info().misses == len(GRAPH_PROFILES)
+        assert len(built) == len(GRAPH_PROFILES)
+        for profile, spec in GRAPH_PROFILES.items():
+            assert result.row_for(profile)[1:3] == [spec["n"], spec["n"] * spec["avg_degree"]]
 
 
 class TestFigures:

@@ -2,8 +2,10 @@
 
 ``tests/oracles/graphs.py`` keeps the per-edge BFS, the RMAT bit loop
 and the int64-argsort CSR builder that ``repro.workloads.graphs``
-replaced. Every array must match exactly, dtype included, and so must
-the frontier's order: it lays out the GAP kernels' ``WL`` segment.
+replaced. Every array must match exactly, and so must the frontier's
+order: it lays out the GAP kernels' ``WL`` segment. The product keeps
+node ids in the narrowest unsigned dtype that holds them, where the
+oracle's are int64; every other array is int64 on both sides.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ from oracles import graphs as oracle
 
 
 def assert_same_input(new_graph, new_bfs, ref_graph, ref_bfs):
-    assert new_graph.num_nodes == ref_graph.num_nodes
+    n = new_graph.num_nodes
+    assert n == ref_graph.num_nodes
+    assert new_graph.col_indices.dtype == np.min_scalar_type(max(n - 1, 0))
+    assert np.array_equal(new_graph.col_indices, ref_graph.col_indices)
     assert len(new_bfs) == len(ref_bfs)
-    for a, b in zip(
-        (new_graph.row_offsets, new_graph.col_indices, *new_bfs),
-        (ref_graph.row_offsets, ref_graph.col_indices, *ref_bfs),
-    ):
-        assert a.dtype == b.dtype
+    for a, b in zip((new_graph.row_offsets, *new_bfs), (ref_graph.row_offsets, *ref_bfs)):
+        assert a.dtype == b.dtype == np.int64
         assert np.array_equal(a, b)
 
 
@@ -62,7 +64,7 @@ def test_small_graphs_match_oracle(case):
 
 
 def test_wide_node_ids_keep_the_stable_order():
-    # Above 65,536 nodes the sort key widens past 16 bits.
+    # Above 65,536 nodes the ids widen past 16 bits, to uint32.
     rng = np.random.default_rng(3)
     n = (1 << 16) + 5
     src = rng.integers(0, n, 4000, dtype=np.int64)
@@ -84,6 +86,26 @@ def test_rmat_matches_oracle(n_log, degree, seed, a):
     b = (1.0 - a) / 3.0
     graph = rmat_graph(1 << n_log, degree, seed=seed, a=a, b=b, c=b)
     ref = oracle.rmat_graph(1 << n_log, degree, seed=seed, a=a, b=b, c=b)
+    assert_same_input(graph, bfs_frontier(graph), ref, oracle.bfs_frontier(ref))
+
+
+@pytest.mark.parametrize("seed", [2, 8])
+def test_last_uint16_id_does_not_wrap(seed):
+    # At 2**16 nodes the ids are uint16 and n - 1 is the dtype's last
+    # value: an unwidened ``id + 1`` wraps to 0. Two edge blocks each.
+    graph = rmat_graph(1 << 16, 2, seed=seed)
+    ref = oracle.rmat_graph(1 << 16, 2, seed=seed)
+    hub = int(np.argmax(ref.degrees()))
+    bfs, ref_bfs = bfs_frontier(graph, hub), oracle.bfs_frontier(ref, hub)
+    assert graph.col_indices.dtype == np.uint16
+    assert ref_bfs[1][-1] > 0  # the last id is in a level that expands
+    assert_same_input(graph, bfs, ref, ref_bfs)
+
+
+def test_rmat_blocks_end_on_a_partial_block():
+    # 81,920 edges: one full block of draws and a quarter of one.
+    graph = rmat_graph(1 << 14, 5, seed=2)
+    ref = oracle.rmat_graph(1 << 14, 5, seed=2)
     assert_same_input(graph, bfs_frontier(graph), ref, oracle.bfs_frontier(ref))
 
 

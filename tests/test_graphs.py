@@ -40,6 +40,12 @@ class TestCSRInvariants:
         for node in (0, 17, 255):
             assert graph.degree(node) == graph.degrees()[node]
 
+    def test_degree_widens_a_narrow_id(self):
+        # n - 1 is uint16's last value: unwidened, ``node + 1`` wraps to 0.
+        graph = uniform_random_graph(1 << 16, 1, seed=3)
+        last = graph.col_indices.dtype.type(graph.num_nodes - 1)
+        assert graph.degree(last) == graph.degrees()[-1]
+
     def test_validate_rejects_bad_offsets(self):
         graph = uniform_random_graph(64, 2, seed=1)
         graph = replace(graph, row_offsets=graph.row_offsets[:-1])
@@ -55,6 +61,8 @@ class TestCSRInvariants:
     def test_rmat_requires_power_of_two(self):
         with pytest.raises(WorkloadError):
             rmat_graph(100, 4)
+        with pytest.raises(WorkloadError):
+            rmat_graph(0, 4)
 
     @given(
         n_log=st.integers(4, 9),

@@ -22,7 +22,7 @@ from repro.workloads import (
     WORKLOAD_NAMES,
     build_workload,
 )
-from repro.workloads.gap import _graph_input
+from repro.workloads.gap import _edge_weights, _graph_input
 from repro.workloads.graphs import add_weights
 
 from conftest import quick_config
@@ -97,6 +97,30 @@ class TestGraphInputMemo:
         assert graph.weights is None
         assert weighted.weights is not None
         assert weighted.col_indices is graph.col_indices
+
+    def test_edge_weights_are_read_only_and_shared(self):
+        _edge_weights.cache_clear()
+        first = build_workload("sssp", size="tiny")
+        second = build_workload("sssp", size="tiny")
+        info = _edge_weights.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        weights = _edge_weights("KR", "tiny", 157)
+        assert weights.dtype == np.uint8
+        with pytest.raises(ValueError):
+            weights[0] = 7
+        # Each image widens the one draw into its own int64 segment.
+        expected = add_weights(_graph_input("KR", "tiny", 157)[0]).weights
+        assert np.array_equal(weights, expected)
+        first.memory.segment("WEIGHT").data[:] = 0
+        segment = second.memory.segment("WEIGHT").data
+        assert segment.dtype == np.int64
+        assert np.array_equal(segment, expected)
+
+    def test_default_kr_entry_holds_under_two_megabytes(self):
+        # uint16 node ids: 1 MiB of column indices where int64 took 4.
+        graph, frontier, depth = _graph_input("KR", "default", None)
+        arrays = (graph.row_offsets, graph.col_indices, frontier, depth)
+        assert sum(array.nbytes for array in arrays) < 2_000_000
 
     def test_a_run_cannot_change_the_next_build(self):
         digest = build_workload("bfs", size="tiny").memory.digest()
