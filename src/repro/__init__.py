@@ -64,7 +64,7 @@ _EXPORTS = {
     ),
     ".core.dyninstr": ("DynInstr",),
     ".core.functional": ("FunctionalCore",),
-    ".core.ooo": ("OoOCore", "SimulationResult"),
+    ".core.ooo": ("OoOCore",),
     ".errors": ("ReproError",),
     ".experiments.runner": ("run_simulation",),
     ".experiments.spec": ("RunSpec",),
@@ -76,6 +76,7 @@ _EXPORTS = {
     ".observability.export": ("STATS_SCHEMA", "stats_payload", "validate_stats", "write_stats"),
     ".observability.probes": ("Observability",),
     ".observability.trace": ("EventTrace",),
+    ".result": ("SimulationResult",),
     ".techniques": ("make_technique", "technique_names"),
     ".workloads.base": ("Workload",),
     ".workloads.graphs": ("make_graph",),

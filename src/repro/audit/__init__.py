@@ -11,30 +11,32 @@ figure silently. This package makes every run prove its books balance:
   :class:`~repro.errors.AuditError` on the first broken law.
 * ``repro audit`` sweeps a spec matrix and emits a ``repro.audit/1``
   JSON report (see ``docs/audit.md``).
+* :mod:`~repro.audit.dispatch` holds the batch, campaign and serve
+  counter laws, which import no model code.
+
+The public names resolve from their modules on first access (see
+``repro._lazy_exports``), so a campaign that checks its books loads
+:mod:`~repro.audit.dispatch` alone, not the per-run checks.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
+from .. import _lazy_exports
 from ..errors import AuditError
-from .checks import (
-    CHECKS,
-    AuditContext,
-    check_batch_counters,
-    check_fabric_counters,
-    check_serve_counters,
-    register_check,
-    run_checks,
-)
-from .report import (
-    AUDIT_SCHEMA,
-    AuditReport,
-    CheckResult,
-    RunAudit,
-    format_report,
-    write_report,
-)
+
+if TYPE_CHECKING:
+    from .report import AuditReport, RunAudit
+
+_EXPORTS = {
+    ".checks": ("CHECKS", "AuditContext", "register_check", "run_checks"),
+    ".dispatch": ("check_batch_counters", "check_fabric_counters", "check_serve_counters"),
+    ".report": (
+        "AUDIT_SCHEMA", "AuditReport", "CheckResult", "RunAudit", "format_report", "write_report",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS, globals())
 
 __all__ = [
     "AUDIT_SCHEMA",
@@ -64,6 +66,8 @@ def audit_timing_run(
     names: Optional[List[str]] = None,
 ) -> RunAudit:
     """Audit one finished timing run (any core exposing ``hierarchy``)."""
+    from .checks import AuditContext, run_checks
+
     ctx = AuditContext(core=core, result=result, rebuild=rebuild)
     if not label:
         label = f"{result.workload}/{result.technique}"
@@ -84,6 +88,8 @@ def audit_specs(
     from ..experiments.cache import BATCH_COUNTERS, reset_batch_counters
     from ..experiments.runner import run_simulation
     from ..experiments.spec import parse_spec_entry
+    from .dispatch import check_batch_counters
+    from .report import AuditReport, CheckResult, RunAudit
 
     reset_batch_counters()
     report = AuditReport()

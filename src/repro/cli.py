@@ -28,10 +28,14 @@ from typing import List, Optional
 
 from . import __version__, experiments
 from .techniques import technique_names
-from .workloads import GRAPH_PROFILES, WORKLOAD_NAMES
+from .workloads.profiles import GRAPH_PROFILES
+from .workloads.registry import WORKLOAD_NAMES
 
 # Each subcommand imports what it runs inside its handler, so `repro run`
-# never loads the batch pool, the campaign fabric or the HTTP server.
+# never loads the batch pool, the campaign fabric or the HTTP server. The
+# parser's choices come from the name tables, which import no model code,
+# so `--help`, `campaign status` and a resumed `campaign run` never load
+# the simulator.
 # Figure names are repro.experiments.figure_plan's; table names map to
 # their generators in repro.experiments.
 _FIGURES = (
@@ -794,13 +798,12 @@ def _run_campaign_command(args) -> int:
         if args.json:
             print(json.dumps(status, indent=2))
         else:
-            remaining = status["specs"] - status["ok"] - status["failed"]
             print(f"campaign     : {status['directory']}")
             print(f"digest       : {status['digest']}")
             print(f"specs        : {status['specs']}")
             print(f"completed ok : {status['ok']}")
             print(f"failed       : {status['failed']}")
-            print(f"remaining    : {max(0, remaining)}")
+            print(f"remaining    : {status['remaining']}")
         return 0
 
     # campaign run

@@ -18,10 +18,9 @@ from .. import _lazy_exports
 # ``repro._lazy_exports``): a caller of ``run_simulation`` never loads
 # the batch pool, the campaign fabric or the HTTP server.
 _EXPORTS = {
-    ".batch": (
-        "BatchFailure", "batch_failures", "run_batch", "run_plan", "speedup_matrix", "successful",
-    ),
+    ".batch": ("batch_failures", "run_batch", "run_plan", "speedup_matrix", "successful"),
     ".cache": ("BATCH_COUNTERS", "ResultCache", "reset_batch_counters", "use_cache"),
+    ".dispatch": ("BatchFailure",),
     ".fabric": (
         "CAMPAIGN_SCHEMA", "FABRIC_COUNTER_NAMES", "CampaignManifest", "CampaignResult",
         "Coordinator", "Worker", "run_campaign",

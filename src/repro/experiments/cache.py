@@ -45,9 +45,9 @@ from contextvars import ContextVar
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..core.ooo import SimulationResult
 from ..errors import ReproError
-from ..observability import CounterRegistry
+from ..observability.counters import CounterRegistry
+from ..result import SimulationResult
 
 #: Version tag written into every cache file; bump on layout changes.
 CACHE_SCHEMA = "repro.batch-cache/1"

@@ -7,7 +7,7 @@ is the ceiling. This module turns the already-serializable,
 order-independent spec pipeline into throughput:
 
 * a **coordinator** owns the campaign: it resolves the spec list with
-  ``run_batch``'s :class:`~repro.experiments.batch.SpecSet` (dedup,
+  ``run_batch``'s :class:`~repro.experiments.dispatch.SpecSet` (dedup,
   cache hits from the sharded
   :class:`~repro.experiments.cache.ResultCache`, one cache rule) and
   queues the rest;
@@ -32,7 +32,12 @@ Progress and health publish as the ``fabric.*`` counter family (one
 registry per campaign), and the distributed conservation law —
 ``batch.sim.completions`` summed across workers equals campaign
 completions minus cache hits — is machine-checked by
-:func:`repro.audit.checks.check_fabric_counters` at campaign end.
+:func:`repro.audit.dispatch.check_fabric_counters` at campaign end.
+
+The coordinator, the manifest and the ledger import no model code: a
+campaign that resumes with nothing left to run, and ``repro campaign
+status``, never load the simulator. :func:`run_campaign` imports it
+only when specs are pending, before it starts or forks a worker.
 
 See ``docs/fabric.md`` for the protocol, manifest schema, and failure
 model; the CLI surface is ``repro campaign run/worker/status``.
@@ -54,19 +59,13 @@ from multiprocessing.process import BaseProcess
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.ooo import SimulationResult
+from ..audit.dispatch import check_fabric_counters
+from ..audit.report import CheckResult
 from ..errors import ReproError
-from ..observability import CounterRegistry
-from .batch import (
-    BatchFailure,
-    BatchItem,
-    BatchOutcome,
-    SpecSet,
-    _POOL_CONTEXT,
-    _execute_spec,
-    _failure_payload,
-)
+from ..observability.counters import CounterRegistry
+from ..result import SimulationResult
 from .cache import ResultCache, use_cache
+from .dispatch import BatchFailure, BatchItem, BatchOutcome, SpecSet, _failure_payload
 from .protocol import (
     FABRIC_SCHEMA,
     ProtocolError,
@@ -143,9 +142,17 @@ class CampaignManifest:
 
     @classmethod
     def create(
-        cls, directory: os.PathLike, specs: Sequence[Union[RunSpec, Dict]]
+        cls,
+        directory: os.PathLike,
+        specs: Sequence[Union[RunSpec, Dict]],
+        digest: Optional[str] = None,
     ) -> "CampaignManifest":
-        """Write a fresh manifest for ``specs`` (raw entries preserved)."""
+        """Write a fresh manifest for ``specs`` (raw entries preserved).
+
+        ``digest`` is the list's :func:`~repro.experiments.spec.specs_digest`
+        when the caller has it already (a :meth:`SpecSet.digest
+        <repro.experiments.dispatch.SpecSet.digest>`).
+        """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         entries: List[Dict] = []
@@ -158,7 +165,7 @@ class CampaignManifest:
                 raise ReproError(
                     f"campaign specs must be RunSpecs or dicts, got {type(spec).__name__}"
                 )
-        manifest = cls(directory, entries, specs_digest(specs))
+        manifest = cls(directory, entries, digest or specs_digest(specs))
         payload = {
             "schema": CAMPAIGN_SCHEMA,
             "digest": manifest.digest,
@@ -235,18 +242,29 @@ class CampaignManifest:
         return statuses
 
     def status(self) -> Dict:
-        """Summary for ``repro campaign status``."""
+        """Summary for ``repro campaign status``.
+
+        ``ok`` and ``failed`` count the ledger's keys by their last
+        status; a slot that does not parse or key is never ledgered and
+        counts as failed too. ``remaining`` counts the slots whose key,
+        as :class:`~repro.experiments.dispatch.SpecSet` gives it, has no
+        ledger line yet, so a repeated spec is done with its first slot.
+        """
         statuses = self.completed()
-        ok = sum(1 for s in statuses.values() if s == "ok")
-        failed = sum(1 for s in statuses.values() if s != "ok")
+        slots = SpecSet(self.specs).slots
+        malformed = sum(isinstance(slot, BatchFailure) for slot in slots)
         return {
             "schema": CAMPAIGN_SCHEMA,
             "directory": str(self.directory),
             "digest": self.digest,
             "specs": len(self.specs),
             "recorded": len(statuses),
-            "ok": ok,
-            "failed": failed,
+            "ok": sum(1 for s in statuses.values() if s == "ok"),
+            "failed": sum(1 for s in statuses.values() if s != "ok") + malformed,
+            "remaining": sum(
+                1 for slot in slots
+                if not isinstance(slot, BatchFailure) and slot not in statuses
+            ),
         }
 
 
@@ -271,11 +289,14 @@ class Coordinator:
     expired lease requeues the spec, and a spec whose leases die more
     than ``retries`` times is recorded as a ``WorkerDeath``
     :class:`BatchFailure` instead of looping forever.
+
+    ``specs`` is a spec list, or a :class:`SpecSet` already built from
+    one (whose own ``cache`` and ``audit`` then apply).
     """
 
     def __init__(
         self,
-        specs: Sequence[Union[RunSpec, Dict]],
+        specs: Union[SpecSet, Sequence[Union[RunSpec, Dict]]],
         *,
         cache: Optional[ResultCache] = None,
         manifest: Optional[CampaignManifest] = None,
@@ -311,9 +332,11 @@ class Coordinator:
         self._queue: Deque[Tuple[str, BatchItem]] = deque()
         self.worker_completions: Dict[str, int] = {}
 
-        self._specs = SpecSet(specs, cache=cache, audit=audit)
+        if not isinstance(specs, SpecSet):
+            specs = SpecSet(specs, cache=cache, audit=audit)
+        self._specs = specs
         inc = self.counters.inc
-        inc("fabric.specs", len(specs))
+        inc("fabric.specs", len(specs.slots))
         inc("fabric.unique", len(self._specs.items))
         inc("fabric.parse_failures", self._specs.parse_failures)
         inc("fabric.dedup.reused", self._specs.reused)
@@ -685,6 +708,10 @@ class Worker:
 
     def run(self) -> int:
         """Serve until the coordinator says ``done``; returns results sent."""
+        # A worker simulates: load the simulator before connecting, so the
+        # imports never eat into a lease.
+        from .batch import _execute_spec
+
         try:
             self._sock = socket.create_connection(self.address)
         except OSError as exc:
@@ -792,7 +819,7 @@ class CampaignResult:
     outcomes: List[BatchOutcome]
     fabric: Dict[str, float]
     worker_completions: Dict[str, int]
-    conservation: "CheckResult" = None  # type: ignore[assignment]
+    conservation: CheckResult = None  # type: ignore[assignment]
     failures: List[BatchFailure] = field(default_factory=list)
 
     @property
@@ -830,6 +857,8 @@ def _fork_worker(address, poll, self_destruct=None) -> BaseProcess:
     standard streams first, and its after-fork hooks and exit finalizers
     run in the child.
     """
+    from .batch import _POOL_CONTEXT
+
     process = _POOL_CONTEXT.Process(
         target=_forked_worker_main, args=(address, poll, self_destruct)
     )
@@ -868,17 +897,20 @@ def run_campaign(
     With ``manifest_dir``, the campaign is resumable: a fresh directory
     gets a ``repro.campaign/1`` manifest; an existing one must match
     the spec list's digest and its ledger + ``cache`` short-circuit
-    every completed spec (zero re-simulation).
+    every completed spec (zero re-simulation). Each entry is parsed
+    once, for the digest and the dispatch alike, and a campaign with
+    nothing left to run never imports the simulator.
     """
     if workers < 1:
         raise ReproError(f"run_campaign needs at least one worker, got {workers}")
     if worker_mode not in ("thread", "process"):
         raise ReproError(f"worker_mode must be 'thread' or 'process', got {worker_mode!r}")
+    spec_set = SpecSet(specs, cache=cache, audit=audit)
     manifest = None
     if manifest_dir is not None:
+        digest = spec_set.digest()
         if CampaignManifest.exists(manifest_dir):
             manifest = CampaignManifest.load(manifest_dir)
-            digest = specs_digest(specs)
             if manifest.digest and manifest.digest != digest:
                 raise ReproError(
                     f"campaign manifest {manifest_dir} describes a different "
@@ -886,15 +918,13 @@ def run_campaign(
                     "use a fresh --manifest directory"
                 )
         else:
-            manifest = CampaignManifest.create(manifest_dir, specs)
+            manifest = CampaignManifest.create(manifest_dir, specs, digest)
     coordinator = Coordinator(
-        specs,
-        cache=cache,
+        spec_set,
         manifest=manifest,
         retries=retries,
         lease_timeout=lease_timeout,
         poll=poll,
-        audit=audit,
         counters=counters,
     ).listen()
     start_worker = _fork_worker if worker_mode == "process" else _spawn_worker_thread
@@ -905,6 +935,10 @@ def run_campaign(
         # coordinator that is already shutting down.
         if not coordinator.remaining():
             workers = chaos_workers = 0
+        else:
+            # Load the simulator before the first fork, so that every
+            # forked worker inherits it.
+            from . import batch  # noqa: F401
         for self_destruct in [1] * chaos_workers + [None] * workers:
             handles.append(start_worker(coordinator.address, poll, self_destruct))
         # Only now does the coordinator start threads, so no fork above
@@ -918,8 +952,6 @@ def run_campaign(
             if isinstance(handle, BaseProcess) and handle.is_alive():
                 handle.kill()
                 handle.join()
-    from ..audit.checks import check_fabric_counters
-
     snapshot = coordinator.counters.snapshot()
     conservation = check_fabric_counters(snapshot, coordinator.worker_completions)
     return CampaignResult(

@@ -24,13 +24,13 @@ Message flow (worker-initiated, pull-based)::
 ``sim_completions`` is the worker's running ``batch.sim.completions``
 total (the simulations *it* burned CPU on), which the coordinator sums
 into the distributed conservation law checked by
-:func:`repro.audit.checks.check_fabric_counters`.
+:func:`repro.audit.dispatch.check_fabric_counters`.
 
 The outcome document (``repro.batch-result/1``) serializes one
-:data:`~repro.experiments.batch.BatchOutcome` — the full
-:class:`~repro.core.ooo.SimulationResult` field set (bit-identical
+:data:`~repro.experiments.dispatch.BatchOutcome` — the full
+:class:`~repro.result.SimulationResult` field set (bit-identical
 round-trip, same payload the result cache stores) or a
-:class:`~repro.experiments.batch.BatchFailure` record.
+:class:`~repro.experiments.dispatch.BatchFailure` record.
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ import socket
 import struct
 from typing import Dict, Optional, Union
 
-from ..core.ooo import SimulationResult
 from ..errors import ReproError
+from ..result import SimulationResult
 from .cache import result_from_payload, result_to_payload
+from .dispatch import BatchFailure
 
 #: Version tag of the fabric message protocol; bump on layout changes.
 FABRIC_SCHEMA = "repro.fabric/1"
@@ -127,10 +128,8 @@ def outcome_to_payload(key: str, outcome) -> Dict:
     }
 
 
-def outcome_from_payload(payload: Dict) -> Union[SimulationResult, "BatchFailure"]:
+def outcome_from_payload(payload: Dict) -> Union[SimulationResult, BatchFailure]:
     """Reconstruct the outcome a worker shipped (bit-identical results)."""
-    from .batch import BatchFailure
-
     if not isinstance(payload, dict) or payload.get("schema") != RESULT_SCHEMA:
         raise ProtocolError(
             f"expected a {RESULT_SCHEMA!r} document, got "

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
+# make_technique and build_workload import a technique's class or a
+# builder module by name on first use. Every one is imported here, so
+# the first run_simulation costs what every later one does.
+from .. import prefetch, runahead  # noqa: F401
+from ..runahead import emc  # noqa: F401 (the runahead package leaves it out)
 from ..config import SimConfig
 from ..core.functional import FunctionalCore
-from ..core.ooo import OoOCore, SimulationResult
+from ..core.ooo import OoOCore
 from ..errors import AuditError, ReproError
 from ..isa.swpf import insert_software_prefetches
 from ..observability import Observability
@@ -17,8 +22,9 @@ from ..perf.trace import (
     load_trace,
     store_trace,
 )
+from ..result import SimulationResult
 from ..techniques import make_technique
-from ..workloads import build_workload
+from ..workloads import build_workload, gap, hpc_db  # noqa: F401
 from .cache import BATCH_COUNTERS, active_cache
 from .spec import RunSpec
 

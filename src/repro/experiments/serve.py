@@ -43,12 +43,13 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.ooo import SimulationResult
 from ..errors import ReproError
 from ..observability.counters import CounterRegistry
 from ..observability.export import stats_payload
-from .batch import BatchFailure, WorkerPool, _failure_payload, cacheable
+from ..result import SimulationResult
+from .batch import WorkerPool
 from .cache import BATCH_COUNTERS, ResultCache
+from .dispatch import BatchFailure, _failure_payload, cacheable
 from .protocol import outcome_to_payload
 from .runner import run_simulation
 from .spec import RunSpec, parse_spec_entry

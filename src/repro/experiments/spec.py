@@ -34,6 +34,7 @@ resolved form — one derivation point for run identity. See
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, is_dataclass, replace
@@ -41,6 +42,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..config import SimConfig
 from ..errors import ConfigError, WorkloadError
+from ..techniques import technique_entry, technique_pins, technique_runahead_config
+from ..workloads.registry import require_workload, workload_accepts_input_name
 
 #: Version tag of the spec wire format; bump on layout changes.
 SPEC_SCHEMA = "repro.spec/1"
@@ -178,8 +181,6 @@ class RunSpec:
         content-address a doomed spec) pins apply unconditionally and
         unknown workloads/techniques pass through.
         """
-        from ..techniques import technique_pins, technique_runahead_config
-
         if strict:
             _require_registered(self.workload, self.technique)
 
@@ -391,23 +392,18 @@ def split_run_kwargs(spec: Mapping) -> Tuple[RunSpec, Dict]:
 
 
 def _require_registered(workload: str, technique: str) -> None:
-    """Look both names up in their registries, which raise if unknown.
+    """Look both names up in their name tables, which raise if unknown.
 
     ``swpf`` is the runner's pseudo-technique: software prefetching
     rewrites the program and runs it on ``ooo``.
     """
-    from ..techniques import technique_entry
-    from ..workloads.registry import workload_builder
-
-    workload_builder(workload)
+    require_workload(workload)
     if technique != "swpf":
         technique_entry(technique)
 
 
 def _accepts_input_name(workload: str, strict: bool) -> bool:
-    """Registry lookup, total on the keying path (unknown → keep it)."""
-    from ..workloads.registry import workload_accepts_input_name
-
+    """Name-table lookup, total on the keying path (unknown → keep it)."""
     try:
         return workload_accepts_input_name(workload)
     except WorkloadError:
@@ -485,15 +481,34 @@ def specs_digest(specs: Sequence[Union["RunSpec", Mapping]]) -> str:
     their cached results, so the digest must survive source edits (the
     per-result cache keys still embed the code fingerprint). Parse
     failures are hashed as raw entries — a campaign with a poisoned
-    slot is still a well-defined campaign.
+    slot is still a well-defined campaign. A
+    :class:`~repro.experiments.dispatch.SpecSet` derives the same digest
+    from its own parse of each entry.
     """
-    import hashlib
-
     entries = []
     for spec in specs:
         try:
-            entries.append(RunSpec.from_any(spec).to_payload())
+            entries.append(RunSpec.from_any(spec))
         except Exception:  # noqa: BLE001 — keep the digest total
-            entries.append(dict(spec) if isinstance(spec, Mapping) else repr(spec))
-    blob = json.dumps(entries, sort_keys=True, separators=(",", ":"), default=repr)
+            entries.append(spec)
+    return entries_digest(entries)
+
+
+def entries_digest(entries: Sequence[object]) -> str:
+    """:func:`specs_digest` of a list already parsed: each entry is its
+    :class:`RunSpec`, or the raw entry when it did not parse."""
+    blob = json.dumps(
+        [_digest_document(entry) for entry in entries],
+        sort_keys=True, separators=(",", ":"), default=repr,
+    )
     return hashlib.blake2b(blob.encode(), digest_size=16).hexdigest()
+
+
+def _digest_document(entry: object) -> object:
+    """What :func:`entries_digest` hashes for one entry."""
+    if isinstance(entry, RunSpec):
+        try:
+            return entry.to_payload()
+        except Exception:  # noqa: BLE001 — keep the digest total
+            return repr(entry)
+    return dict(entry) if isinstance(entry, Mapping) else repr(entry)

@@ -6,7 +6,7 @@ The simulator's observability layer (see ``docs/observability.md``):
   counters every pipeline component publishes into
   (``core.stall.full_rob_cycles``, ``mem.l2.misses``,
   ``runahead.dvr.spawns``, ...). Each
-  :class:`~repro.core.ooo.SimulationResult` carries a full snapshot in
+  :class:`~repro.result.SimulationResult` carries a full snapshot in
   ``result.counters``.
 * :class:`EventTrace` — a ring-buffered instruction-lifecycle and
   runahead event stream with JSONL/CSV exporters and a stable

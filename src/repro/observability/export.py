@@ -5,7 +5,7 @@ few derived headline metrics, under a versioned schema id. The schema
 is enforced in both directions:
 
 * :func:`stats_payload` builds the document from a
-  :class:`~repro.core.ooo.SimulationResult`;
+  :class:`~repro.result.SimulationResult`;
 * :func:`validate_stats` checks an arbitrary parsed document against
   the same rules (required keys, types, counter-name pattern,
   non-negative counters, IPC consistency) and raises

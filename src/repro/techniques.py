@@ -22,50 +22,53 @@ left at their defaults; an explicit contradictory override raises
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from .config import RunaheadConfig, SimConfig, pin_runahead_config
 from .errors import ConfigError
-from .prefetch.base import NullTechnique, Technique
-from .prefetch.imp import IndirectMemoryPrefetcher
-from .prefetch.oracle import OracleTechnique
-from .runahead.classic import ClassicRunahead
-from .runahead.continuous import ContinuousRunahead
-from .runahead.emc import EnhancedMemoryController
-from .runahead.dvr import DecoupledVectorRunahead
-from .runahead.pre import PreciseRunahead
-from .runahead.vr import VectorRunahead
+
+if TYPE_CHECKING:
+    from .prefetch.base import Technique
 
 
 @dataclass(frozen=True)
 class TechniqueEntry:
-    """One registry row: a factory plus declarative config pins."""
+    """One registry row: where the technique's class lives, plus its
+    declarative config pins.
 
-    factory: Callable[[], Technique]
+    The class is imported only when :func:`make_technique` builds one, so
+    reading names and pins (spec keys, the CLI parser) loads no model code.
+    An entry with pins is an ablation of its class, built under its own
+    registry name.
+    """
+
+    module: str  #: defining module, relative to the ``repro`` package
+    cls: str
     pins: Mapping[str, object] = field(default_factory=dict)
 
 
 _REGISTRY: Dict[str, TechniqueEntry] = {
-    "ooo": TechniqueEntry(NullTechnique),
-    "runahead": TechniqueEntry(ClassicRunahead),
-    "continuous": TechniqueEntry(ContinuousRunahead),
-    "emc": TechniqueEntry(EnhancedMemoryController),
-    "pre": TechniqueEntry(PreciseRunahead),
-    "imp": TechniqueEntry(IndirectMemoryPrefetcher),
-    "vr": TechniqueEntry(VectorRunahead),
-    "dvr": TechniqueEntry(DecoupledVectorRunahead),
-    "oracle": TechniqueEntry(OracleTechnique),
+    "ooo": TechniqueEntry("prefetch.base", "NullTechnique"),
+    "runahead": TechniqueEntry("runahead.classic", "ClassicRunahead"),
+    "continuous": TechniqueEntry("runahead.continuous", "ContinuousRunahead"),
+    "emc": TechniqueEntry("runahead.emc", "EnhancedMemoryController"),
+    "pre": TechniqueEntry("runahead.pre", "PreciseRunahead"),
+    "imp": TechniqueEntry("prefetch.imp", "IndirectMemoryPrefetcher"),
+    "vr": TechniqueEntry("runahead.vr", "VectorRunahead"),
+    "dvr": TechniqueEntry("runahead.dvr", "DecoupledVectorRunahead"),
+    "oracle": TechniqueEntry("prefetch.oracle", "OracleTechnique"),
     "dvr-offload": TechniqueEntry(
-        lambda: DecoupledVectorRunahead(name="dvr-offload"),
+        "runahead.dvr", "DecoupledVectorRunahead",
         pins={"discovery_enabled": False, "nested_enabled": False},
     ),
     "dvr-discovery": TechniqueEntry(
-        lambda: DecoupledVectorRunahead(name="dvr-discovery"),
+        "runahead.dvr", "DecoupledVectorRunahead",
         pins={"nested_enabled": False},
     ),
     "dvr-noreconv": TechniqueEntry(
-        lambda: DecoupledVectorRunahead(name="dvr-noreconv"),
+        "runahead.dvr", "DecoupledVectorRunahead",
         pins={"reconvergence_enabled": False},
     ),
 }
@@ -126,7 +129,9 @@ def make_technique(name: str, config: Optional[SimConfig] = None) -> Technique:
     entry = technique_entry(name)
     if config is not None:
         technique_runahead_config(name, config.runahead)
-    technique = entry.factory()
-    if entry.pins:
-        technique.config_pins = dict(entry.pins)
+    cls = getattr(importlib.import_module(f".{entry.module}", __package__), entry.cls)
+    if not entry.pins:
+        return cls()
+    technique = cls(name=name)
+    technique.config_pins = dict(entry.pins)
     return technique

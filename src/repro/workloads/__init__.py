@@ -5,11 +5,21 @@ generators in :mod:`repro.workloads.graphs`; the hpc-db set (camel,
 graph500, hj2, hj8, kangaroo, nas_cg, nas_is, random_access) builds its
 own synthetic inputs. Use :func:`build_workload` to construct any of
 them by name.
+
+Names resolve from their modules on first access (see
+``repro._lazy_exports``), so reading the name tables loads no builder
+and no numpy.
 """
 
-from .base import Workload
-from .graphs import Graph, GRAPH_PROFILES, make_graph
-from .registry import WORKLOAD_NAMES, GAP_WORKLOADS, HPC_DB_WORKLOADS, build_workload
+from .. import _lazy_exports
+
+_EXPORTS = {
+    ".base": ("Workload",),
+    ".graphs": ("Graph", "make_graph"),
+    ".profiles": ("GRAPH_PROFILES",),
+    ".registry": ("GAP_WORKLOADS", "HPC_DB_WORKLOADS", "WORKLOAD_NAMES", "build_workload"),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS, globals())
 
 __all__ = [
     "GAP_WORKLOADS",

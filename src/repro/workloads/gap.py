@@ -31,15 +31,14 @@ from ..isa.program import ProgramBuilder
 from ..memory.memory_image import MemoryImage
 from .base import Workload
 from .graphs import (
-    GRAPH_PROFILES,
     Graph,
     add_weights,
     bfs_frontier,
-    graph_profile,
     make_graph,
     rmat_graph,
     uniform_random_graph,
 )
+from .profiles import GRAPH_PROFILES, graph_profile
 
 _DEFAULT_INPUT = "KR"
 

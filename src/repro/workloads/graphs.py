@@ -14,11 +14,12 @@ scaled cache hierarchy (DESIGN.md, "Substitutions"):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import WorkloadError
+from .profiles import GRAPH_PROFILES, graph_profile  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -195,26 +196,6 @@ def bfs_frontier(graph: Graph, source: int = 0) -> Tuple[np.ndarray, np.ndarray]
 
 
 # -- Table 2 profiles ----------------------------------------------------------
-
-# name -> (builder, kwargs). Sizes scale with the scaled cache hierarchy
-# so working set >> LLC (see DESIGN.md).
-GRAPH_PROFILES: Dict[str, Dict] = {
-    "KR": {"kind": "rmat", "n": 1 << 15, "avg_degree": 16, "a": 0.57, "seed": 11},
-    "LJN": {"kind": "rmat", "n": 1 << 13, "avg_degree": 14, "a": 0.57, "seed": 12},
-    "ORK": {"kind": "rmat", "n": 1 << 12, "avg_degree": 32, "a": 0.55, "seed": 13},
-    "TW": {"kind": "rmat", "n": 1 << 14, "avg_degree": 24, "a": 0.65, "seed": 14},
-    "UR": {"kind": "uniform", "n": 1 << 15, "avg_degree": 8, "seed": 15},
-}
-
-
-def graph_profile(profile: str) -> Dict:
-    """The generator settings of a Table 2 input; unknown names raise."""
-    try:
-        return GRAPH_PROFILES[profile]
-    except KeyError:
-        raise WorkloadError(
-            f"unknown graph profile {profile!r}; choose from {sorted(GRAPH_PROFILES)}"
-        ) from None
 
 
 def make_graph(profile: str, seed: Optional[int] = None) -> Graph:

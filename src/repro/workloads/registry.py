@@ -1,15 +1,22 @@
-"""Name-based workload construction."""
+"""Name-based workload construction.
+
+Names, input sizes and which workloads take an input name are tables
+here, so spec keys, the CLI parser and ``repro list`` import no
+builder; a builder module (and numpy with it) loads on the first build
+that needs it.
+"""
 
 from __future__ import annotations
 
-import inspect
+import functools
+import importlib
 import numbers
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Tuple
 
 from ..errors import WorkloadError
-from .base import Workload
-from .gap import gap_builders
-from .hpc_db import hpc_db_builders
+
+if TYPE_CHECKING:
+    from .base import Workload
 
 GAP_WORKLOADS: List[str] = ["bc", "bfs", "cc", "pr", "sssp"]
 HPC_DB_WORKLOADS: List[str] = [
@@ -26,20 +33,38 @@ HPC_DB_WORKLOADS: List[str] = [
 WORKLOAD_NAMES: List[str] = GAP_WORKLOADS + HPC_DB_WORKLOADS
 #: Input sizes every builder takes ("tiny" is for fast tests).
 SIZES: Tuple[str, ...] = ("default", "tiny")
+#: The workloads whose builder takes ``input_name`` (a Table 2 graph
+#: profile): the GAP kernels and graph500, which runs over GAP's inputs.
+INPUT_NAME_WORKLOADS: FrozenSet[str] = frozenset(GAP_WORKLOADS + ["graph500"])
 
-_BUILDERS: Dict[str, object] = {}
-_BUILDERS.update(hpc_db_builders())
-_BUILDERS.update(gap_builders())
+#: Each workload's builder, or the name of the module whose builder
+#: table (``gap_builders``, ``hpc_db_builders``) holds it.
+_BUILDERS: Dict[str, object] = {
+    name: "gap" if name in INPUT_NAME_WORKLOADS else "hpc_db" for name in WORKLOAD_NAMES
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _module_builders(module: str) -> Dict[str, object]:
+    """``module``'s builder table, imported on its first build."""
+    return getattr(importlib.import_module(f".{module}", __package__), f"{module}_builders")()
+
+
+def require_workload(name: str) -> None:
+    """:class:`WorkloadError` unless ``name`` is registered (no builder loads)."""
+    if name not in _BUILDERS:
+        raise WorkloadError(
+            f"unknown workload {name!r}; choose from {sorted(_BUILDERS)}"
+        )
 
 
 def workload_builder(name: str):
     """The builder registered under ``name``; :class:`WorkloadError` if unknown."""
-    try:
-        return _BUILDERS[name]
-    except KeyError:
-        raise WorkloadError(
-            f"unknown workload {name!r}; choose from {sorted(_BUILDERS)}"
-        ) from None
+    require_workload(name)
+    builder = _BUILDERS[name]
+    if isinstance(builder, str):
+        builder = _module_builders(builder)[name]
+    return builder
 
 
 def build_workload(name: str, **kwargs) -> Workload:
@@ -62,14 +87,9 @@ def build_workload(name: str, **kwargs) -> Workload:
 def workload_accepts_input_name(name: str) -> bool:
     """Whether ``name``'s builder takes an ``input_name`` keyword.
 
-    Decided from the builder's signature (``functools.partial`` wrappers
-    resolve to the underlying function), so dispatch never needs to
-    probe by raising/catching ``TypeError`` — a genuine ``TypeError``
-    from inside workload construction must propagate, not be retried.
+    Read from :data:`INPUT_NAME_WORKLOADS`, so spec resolution never
+    imports a builder; ``tests/test_name_tables.py`` holds the table to
+    each builder's signature. Unknown names raise :class:`WorkloadError`.
     """
-    builder = workload_builder(name)
-    try:
-        parameters = inspect.signature(builder).parameters
-    except (TypeError, ValueError):  # exotic callables: assume not
-        return False
-    return "input_name" in parameters
+    require_workload(name)
+    return name in INPUT_NAME_WORKLOADS

@@ -14,9 +14,13 @@ The load-bearing guarantees under test:
 
 import json
 import multiprocessing
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +43,7 @@ from repro.experiments import (
     use_cache,
 )
 from repro.experiments import fabric
+from repro.experiments.dispatch import SpecSet
 from repro.experiments.fabric import parse_address
 from repro.experiments.protocol import (
     ProtocolError,
@@ -178,6 +183,23 @@ class TestCampaignManifest:
         specs = _specs(3)
         assert specs_digest(specs) != specs_digest(list(reversed(specs)))
         assert specs_digest(specs) == specs_digest([RunSpec.from_any(s) for s in specs])
+
+    def test_spec_set_digest_is_the_manifest_digest(self):
+        # A campaign takes its digest from the one parse it dispatches
+        # from, in the bytes every existing manifest was written with.
+        specs = [
+            RunSpec("camel", max_instructions=400),
+            {"schema": "repro.spec/1", "workload": "bfs", "input_name": "KR",
+             "max_instructions": 300},
+            {"workload": "nas_is", "technique": "dvr", "max_instructions": 300,
+             "replay": "capture"},
+            {"technique": "ooo"},
+            dict(POISONED),
+            {"workload": "camel", "bogus_field": 1},
+            "not a spec",
+        ]
+        assert SpecSet(specs).digest() == specs_digest(specs)
+        assert specs_digest(specs) == "094c81d5efaa4bf31a40e17f4be12701"
 
     def test_raw_dict_entries_survive_verbatim(self, tmp_path):
         manifest = CampaignManifest.create(tmp_path, [POISONED])
@@ -331,6 +353,18 @@ class TestCampaign:
             r.to_dict() for r in first.outcomes
         ]
 
+    def test_resume_parses_each_entry_once(self, tmp_path, monkeypatch):
+        kw = dict(cache=ResultCache(tmp_path / "cache"), manifest_dir=tmp_path / "camp")
+        _campaign(_payloads(3), **kw)
+        parsed = []
+        from_payload = RunSpec.from_payload
+        monkeypatch.setattr(RunSpec, "from_payload", staticmethod(
+            lambda payload: parsed.append(payload) or from_payload(payload)
+        ))
+        resumed = _campaign(_payloads(3), **kw)
+        assert resumed.fabric["fabric.resumed"] == 3
+        assert len(parsed) == 3
+
     def test_shared_cache_without_ledger_counts_plain_hits(self, tmp_path):
         cache = ResultCache(tmp_path)
         specs = _payloads(2)
@@ -422,6 +456,34 @@ class TestForkedWorkers:
         assert not campaign.failures
         assert at_fork == [before] * 3
 
+    def test_workers_fork_with_the_simulator_loaded(self):
+        # run_campaign imports the model only when specs are pending, and
+        # before its first fork, so every worker inherits it. This test
+        # process has long imported it, so the probe runs in a fresh one.
+        code = (
+            "import json, sys\n"
+            "from repro.experiments import fabric\n"
+            "runner = 'repro.experiments.runner'\n"
+            "loaded = [runner in sys.modules]\n"
+            "fork_worker = fabric._fork_worker\n"
+            "def recording(*args):\n"
+            "    loaded.append(runner in sys.modules)\n"
+            "    return fork_worker(*args)\n"
+            "fabric._fork_worker = recording\n"
+            "campaign = fabric.run_campaign(\n"
+            "    [{'workload': 'camel', 'max_instructions': 300}],\n"
+            "    workers=2, worker_mode='process', timeout=60.0,\n"
+            ")\n"
+            "assert not campaign.failures\n"
+            "print(json.dumps(loaded))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [False, True, True]
+
     def test_worker_that_cannot_connect_exits_with_one_line(self, capfd):
         # A coordinator that stopped before its forks connected (say, a
         # campaign timeout) leaves nothing listening on the port.
@@ -504,6 +566,33 @@ class TestCampaignCLI:
         code = main(["campaign", "status", str(tmp_path / "camp"), "--json"])
         status = json.loads(capsys.readouterr().out)
         assert status["ok"] == 3 and status["specs"] == 3
+
+    def _run(self, tmp_path, capsys, specs):
+        """``campaign run`` of ``specs`` into a fresh manifest; exit code and output."""
+        code = main([
+            "campaign", "run", self._write_specs(tmp_path, specs), "--worker-mode", "thread",
+            "--manifest", str(tmp_path / "camp"), "--cache", str(tmp_path / "cache"),
+        ])
+        return code, capsys.readouterr()
+
+    def test_status_counts_a_repeated_spec_done_with_its_first_slot(self, tmp_path, capsys):
+        camel = {"workload": "camel", "technique": "ooo", "max_instructions": 500}
+        nas_is = dict(camel, workload="nas_is")
+        code, out = self._run(tmp_path, capsys, [camel, dict(camel), nas_is])
+        assert code == 0 and "3/3 specs succeeded" in out.out
+        assert main(["campaign", "status", str(tmp_path / "camp")]) == 0
+        status = capsys.readouterr().out
+        assert "completed ok : 2" in status
+        assert "remaining    : 0" in status
+
+    def test_status_counts_a_malformed_slot_as_failed(self, tmp_path, capsys):
+        valid = {"workload": "camel", "technique": "ooo", "max_instructions": 500}
+        code, out = self._run(tmp_path, capsys, [dict(valid, bogus_field=1), valid])
+        assert code == 1 and "1/2 specs succeeded" in out.out
+        assert "fabric.parse_failures=1" in out.err
+        assert main(["campaign", "status", str(tmp_path / "camp"), "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert (status["ok"], status["failed"], status["remaining"]) == (1, 1, 0)
 
     def test_campaign_resume_from_manifest_alone(self, tmp_path, capsys):
         spec_file = self._write_specs(tmp_path, _payloads(2))

@@ -3,8 +3,10 @@
 ``repro`` and ``repro.experiments`` resolve their public names on first
 access, and the CLI imports each subcommand's modules in its handler,
 so a simulation never pays for the HTTP server, the campaign fabric or
-the batch pool. The import probes run in fresh interpreters, because
-this test process has already imported everything.
+the batch pool. Whatever only keys specs, reads the result cache or
+inspects a finished campaign loads no model code at all (docs/
+performance.md, "Start-up"). The import probes run in fresh
+interpreters, because this test process has already imported everything.
 """
 
 from __future__ import annotations
@@ -35,18 +37,35 @@ HEAVY = [
     for name in ("batch", "serve", "fabric", "figures", "sweep", "tables")
 ]
 
+#: The model layer: numpy and every package a simulation runs. Only a
+#: process that simulates imports it.
+MODEL = ["numpy"] + [
+    f"repro.{name}"
+    for name in ("isa", "core", "memory", "frontend", "prefetch", "runahead", "perf")
+] + [f"repro.workloads.{name}" for name in ("gap", "hpc_db", "graphs")] + [
+    f"repro.experiments.{name}" for name in ("runner", "batch")
+]
+
 PASS_BLOCK = (
     "from repro import RunSpec, run_simulation, stats_payload\n"
     "import repro.experiments.cache\n"
 )
-HELP = (
-    "import runpy\n"
-    "sys.argv = ['repro', '--help']\n"
-    "try:\n"
-    "    runpy.run_module('repro', run_name='__main__')\n"
-    "except SystemExit:\n"
-    "    pass\n"
-)
+
+
+def _cli(*argv: str) -> str:
+    """Code that runs ``repro ARGV`` as ``python -m repro`` does, and
+    fails unless the command exits 0."""
+    return (
+        "import runpy\n"
+        f"sys.argv = ['repro', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+    )
+
+
+HELP = _cli("--help")
 
 
 def _fresh(code: str):
@@ -77,6 +96,84 @@ def _loaded_by(code: str) -> set:
 def test_entry_point_leaves_heavy_modules_unloaded(code):
     loaded = _loaded_by(code)
     assert not loaded & set(HEAVY), sorted(loaded & set(HEAVY))
+
+
+def _model_modules(loaded: set) -> list:
+    """The model-layer modules among ``loaded``."""
+    return sorted(
+        m for m in loaded if any(m == p or m.startswith(f"{p}.") for p in MODEL)
+    )
+
+
+@pytest.fixture(scope="module")
+def finished(tmp_path_factory):
+    """A campaign directory and a cache that hold every spec's result."""
+    from repro.cli import main
+
+    root = tmp_path_factory.mktemp("finished")
+    specs = root / "specs.json"
+    specs.write_text(json.dumps([
+        {"workload": "camel", "technique": technique, "max_instructions": 300}
+        for technique in ("ooo", "dvr")
+    ]))
+    assert main([
+        "campaign", "run", str(specs), "--worker-mode", "thread",
+        "--manifest", str(root / "camp"), "--cache", str(root / "cache"),
+    ]) == 0
+    return root
+
+
+class TestModelFreeEntryPoints:
+    """Keying, reading the cache and resuming or inspecting finished work
+    load none of :data:`MODEL`."""
+
+    def test_help(self):
+        assert _model_modules(_loaded_by(HELP)) == []
+
+    def test_campaign_status(self, finished):
+        code = _cli("campaign", "status", str(finished / "camp"))
+        assert _model_modules(_loaded_by(code)) == []
+
+    def test_campaign_run_resuming_a_finished_manifest(self, finished):
+        code = _cli(
+            "campaign", "run", "--manifest", str(finished / "camp"),
+            "--cache", str(finished / "cache"),
+        )
+        assert _model_modules(_loaded_by(code)) == []
+
+    def test_key_then_cache_get_then_stats_of_the_hit(self, finished):
+        loaded = _loaded_by(
+            "from repro import RunSpec, stats_payload\n"
+            "from repro.experiments.cache import ResultCache\n"
+            "key = RunSpec('camel', technique='dvr', max_instructions=300).key()\n"
+            f"hit = ResultCache({str(finished / 'cache')!r}).get(key)\n"
+            "assert hit is not None\n"
+            "assert stats_payload(hit)['technique'] == 'dvr'\n"
+        )
+        assert _model_modules(loaded) == []
+
+
+def test_the_pass_block_loads_every_technique_and_builder_module():
+    from repro.techniques import technique_entry, technique_names
+
+    modules = {f"repro.{technique_entry(name).module}" for name in technique_names()}
+    modules |= {"repro.workloads.gap", "repro.workloads.hpc_db"}
+    assert modules <= _loaded_by(PASS_BLOCK)
+
+
+def test_runs_after_the_pass_block_load_no_further_repro_module():
+    # The runner imports every model module up front, so the first
+    # run_simulation costs what every later one does.
+    late = _fresh(
+        PASS_BLOCK
+        + "before = set(sys.modules)\n"
+        "for technique in ('ooo', 'vr', 'dvr'):\n"
+        "    run_simulation('camel', technique, max_instructions=300)\n"
+        "print(json.dumps(sorted(\n"
+        "    m for m in set(sys.modules) - before if m.startswith('repro.')\n"
+        ")))\n"
+    )
+    assert late == []
 
 
 def test_bare_import_loads_no_subpackage():
