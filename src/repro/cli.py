@@ -250,8 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
         " docs/fabric.md). 'campaign run' starts a coordinator on an"
         " ephemeral localhost port plus N workers; '--manifest DIR' makes"
         " the campaign resumable (with --cache, a killed campaign resumes"
-        " with zero re-simulation). 'campaign worker' joins an existing"
-        " coordinator; 'campaign status' inspects a manifest's ledger.",
+        " with zero re-simulation). 'campaign status' inspects a"
+        " manifest's ledger.",
     )
     camp_sub = camp_p.add_subparsers(dest="campaign_command", required=True)
     crun_p = camp_sub.add_parser(
@@ -267,11 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="number of pull-based workers to spawn",
     )
     crun_p.add_argument(
-        "--worker-mode", choices=["thread", "process"], default="process",
-        help="worker isolation: one forked process each (default) or"
-        " in-process threads (shared interpreter)",
-    )
-    crun_p.add_argument(
         "--manifest", metavar="DIR", default=None,
         help="campaign directory (repro.campaign/1 manifest + completion"
         " ledger); an existing DIR resumes, a fresh one is created",
@@ -282,31 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="heartbeat deadline before a lease is requeued")
     crun_p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                         help="abort the campaign if not complete in time")
-    crun_p.add_argument(
-        "--chaos-workers", type=int, default=0, metavar="N",
-        help="additionally spawn N fault-injection workers that each pull"
-        " one spec and die holding the lease (recovery smoke test)",
-    )
     _add(crun_p, "format", "audit", format=text_or_json)
-    cworker_p = camp_sub.add_parser(
-        "worker", help="join a running coordinator as one pull-based worker"
-    )
-    cworker_p.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="address of a Coordinator started programmatically (its"
-        " .address); 'campaign run' connects its own workers",
-    )
-    cworker_p.add_argument("--poll", type=float, default=0.1, metavar="SECONDS")
-    cworker_p.add_argument(
-        "--self-destruct", type=int, default=None, metavar="N",
-        help="fault injection: drop the connection after pulling the Nth"
-        " spec, holding its lease (worker-death testing)",
-    )
-    cworker_p.add_argument(
-        "--hang-after", type=int, default=None, metavar="N",
-        help="fault injection: go silent after pulling the Nth spec"
-        " (lease-timeout testing)",
-    )
     cstatus_p = camp_sub.add_parser(
         "status", help="summarize a campaign manifest's completion ledger"
     )
@@ -708,6 +679,7 @@ def _run_experiment_command(args) -> int:
     plan once, then print its specs (``--dump-spec``) or run and render it.
     A flag the subcommand does not take (``table`` has no --dump-spec,
     --jobs or --cache, ``figure`` no --audit) reads as unset."""
+    _check_bounds(("--jobs", getattr(args, "jobs", None), ">=", 1))
     plan = _experiment_plan(args)
     if getattr(args, "dump_spec", False):
         return _dump_specs_and_exit(plan[0])
@@ -750,7 +722,7 @@ def _run_batch_command(args) -> int:
     from .errors import ReproError
     from .experiments.spec import load_specs, read_spec_file
 
-    _check_bounds(("--retries", args.retries, ">=", 0))
+    _check_bounds(("--jobs", args.jobs, ">=", 1), ("--retries", args.retries, ">=", 0))
     if args.specs is not None and args.specs_opt is not None:
         raise ReproError("pass the spec file once (positionally or via --specs)")
     path = args.specs if args.specs is not None else args.specs_opt
@@ -774,25 +746,11 @@ def _run_batch_command(args) -> int:
 
 
 def _run_campaign_command(args) -> int:
-    """``repro campaign run/worker/status``: the distributed sweep fabric."""
+    """``repro campaign run/status``: the distributed sweep fabric."""
     from .errors import ReproError
-    from .experiments.fabric import CampaignManifest, Worker, parse_address, run_campaign
+    from .experiments.fabric import CampaignManifest, run_campaign
     from .experiments.spec import read_spec_file
 
-    if args.campaign_command == "worker":
-        worker = Worker(
-            parse_address(args.connect),
-            poll=args.poll,
-            self_destruct=args.self_destruct,
-            hang_after=args.hang_after,
-        )
-        sent = worker.run()
-        print(
-            f"worker {worker.worker_id}: {sent} results sent, "
-            f"{worker.completions} simulations",
-            file=sys.stderr,
-        )
-        return 0
     if args.campaign_command == "status":
         status = CampaignManifest.load(args.manifest).status()
         if args.json:
@@ -808,10 +766,10 @@ def _run_campaign_command(args) -> int:
 
     # campaign run
     _check_bounds(
+        ("--workers", args.workers, ">=", 1),
         ("--lease-timeout", args.lease_timeout, ">", 0),
         ("--timeout", args.timeout, ">", 0),
         ("--retries", args.retries, ">=", 0),
-        ("--chaos-workers", args.chaos_workers, ">=", 0),
     )
     if args.specs is not None:
         specs = read_spec_file(args.specs)
@@ -843,8 +801,6 @@ def _run_campaign_command(args) -> int:
         lease_timeout=args.lease_timeout,
         retries=args.retries,
         timeout=args.timeout,
-        worker_mode=args.worker_mode,
-        chaos_workers=args.chaos_workers,
         audit=args.audit,
     )
     failures = _print_outcomes(campaign.outcomes, args.format)

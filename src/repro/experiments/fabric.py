@@ -11,10 +11,10 @@ order-independent spec pipeline into throughput:
   cache hits from the sharded
   :class:`~repro.experiments.cache.ResultCache`, one cache rule) and
   queues the rest;
-* **workers** pull specs over a small length-prefixed JSON socket
-  protocol (:mod:`repro.experiments.protocol`; localhost TCP is the
-  default, but nothing below binds to an interface), simulate locally,
-  and push ``repro.batch-result/1`` documents back — results are
+* **workers**, forked from the coordinator's process, pull specs over
+  a small length-prefixed JSON socket protocol
+  (:mod:`repro.experiments.protocol`, on localhost TCP), simulate, and
+  push ``repro.batch-result/1`` documents back — results are
   bit-identical to a serial ``run_batch`` because every simulation is
   a pure function of its spec and the payload round-trips the full
   dataclass field set;
@@ -37,10 +37,10 @@ completions minus cache hits — is machine-checked by
 The coordinator, the manifest and the ledger import no model code: a
 campaign that resumes with nothing left to run, and ``repro campaign
 status``, never load the simulator. :func:`run_campaign` imports it
-only when specs are pending, before it starts or forks a worker.
+only when specs are pending, before it forks a worker.
 
 See ``docs/fabric.md`` for the protocol, manifest schema, and failure
-model; the CLI surface is ``repro campaign run/worker/status``.
+model; the CLI surface is ``repro campaign run/status``.
 """
 
 from __future__ import annotations
@@ -661,11 +661,8 @@ class Worker:
     while the simulation runs, and reports its running
     ``batch.sim.completions`` total with every result.
 
-    ``self_destruct=N`` makes the worker drop its connection
-    immediately after pulling its Nth spec — the fault-injection hook
-    the worker-death tests and the CI chaos job use. ``hang_after=N``
-    instead goes silent (no result, no heartbeat, connection open),
-    exercising the lease-timeout path.
+    :func:`run_campaign` forks its workers; a script that starts a
+    :class:`Coordinator` itself joins it with ``Worker(address).run()``.
     """
 
     def __init__(
@@ -673,18 +670,11 @@ class Worker:
         address: Tuple[str, int],
         worker_id: Optional[str] = None,
         poll: float = 0.1,
-        self_destruct: Optional[int] = None,
-        hang_after: Optional[int] = None,
-        hang_seconds: float = 30.0,
     ) -> None:
         self.address = (address[0], int(address[1]))
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         self.poll = poll
-        self.self_destruct = self_destruct
-        self.hang_after = hang_after
-        self.hang_seconds = hang_seconds
         self.completions = 0  # == this process's batch.sim.completions
-        self.pulled = 0
         self.results_sent = 0
         self._sock: Optional[socket.socket] = None
         self._send_lock = threading.Lock()
@@ -742,16 +732,6 @@ class Worker:
                     continue
                 if kind != "spec":
                     raise ProtocolError(f"unexpected coordinator message {kind!r}")
-                self.pulled += 1
-                if self.self_destruct is not None and self.pulled >= self.self_destruct:
-                    # Fault injection: die holding the lease.
-                    self._sock.close()
-                    return self.results_sent
-                if self.hang_after is not None and self.pulled >= self.hang_after:
-                    # Fault injection: go silent holding the lease.
-                    self._current_lease = None
-                    time.sleep(self.hang_seconds)
-                    return self.results_sent
                 spec = RunSpec.from_payload(reply["spec"])
                 runtime = dict(reply.get("runtime") or {})
                 self._current_lease = reply.get("lease")
@@ -785,30 +765,6 @@ class Worker:
         return self.results_sent
 
 
-def parse_address(text: str) -> Tuple[str, int]:
-    """``HOST:PORT`` → address tuple (the CLI's --connect format).
-
-    Accepts bracketed IPv6 literals (``[::1]:9000``). Rejects ports
-    outside 1..65535 and unbracketed multi-colon hosts, which would
-    otherwise be silently mangled.
-    """
-    host, sep, port = text.rpartition(":")
-    if not sep or not host or not port.isdigit():
-        raise ReproError(f"expected HOST:PORT, got {text!r}")
-    if host.startswith("[") and host.endswith("]"):
-        host = host[1:-1]
-        if not host:
-            raise ReproError(f"expected HOST:PORT, got {text!r}")
-    elif ":" in host:
-        raise ReproError(
-            f"ambiguous address {text!r}: write IPv6 hosts as [ADDR]:PORT"
-        )
-    number = int(port)
-    if not 0 < number < 65536:
-        raise ReproError(f"port out of range (1-65535) in {text!r}")
-    return host, number
-
-
 # -- whole campaigns ----------------------------------------------------------
 
 
@@ -829,27 +785,19 @@ class CampaignResult:
         )
 
 
-def _spawn_worker_thread(address, poll, self_destruct=None) -> threading.Thread:
-    worker = Worker(address, poll=poll, self_destruct=self_destruct)
-    thread = threading.Thread(target=worker.run, daemon=True)
-    thread.start()
-    return thread
-
-
-def _forked_worker_main(address, poll, self_destruct) -> None:
-    # The fork copies the coordinator's ambient cache; a spawned or
-    # thread worker never had one, and a worker's results reach the
-    # cache only through the coordinator.
+def _forked_worker_main(address, poll) -> None:
+    # The fork copies the coordinator's ambient cache; a worker's
+    # results reach the cache only through the coordinator.
     with use_cache(None):
         try:
-            Worker(address, poll=poll, self_destruct=self_destruct).run()
+            Worker(address, poll=poll).run()
         except ReproError as exc:
             # The coordinator stopped before this worker connected (a
-            # campaign timeout, say): one line, as `campaign worker` prints.
+            # campaign timeout, say): one line, as the CLI prints an error.
             raise SystemExit(f"error: {exc}")
 
 
-def _fork_worker(address, poll, self_destruct=None) -> BaseProcess:
+def _fork_worker(address, poll) -> BaseProcess:
     """One worker process, forked from the coordinator where fork exists.
 
     It inherits the imported simulator instead of booting an interpreter.
@@ -860,7 +808,7 @@ def _fork_worker(address, poll, self_destruct=None) -> BaseProcess:
     from .batch import _POOL_CONTEXT
 
     process = _POOL_CONTEXT.Process(
-        target=_forked_worker_main, args=(address, poll, self_destruct)
+        target=_forked_worker_main, args=(address, poll)
     )
     process.start()
     return process
@@ -876,23 +824,17 @@ def run_campaign(
     retries: int = 2,
     poll: float = 0.05,
     timeout: Optional[float] = None,
-    worker_mode: str = "thread",
-    chaos_workers: int = 0,
     audit: bool = False,
     counters: Optional[CounterRegistry] = None,
 ) -> CampaignResult:
     """Run one campaign end to end on this host.
 
-    Starts a coordinator on an ephemeral localhost port, spawns
-    ``workers`` pull-based workers (``worker_mode="thread"`` for
-    in-process workers — the fast path for tests and small campaigns —
-    or ``"process"`` for one process per worker, forked from this one
-    where the platform can fork), waits for every spec to resolve, and
-    evaluates the distributed conservation law. ``chaos_workers``
-    additionally spawns that many fault-injection workers that each pull
-    one spec and die holding the lease (the recovery path must then
-    re-run it). Every worker process is joined before this returns; one
-    still alive 5 s after the coordinator stops is killed.
+    Starts a coordinator on an ephemeral localhost port, forks
+    ``workers`` pull-based worker processes from this one (where the
+    platform can fork), waits for every spec to resolve, and evaluates
+    the distributed conservation law. Every worker process is joined
+    before this returns; one still alive 5 s after the coordinator
+    stops is killed.
 
     With ``manifest_dir``, the campaign is resumable: a fresh directory
     gets a ``repro.campaign/1`` manifest; an existing one must match
@@ -903,8 +845,6 @@ def run_campaign(
     """
     if workers < 1:
         raise ReproError(f"run_campaign needs at least one worker, got {workers}")
-    if worker_mode not in ("thread", "process"):
-        raise ReproError(f"worker_mode must be 'thread' or 'process', got {worker_mode!r}")
     spec_set = SpecSet(specs, cache=cache, audit=audit)
     manifest = None
     if manifest_dir is not None:
@@ -927,31 +867,29 @@ def run_campaign(
         poll=poll,
         counters=counters,
     ).listen()
-    start_worker = _fork_worker if worker_mode == "process" else _spawn_worker_thread
-    handles: List = []
+    processes: List[BaseProcess] = []
     try:
         # A fully-resumed (or all-cached/all-local) campaign has nothing
-        # left to dispatch; spawning workers would only have them race a
+        # left to dispatch; forking workers would only have them race a
         # coordinator that is already shutting down.
-        if not coordinator.remaining():
-            workers = chaos_workers = 0
-        else:
+        if coordinator.remaining():
             # Load the simulator before the first fork, so that every
             # forked worker inherits it.
             from . import batch  # noqa: F401
-        for self_destruct in [1] * chaos_workers + [None] * workers:
-            handles.append(start_worker(coordinator.address, poll, self_destruct))
+
+            for _ in range(workers):
+                processes.append(_fork_worker(coordinator.address, poll))
         # Only now does the coordinator start threads, so no fork above
         # copied a thread or a lock one held.
         coordinator.start()
         outcomes = coordinator.wait(timeout)
     finally:
         coordinator.stop()
-        for handle in handles:
-            handle.join(timeout=5.0)
-            if isinstance(handle, BaseProcess) and handle.is_alive():
-                handle.kill()
-                handle.join()
+        for process in processes:
+            process.join(timeout=5.0)
+            if process.is_alive():
+                process.kill()
+                process.join()
     snapshot = coordinator.counters.snapshot()
     conservation = check_fabric_counters(snapshot, coordinator.worker_completions)
     return CampaignResult(

@@ -18,24 +18,26 @@ The simulator's observability layer (see ``docs/observability.md``):
 
 Tracing and hooks are strictly opt-in; a run without an
 ``Observability`` attached pays nothing per instruction.
+
+The names resolve from their modules on first access (see
+``repro._lazy_exports``), so a process that needs only the counters,
+such as the result cache or a campaign's coordinator, loads neither the
+probes nor the event trace.
 """
 
-from .counters import Counter, CounterRegistry, subtree
-from .export import STATS_SCHEMA, stats_payload, validate_stats, write_stats
-from .probes import Observability
-from .trace import (
-    EV_COMPLETE,
-    EV_FETCH,
-    EV_ISSUE,
-    EV_RETIRE,
-    EV_RUNAHEAD_ENTER,
-    EV_RUNAHEAD_EXIT,
-    EV_VECTOR_DISPATCH,
-    EVENT_KINDS,
-    TRACE_FIELDS,
-    EventTrace,
-    TraceEvent,
-)
+from .. import _lazy_exports
+
+_EXPORTS = {
+    ".counters": ("Counter", "CounterRegistry", "subtree"),
+    ".export": ("STATS_SCHEMA", "stats_payload", "validate_stats", "write_stats"),
+    ".probes": ("Observability",),
+    ".trace": (
+        "EV_COMPLETE", "EV_FETCH", "EV_ISSUE", "EV_RETIRE", "EV_RUNAHEAD_ENTER",
+        "EV_RUNAHEAD_EXIT", "EV_VECTOR_DISPATCH", "EVENT_KINDS", "TRACE_FIELDS", "EventTrace",
+        "TraceEvent",
+    ),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS, globals())
 
 __all__ = [
     "Counter",

@@ -143,15 +143,16 @@ def nested_kernel():
 
 @pytest.fixture
 def kill_pool_workers(monkeypatch, tmp_path):
-    """Arm a real worker death inside the shared process pool.
+    """Arm a real worker death inside a forked worker process.
 
     ``arm(once=True, victim=None, after=None)`` replaces
-    ``batch.run_simulation`` with a wrapper that forked pool workers
-    inherit. The wrapper logs ``start``/``done`` lines per workload to
-    the returned log file and SIGKILLs the worker running ``victim``
-    (any workload when ``None``): only the first time when ``once``,
-    and only after the log shows ``after`` finished when given. It
-    never kills the test process itself.
+    ``batch.run_simulation`` with a wrapper that forked workers inherit,
+    the batch pool's and a campaign's alike. The wrapper logs
+    ``start``/``done`` lines per workload to the returned log file and
+    SIGKILLs the worker running ``victim`` (any workload when ``None``):
+    only the first time when ``once``, and only after the log shows
+    ``after`` finished when given. It never kills the test process
+    itself.
     """
     import os
     import signal

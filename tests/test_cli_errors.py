@@ -476,41 +476,53 @@ class TestOutOfRangeRunSizes:
 
 
 class TestDispatchFlagBounds:
-    """``campaign run`` and ``batch`` reject a duration, retry count or
-    chaos-worker count out of range before they write a manifest, start
-    a worker or simulate anything."""
+    """``campaign run``, ``batch`` and the plan commands reject a worker
+    count, job count, duration or retry count out of range before they
+    create a cache or manifest directory, start a worker or simulate
+    anything."""
 
     @pytest.mark.parametrize("argv,reason", [
+        (["campaign", "run", "--workers", "0"], "--workers must be >= 1, got 0"),
         (["campaign", "run", "--lease-timeout", "0"], "--lease-timeout must be > 0, got 0.0"),
         (["campaign", "run", "--lease-timeout", "-1"], "--lease-timeout must be > 0, got -1.0"),
         (["campaign", "run", "--timeout", "-1"], "--timeout must be > 0, got -1.0"),
         (["campaign", "run", "--timeout", "nan"], "--timeout must be > 0, got nan"),
         (["campaign", "run", "--retries", "-1"], "--retries must be >= 0, got -1"),
-        (["campaign", "run", "--chaos-workers", "-2"], "--chaos-workers must be >= 0, got -2"),
         (["batch", "--retries", "-1"], "--retries must be >= 0, got -1"),
-    ], ids=["lease-zero", "lease-negative", "timeout-negative", "timeout-nan",
-            "campaign-retries", "chaos-workers", "batch-retries"])
+        (["batch", "--jobs", "-2"], "--jobs must be >= 1, got -2"),
+        (["figure", "figure9", "--workloads", "camel", "--jobs", "0"],
+         "--jobs must be >= 1, got 0"),
+        (["sweep", "--workload", "camel", "--param", "core.rob_size", "--values", "128",
+          "--jobs", "0"], "--jobs must be >= 1, got 0"),
+        (["compare", "--workloads", "camel", "--techniques", "ooo", "--jobs", "0"],
+         "--jobs must be >= 1, got 0"),
+    ], ids=["workers-zero", "lease-zero", "lease-negative", "timeout-negative",
+            "timeout-nan", "campaign-retries", "batch-retries", "batch-jobs", "figure-jobs",
+            "sweep-jobs", "compare-jobs"])
     def test_out_of_range_is_one_error_line(self, argv, reason, tmp_path, capsys):
         specs = tmp_path / "specs.json"
         specs.write_text(json.dumps([{"workload": "camel", "max_instructions": 500}]))
-        manifest = tmp_path / "campaign"
+        manifest, cache = tmp_path / "campaign", tmp_path / "cache"
+        argv = argv + ["--cache", str(cache)]
         if argv[0] == "campaign":
-            argv = argv + ["--worker-mode", "thread", "--manifest", str(manifest)]
+            argv += ["--manifest", str(manifest)]
+        if argv[0] in ("campaign", "batch"):
+            argv += [str(specs)]
         reset_batch_counters()
-        assert main(argv + [str(specs)]) == 2
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {reason}\n"
-        assert not manifest.exists()
+        assert not manifest.exists() and not cache.exists()
         assert BATCH_COUNTERS.get("batch.sim.runs", 0) == 0
 
     def test_in_range_bounds_run(self, tmp_path, capsys):
         specs = tmp_path / "specs.json"
         specs.write_text(json.dumps([{"workload": "camel", "max_instructions": 500}]))
-        argv = ["campaign", "run", "--worker-mode", "thread", "--retries", "0",
-                "--chaos-workers", "0", "--lease-timeout", "5", "--timeout", "60", str(specs)]
+        argv = ["campaign", "run", "--workers", "1", "--retries", "0",
+                "--lease-timeout", "5", "--timeout", "60", str(specs)]
         assert main(argv) == 0
-        assert main(["batch", "--retries", "0", str(specs)]) == 0
+        assert main(["batch", "--jobs", "1", "--retries", "0", str(specs)]) == 0
         assert capsys.readouterr().out.count("1/1 specs succeeded") == 2
 
 
@@ -523,7 +535,7 @@ class TestSpecFiles:
         "audit": ["audit", "--specs"],
         "batch": ["batch"],
         "batch-dump": ["batch", "--dump-spec", "--specs"],
-        "campaign": ["campaign", "run", "--worker-mode", "thread"],
+        "campaign": ["campaign", "run"],
     }
 
     @pytest.mark.parametrize("content", [

@@ -80,8 +80,7 @@ INPUT_ERRORS = {
     "compare": ["compare", "--workloads", "camel", "--techniques", "ooo", "-n", "0"],
     "batch": ["batch", "MISSING"],
     "batch-twice": ["batch", "SPECS", "--specs", "SPECS"],
-    "campaign-run": ["campaign", "run", "--worker-mode", "thread"],
-    "campaign-worker": ["campaign", "worker", "--connect", "nowhere"],
+    "campaign-run": ["campaign", "run"],
     "campaign-status": ["campaign", "status", "MISSING"],
     "cache-stats": ["cache", "stats", "--dir", "SPECS"],
     "cache-gc": ["cache", "gc", "--dir", "DIR", "--max-age", "soon"],

@@ -4,12 +4,14 @@ The load-bearing guarantees under test:
 
 * campaign results are **bit-identical** to a serial ``run_batch`` of
   the same spec list, with or without worker deaths in between;
-* a worker dying (connection drop) or hanging (no heartbeat) returns
+* a worker dying (a forked worker SIGKILLed holding its lease, or a
+  client that drops its connection) or hanging (no heartbeat) returns
   its leased specs to the queue, bounded by the retry budget;
 * a killed campaign **resumes with zero re-simulation** from its
   manifest + ledger + cache;
 * the distributed conservation law holds: ``batch.sim.completions``
-  summed across workers equals campaign completions minus cache hits.
+  summed across workers equals campaign completions minus cache hits;
+* every campaign joins the workers it forked before it returns.
 """
 
 import json
@@ -34,7 +36,6 @@ from repro.experiments import (
     Coordinator,
     ResultCache,
     RunSpec,
-    Worker,
     reset_batch_counters,
     run_batch,
     run_campaign,
@@ -44,7 +45,6 @@ from repro.experiments import (
 )
 from repro.experiments import fabric
 from repro.experiments.dispatch import SpecSet
-from repro.experiments.fabric import parse_address
 from repro.experiments.protocol import (
     ProtocolError,
     outcome_from_payload,
@@ -59,6 +59,12 @@ def _fresh_counters():
     reset_batch_counters()
     yield
     reset_batch_counters()
+
+
+@pytest.fixture(autouse=True)
+def _no_worker_left():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="module")
@@ -81,11 +87,74 @@ POISONED = {"schema": "repro.spec/1", "workload": "no_such_workload"}
 
 
 def _campaign(specs, **kw):
+    """``run_campaign`` with forked workers; its books must balance."""
     kw.setdefault("workers", 2)
-    kw.setdefault("worker_mode", "thread")
     kw.setdefault("lease_timeout", 10.0)
     kw.setdefault("timeout", 60.0)
-    return run_campaign(specs, **kw)
+    campaign = run_campaign(specs, **kw)
+    assert campaign.conservation.passed, campaign.conservation.violations
+    return campaign
+
+
+class _Client:
+    """Hand-rolled protocol client for precisely-ordered scenarios a
+    forked Worker does not produce (deaths, hangs, reconnects, late
+    results, stale beats)."""
+
+    def __init__(self, address, worker="manual"):
+        self.sock = socket.create_connection(address, timeout=10)
+        send_message(self.sock, {"type": "hello", "worker": worker})
+        self.welcome = recv_message(self.sock)
+
+    def pull(self):
+        send_message(self.sock, {"type": "pull"})
+        return recv_message(self.sock)
+
+    def heartbeat(self, lease):
+        send_message(self.sock, {"type": "heartbeat", "lease": lease})
+
+    def result(self, lease, key, outcome, completions):
+        send_message(self.sock, {
+            "type": "result",
+            "lease": lease,
+            "key": key,
+            "outcome": outcome_to_payload(key, outcome),
+            "sim_completions": completions,
+        })
+        return recv_message(self.sock)
+
+    def serve(self):
+        """Pull, simulate and report until the campaign is done, as a
+        Worker does; the number of specs simulated."""
+        completions = 0
+        while (grant := self.pull())["type"] != "done":
+            if grant["type"] == "wait":
+                time.sleep(grant["seconds"])
+                continue
+            completions += 1
+            self.result(grant["lease"], grant["key"], _simulate_grant(grant), completions)
+        return completions
+
+    def close(self):
+        try:
+            self.sock.close()
+        except OSError:
+            pass
+
+
+def _simulate_grant(grant):
+    return run_simulation(RunSpec.from_payload(grant["spec"]))
+
+
+def _wait_counter(coordinator, name, minimum, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if coordinator.counters.snapshot().get(name, 0) >= minimum:
+            return
+        time.sleep(0.02)
+    raise AssertionError(
+        f"{name} never reached {minimum}: {coordinator.fabric_snapshot()}"
+    )
 
 
 class TestProtocol:
@@ -148,27 +217,6 @@ class TestProtocol:
     def test_wrong_schema_document_is_rejected(self):
         with pytest.raises(ProtocolError, match="repro.batch-result/1"):
             outcome_from_payload({"schema": "something/9", "ok": True})
-
-    def test_parse_address(self):
-        assert parse_address("127.0.0.1:8123") == ("127.0.0.1", 8123)
-        for bad in ("nope", ":42", "host:", "host:abc"):
-            with pytest.raises(ReproError):
-                parse_address(bad)
-
-    def test_parse_address_rejects_out_of_range_ports(self):
-        for bad in ("host:0", "host:65536", "host:99999"):
-            with pytest.raises(ReproError, match="port out of range"):
-                parse_address(bad)
-        assert parse_address("host:65535") == ("host", 65535)
-        assert parse_address("host:1") == ("host", 1)
-
-    def test_parse_address_handles_ipv6_literals(self):
-        assert parse_address("[::1]:9000") == ("::1", 9000)
-        assert parse_address("[fe80::1]:8123") == ("fe80::1", 8123)
-        with pytest.raises(ReproError, match="bracket|ambiguous"):
-            parse_address("::1:9000")  # unbracketed would mangle the host
-        with pytest.raises(ReproError):
-            parse_address("[]:9000")
 
 
 class TestCampaignManifest:
@@ -240,7 +288,6 @@ class TestCampaign:
         serial = run_batch(specs)
         assert [r.to_dict() for r in campaign.outcomes] == [r.to_dict() for r in serial]
         assert [r.counters for r in campaign.outcomes] == [r.counters for r in serial]
-        assert campaign.conservation.passed, campaign.conservation.violations
         assert campaign.fabric["fabric.completed"] == 4
         assert sum(campaign.worker_completions.values()) == 4
 
@@ -250,13 +297,11 @@ class TestCampaign:
         assert isinstance(campaign.outcomes[2], BatchFailure)
         assert campaign.outcomes[2].error_type == "WorkloadError"
         assert campaign.fabric["fabric.failed"] == 1
-        assert campaign.conservation.passed, campaign.conservation.violations
 
     def test_malformed_entry_is_a_parse_failure(self):
         campaign = _campaign([{"technique": "ooo"}] + _payloads(1))
         assert isinstance(campaign.outcomes[0], BatchFailure)
         assert campaign.fabric["fabric.parse_failures"] == 1
-        assert campaign.conservation.passed, campaign.conservation.violations
 
     def test_unresolvable_override_fails_only_its_slot(self):
         bogus = {"workload": "camel", "max_instructions": 400,
@@ -270,7 +315,6 @@ class TestCampaign:
         assert "bogus.field" in outcomes[1].message
         assert outcomes[1].spec["overrides"] == {"bogus.field": 1}
         assert campaign.fabric["fabric.parse_failures"] == 1
-        assert campaign.conservation.passed, campaign.conservation.violations
 
     def test_duplicate_specs_simulate_once(self):
         spec = _payloads(1)[0]
@@ -278,25 +322,28 @@ class TestCampaign:
         assert campaign.fabric["fabric.dedup.reused"] == 2
         assert campaign.fabric["fabric.completed"] == 1
         assert campaign.outcomes[0].to_dict() == campaign.outcomes[2].to_dict()
-        assert campaign.conservation.passed, campaign.conservation.violations
 
-    def test_worker_death_requeues_and_results_stay_identical(self):
-        specs = _specs(4)
-        campaign = _campaign(specs, chaos_workers=1, lease_timeout=5.0)
-        assert campaign.fabric["fabric.requeued"] >= 1
+    def test_worker_death_requeues_and_results_stay_identical(self, kill_pool_workers):
+        # The forked worker that starts simulating nas_is is SIGKILLed
+        # holding its lease; the spec goes back to the queue and the other
+        # worker runs it. One victim spec, so only one worker ever dies.
+        specs = _specs(2) + [RunSpec("nas_is", max_instructions=400)] + _specs(1, start=500)
+        serial = run_batch(specs)  # before arming: the wrapper refuses this process
+        kill_pool_workers(once=True, victim="nas_is")
+        campaign = _campaign(specs)
+        assert campaign.fabric["fabric.requeued"] == 1
+        assert campaign.fabric["fabric.lost"] == 0
+        assert campaign.fabric["fabric.workers"] == 2
         assert not campaign.failures
-        serial = run_batch(specs)
         assert [r.to_dict() for r in campaign.outcomes] == [r.to_dict() for r in serial]
-        assert campaign.conservation.passed, campaign.conservation.violations
 
     def test_retry_exhaustion_becomes_worker_death_failure(self):
         coordinator = Coordinator(_specs(1), retries=0, lease_timeout=10.0).start()
         try:
-            chaos = Worker(coordinator.address, self_destruct=1)
-            thread = threading.Thread(target=chaos.run, daemon=True)
-            thread.start()
+            doomed = _Client(coordinator.address)
+            assert doomed.pull()["type"] == "spec"
+            doomed.close()  # dies holding the lease
             outcomes = coordinator.wait(timeout=30.0)
-            thread.join(timeout=5.0)
         finally:
             coordinator.stop()
         failure = outcomes[0]
@@ -310,20 +357,18 @@ class TestCampaign:
     def test_hung_worker_lease_expires_and_spec_completes_elsewhere(self):
         coordinator = Coordinator(_specs(2), lease_timeout=0.4, poll=0.05).start()
         try:
-            hung = Worker(coordinator.address, hang_after=1, hang_seconds=20.0)
-            hung_thread = threading.Thread(target=hung.run, daemon=True)
-            hung_thread.start()
-            time.sleep(0.1)  # let it take (and sit on) the first lease
-            healthy = Worker(coordinator.address)
-            healthy_thread = threading.Thread(target=healthy.run, daemon=True)
-            healthy_thread.start()
+            hung = _Client(coordinator.address, worker="hung")
+            assert hung.pull()["type"] == "spec"  # then silent, connection open
+            healthy = _Client(coordinator.address, worker="healthy")
+            assert healthy.serve() == 2  # its own spec, then the expired one
             outcomes = coordinator.wait(timeout=30.0)
-            healthy_thread.join(timeout=5.0)
+            healthy.close()
+            hung.close()
         finally:
             coordinator.stop()
         assert not [o for o in outcomes if isinstance(o, BatchFailure)]
         snapshot = coordinator.counters.snapshot()
-        assert snapshot["fabric.requeued"] >= 1
+        assert snapshot["fabric.requeued"] == 1
         check = check_fabric_counters(snapshot, coordinator.worker_completions)
         assert check.passed, check.violations
 
@@ -348,7 +393,6 @@ class TestCampaign:
         assert resumed.fabric["fabric.resumed"] == 4
         assert resumed.fabric["fabric.dispatched"] == 0
         assert BATCH_COUNTERS.get("batch.sim.runs") == 0
-        assert resumed.conservation.passed, resumed.conservation.violations
         assert [r.to_dict() for r in resumed.outcomes] == [
             r.to_dict() for r in first.outcomes
         ]
@@ -372,7 +416,6 @@ class TestCampaign:
         campaign = _campaign(specs, cache=cache)
         assert campaign.fabric["fabric.cache.hits"] == 2
         assert campaign.fabric["fabric.dispatched"] == 0
-        assert campaign.conservation.passed, campaign.conservation.violations
 
     def test_cache_hits_are_ledgered_as_completions(self, tmp_path):
         # A campaign resolved entirely from a warm cache must still write
@@ -419,25 +462,21 @@ class TestCampaign:
             _campaign(_payloads(3), manifest_dir=tmp_path)
 
     def test_process_workers_round_trip(self, tmp_path):
-        campaign = _campaign(
-            _payloads(2), worker_mode="process", workers=2,
-            cache=ResultCache(tmp_path),
-        )
+        campaign = _campaign(_payloads(2), workers=2, cache=ResultCache(tmp_path))
         assert not campaign.failures
         assert campaign.fabric["fabric.completed"] == 2
         assert sum(campaign.worker_completions.values()) == 2
-        assert campaign.conservation.passed, campaign.conservation.violations
         serial = run_batch(_payloads(2))
         assert [r.to_dict() for r in campaign.outcomes] == [r.to_dict() for r in serial]
 
 
 class TestForkedWorkers:
-    """``worker_mode="process"`` forks each worker from the coordinator."""
+    """``run_campaign`` forks each worker from the coordinator."""
 
     def test_forked_workers_ignore_the_ambient_cache(self, tmp_path):
         other = tmp_path / "other"
         with use_cache(ResultCache(other)):
-            campaign = _campaign(_payloads(2), worker_mode="process")
+            campaign = _campaign(_payloads(2))
         assert not campaign.failures
         assert sum(campaign.worker_completions.values()) == 2
         assert not [p for p in other.rglob("*") if p.is_file()]
@@ -452,9 +491,9 @@ class TestForkedWorkers:
             return fork_worker(*args)
 
         monkeypatch.setattr(fabric, "_fork_worker", counting)
-        campaign = _campaign(_payloads(2), worker_mode="process", chaos_workers=1)
+        campaign = _campaign(_payloads(2))
         assert not campaign.failures
-        assert at_fork == [before] * 3
+        assert at_fork == [before] * 2
 
     def test_workers_fork_with_the_simulator_loaded(self):
         # run_campaign imports the model only when specs are pending, and
@@ -472,7 +511,7 @@ class TestForkedWorkers:
             "fabric._fork_worker = recording\n"
             "campaign = fabric.run_campaign(\n"
             "    [{'workload': 'camel', 'max_instructions': 300}],\n"
-            "    workers=2, worker_mode='process', timeout=60.0,\n"
+            "    workers=2, timeout=60.0,\n"
             ")\n"
             "assert not campaign.failures\n"
             "print(json.dumps(loaded))\n"
@@ -495,18 +534,6 @@ class TestForkedWorkers:
         assert process.exitcode == 1
         err = capfd.readouterr().err
         assert err.startswith("error: cannot reach coordinator") and err.count("\n") == 1
-
-    def test_chaos_worker_death_is_requeued_and_every_child_reaped(self):
-        specs = _specs(4)
-        campaign = _campaign(
-            specs, worker_mode="process", chaos_workers=1, lease_timeout=5.0
-        )
-        assert campaign.fabric["fabric.requeued"] == 1
-        assert campaign.fabric["fabric.workers"] == 3
-        assert campaign.conservation.passed, campaign.conservation.violations
-        assert multiprocessing.active_children() == []
-        serial = run_batch(specs)
-        assert [r.to_dict() for r in campaign.outcomes] == [r.to_dict() for r in serial]
 
 
 class TestFabricConservationCheck:
@@ -549,7 +576,6 @@ class TestCampaignCLI:
         spec_file = self._write_specs(tmp_path, _payloads(3))
         code = main([
             "campaign", "run", spec_file, "--workers", "2",
-            "--worker-mode", "thread",
             "--manifest", str(tmp_path / "camp"), "--cache", str(tmp_path / "cache"),
         ])
         out = capsys.readouterr()
@@ -570,7 +596,7 @@ class TestCampaignCLI:
     def _run(self, tmp_path, capsys, specs):
         """``campaign run`` of ``specs`` into a fresh manifest; exit code and output."""
         code = main([
-            "campaign", "run", self._write_specs(tmp_path, specs), "--worker-mode", "thread",
+            "campaign", "run", self._write_specs(tmp_path, specs),
             "--manifest", str(tmp_path / "camp"), "--cache", str(tmp_path / "cache"),
         ])
         return code, capsys.readouterr()
@@ -590,6 +616,7 @@ class TestCampaignCLI:
         code, out = self._run(tmp_path, capsys, [dict(valid, bogus_field=1), valid])
         assert code == 1 and "1/2 specs succeeded" in out.out
         assert "fabric.parse_failures=1" in out.err
+        assert "CONSERVATION" not in out.err
         assert main(["campaign", "status", str(tmp_path / "camp"), "--json"]) == 0
         status = json.loads(capsys.readouterr().out)
         assert (status["ok"], status["failed"], status["remaining"]) == (1, 1, 0)
@@ -597,14 +624,14 @@ class TestCampaignCLI:
     def test_campaign_resume_from_manifest_alone(self, tmp_path, capsys):
         spec_file = self._write_specs(tmp_path, _payloads(2))
         assert main([
-            "campaign", "run", spec_file, "--worker-mode", "thread",
-            "--manifest", str(tmp_path / "camp"), "--cache", str(tmp_path / "cache"),
+            "campaign", "run", spec_file, "--manifest", str(tmp_path / "camp"),
+            "--cache", str(tmp_path / "cache"),
         ]) == 0
         capsys.readouterr()
         # No spec file this time: the manifest carries the spec list.
         code = main([
-            "campaign", "run", "--worker-mode", "thread",
-            "--manifest", str(tmp_path / "camp"), "--cache", str(tmp_path / "cache"),
+            "campaign", "run", "--manifest", str(tmp_path / "camp"),
+            "--cache", str(tmp_path / "cache"),
         ])
         out = capsys.readouterr()
         assert code == 0
@@ -613,72 +640,20 @@ class TestCampaignCLI:
 
     def test_campaign_run_poisoned_spec_exits_one(self, tmp_path, capsys):
         spec_file = self._write_specs(tmp_path, [dict(POISONED)] + _payloads(1))
-        code = main([
-            "campaign", "run", spec_file, "--worker-mode", "thread",
-        ])
+        code = main(["campaign", "run", spec_file])
         out = capsys.readouterr()
         assert code == 1
         assert "FAIL no_such_workload" in out.out
         assert "1/2 specs succeeded" in out.out
+        assert "CONSERVATION" not in out.err
 
     def test_campaign_run_without_specs_or_manifest_is_usage_error(self, capsys):
-        assert main(["campaign", "run", "--worker-mode", "thread"]) == 2
+        assert main(["campaign", "run"]) == 2
         assert "spec file is required" in capsys.readouterr().err
 
     def test_campaign_status_missing_manifest_is_an_error(self, tmp_path, capsys):
         assert main(["campaign", "status", str(tmp_path / "nowhere")]) == 2
         assert "no campaign manifest" in capsys.readouterr().err
-
-
-# -- surgical protocol scenarios ----------------------------------------------
-
-
-class _Client:
-    """Hand-rolled protocol client for precisely-ordered scenarios the
-    real Worker cannot produce (reconnects, late results, stale beats)."""
-
-    def __init__(self, address, worker="manual"):
-        self.sock = socket.create_connection(address, timeout=10)
-        send_message(self.sock, {"type": "hello", "worker": worker})
-        self.welcome = recv_message(self.sock)
-
-    def pull(self):
-        send_message(self.sock, {"type": "pull"})
-        return recv_message(self.sock)
-
-    def heartbeat(self, lease):
-        send_message(self.sock, {"type": "heartbeat", "lease": lease})
-
-    def result(self, lease, key, outcome, completions):
-        send_message(self.sock, {
-            "type": "result",
-            "lease": lease,
-            "key": key,
-            "outcome": outcome_to_payload(key, outcome),
-            "sim_completions": completions,
-        })
-        return recv_message(self.sock)
-
-    def close(self):
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-
-def _simulate_grant(grant):
-    return run_simulation(RunSpec.from_payload(grant["spec"]))
-
-
-def _wait_counter(coordinator, name, minimum, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if coordinator.counters.snapshot().get(name, 0) >= minimum:
-            return
-        time.sleep(0.02)
-    raise AssertionError(
-        f"{name} never reached {minimum}: {coordinator.fabric_snapshot()}"
-    )
 
 
 class TestReconnectBookkeeping:

@@ -1,12 +1,13 @@
 """Start-up hygiene: an entry point loads only the modules it runs.
 
-``repro`` and ``repro.experiments`` resolve their public names on first
-access, and the CLI imports each subcommand's modules in its handler,
-so a simulation never pays for the HTTP server, the campaign fabric or
-the batch pool. Whatever only keys specs, reads the result cache or
-inspects a finished campaign loads no model code at all (docs/
-performance.md, "Start-up"). The import probes run in fresh
-interpreters, because this test process has already imported everything.
+``repro``, ``repro.experiments`` and ``repro.observability`` resolve
+their public names on first access, and the CLI imports each
+subcommand's modules in its handler, so a simulation never pays for
+the HTTP server, the campaign fabric or the batch pool. Whatever only
+keys specs, reads the result cache or inspects a finished campaign
+loads no model code at all (docs/performance.md, "Start-up"). The
+import probes run in fresh interpreters, because this test process has
+already imported everything.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 
 import repro
 import repro.experiments
+import repro.observability
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -45,6 +47,9 @@ MODEL = ["numpy"] + [
 ] + [f"repro.workloads.{name}" for name in ("gap", "hpc_db", "graphs")] + [
     f"repro.experiments.{name}" for name in ("runner", "batch")
 ]
+
+#: What only a run that records or profiles events needs.
+TRACING = ["repro.observability.probes", "repro.observability.trace"]
 
 PASS_BLOCK = (
     "from repro import RunSpec, run_simulation, stats_payload\n"
@@ -117,7 +122,7 @@ def finished(tmp_path_factory):
         for technique in ("ooo", "dvr")
     ]))
     assert main([
-        "campaign", "run", str(specs), "--worker-mode", "thread",
+        "campaign", "run", str(specs),
         "--manifest", str(root / "camp"), "--cache", str(root / "cache"),
     ]) == 0
     return root
@@ -125,21 +130,24 @@ def finished(tmp_path_factory):
 
 class TestModelFreeEntryPoints:
     """Keying, reading the cache and resuming or inspecting finished work
-    load none of :data:`MODEL`."""
+    load none of :data:`MODEL`, and a finished campaign none of
+    :data:`TRACING` either."""
 
     def test_help(self):
         assert _model_modules(_loaded_by(HELP)) == []
 
     def test_campaign_status(self, finished):
-        code = _cli("campaign", "status", str(finished / "camp"))
-        assert _model_modules(_loaded_by(code)) == []
+        loaded = _loaded_by(_cli("campaign", "status", str(finished / "camp")))
+        assert _model_modules(loaded) == []
+        assert not loaded & set(TRACING), sorted(loaded & set(TRACING))
 
     def test_campaign_run_resuming_a_finished_manifest(self, finished):
-        code = _cli(
+        loaded = _loaded_by(_cli(
             "campaign", "run", "--manifest", str(finished / "camp"),
             "--cache", str(finished / "cache"),
-        )
-        assert _model_modules(_loaded_by(code)) == []
+        ))
+        assert _model_modules(loaded) == []
+        assert not loaded & set(TRACING), sorted(loaded & set(TRACING))
 
     def test_key_then_cache_get_then_stats_of_the_hit(self, finished):
         loaded = _loaded_by(
@@ -189,7 +197,9 @@ def test_submodules_resolve_as_attributes():
     assert {"repro.experiments.batch", "repro.audit"} <= loaded
 
 
-@pytest.mark.parametrize("package", [repro, repro.experiments], ids=lambda p: p.__name__)
+@pytest.mark.parametrize(
+    "package", [repro, repro.experiments, repro.observability], ids=lambda p: p.__name__
+)
 class TestExports:
     def test_table_covers_all(self, package):
         names = [name for names in package._EXPORTS.values() for name in names]
@@ -213,7 +223,7 @@ class TestExports:
 
 # In a fresh interpreter no name has been resolved yet, so ``dir()`` and
 # ``import *`` see only what ``__dir__`` and ``__getattr__`` provide.
-@pytest.mark.parametrize("package", ["repro", "repro.experiments"])
+@pytest.mark.parametrize("package", ["repro", "repro.experiments", "repro.observability"])
 def test_fresh_package_lists_and_star_imports_every_name(package):
     unlisted, unbound = _fresh(
         f"import {package} as package\n"
