@@ -17,6 +17,7 @@ The load-bearing guarantees under test:
 import json
 import multiprocessing
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -534,6 +535,32 @@ class TestForkedWorkers:
         assert process.exitcode == 1
         err = capfd.readouterr().err
         assert err.startswith("error: cannot reach coordinator") and err.count("\n") == 1
+
+    def test_chaos_worker_death_is_requeued_and_every_child_reaped(
+        self, kill_pool_workers, monkeypatch
+    ):
+        # The worker that starts nas_is is SIGKILLed holding its lease;
+        # the campaign requeues the spec and joins both forks: the killed
+        # one and the survivor, which exits cleanly once the queue drains.
+        forked = []
+        fork_worker = fabric._fork_worker
+
+        def recording(*args):
+            forked.append(fork_worker(*args))
+            return forked[-1]
+
+        monkeypatch.setattr(fabric, "_fork_worker", recording)
+        specs = _specs(2) + [RunSpec("nas_is", max_instructions=400)] + _specs(1, start=500)
+        serial = run_batch(specs)  # before arming: the wrapper refuses this process
+        kill_pool_workers(once=True, victim="nas_is")
+        campaign = _campaign(specs, lease_timeout=5.0)
+        assert campaign.fabric["fabric.requeued"] == 1
+        assert campaign.fabric["fabric.lost"] == 0
+        assert len(forked) == 2
+        assert not any(process.is_alive() for process in forked)
+        assert sorted(process.exitcode for process in forked) == [-signal.SIGKILL, 0]
+        assert multiprocessing.active_children() == []
+        assert [r.to_dict() for r in campaign.outcomes] == [r.to_dict() for r in serial]
 
 
 class TestFabricConservationCheck:
