@@ -4,6 +4,13 @@ The image is shared by the functional core and every speculative
 interpreter. Speculative reads never fault: out-of-segment addresses
 return ``(0, False)`` so runahead engines behave like real transient
 execution (garbage data, no exception).
+
+A segment either owns its words (int64 or float64, written by stores)
+or borrows a read-only integer array as it is (see
+:func:`_borrowable`): a word read from a borrowed uint8 or uint16 array
+is the same ``int`` an int64 copy would give, a store to it raises
+:class:`MemoryError_`, and :meth:`MemoryImage.digest` hashes it as the
+int64 words it stands for.
 """
 
 from __future__ import annotations
@@ -17,10 +24,31 @@ from ..errors import MemoryError_, SegmentOverlapError
 
 WORD_BYTES = 8
 _SEGMENT_ALIGN = 64  # keep segments line-aligned and non-adjacent
+_DIGEST_CHUNK = 1 << 16  # words of a narrow segment widened per hash update
+
+
+def _borrowable(source, dtype) -> bool:
+    """Whether ``allocate`` may use ``source`` itself as a segment's words.
+
+    Only a read-only array of native integers that widen to int64
+    without loss, which owns its memory (so no writable array over the
+    same bytes hides beneath it, and it is contiguous), when int64
+    words are asked for. Anything else is copied.
+    """
+    return (
+        isinstance(source, np.ndarray)
+        and not source.flags.writeable
+        and source.flags.owndata
+        and source.dtype.kind in "iu"
+        and source.dtype.isnative
+        and np.can_cast(source.dtype, np.int64)
+        and np.dtype(dtype) == np.int64
+    )
 
 
 class Segment:
-    """One named allocation backed by a numpy array."""
+    """One named allocation backed by a numpy array: the image's own
+    words, or a borrowed read-only integer array."""
 
     __slots__ = ("name", "base", "data", "view", "size_bytes")
 
@@ -63,11 +91,19 @@ class MemoryImage:
         dtype=np.int64,
         base: Optional[int] = None,
     ) -> Segment:
-        """Allocate a segment; returns it (``segment.base`` is its address)."""
+        """Allocate a segment; returns it (``segment.base`` is its address).
+
+        A read-only integer array (:func:`_borrowable`) becomes the
+        segment's storage as it is, so images built from one input share
+        it and no store can reach it; any other source is copied into
+        fresh ``dtype`` words.
+        """
         if name in self._by_name:
             raise SegmentOverlapError(f"segment {name!r} already allocated")
         if isinstance(data_or_words, (int, np.integer)):
             data = np.zeros(int(data_or_words), dtype=dtype)
+        elif _borrowable(data_or_words, dtype):
+            data = data_or_words
         else:
             # One copy, which also widens a narrower source.
             data = np.array(data_or_words, dtype=dtype)
@@ -141,31 +177,56 @@ class MemoryImage:
         range, matching a real 64-bit datapath (numpy would raise
         OverflowError on out-of-range Python ints instead).
 
-        With ``undo``, the write first appends ``(view, index, old
+        With ``undo``, a write that succeeds appends ``(view, index, old
         word)`` to it; assigning the entries back in reverse order
         (``view[index] = old``) restores the image exactly, whatever the
-        segment's dtype.
+        segment's dtype. A store to a borrowed (read-only) segment
+        raises :class:`MemoryError_` and logs nothing, so a rollback of
+        ``undo`` never touches a read-only view.
         """
         located = self._locate(addr)
         if located is None:
             raise MemoryError_(f"write to unmapped address 0x{addr:x}")
         seg, index = located
-        if undo is not None:
-            view = seg.view
-            undo.append((view, index, view[index]))
-        if seg.data.dtype.kind == "i" and isinstance(value, int):
+        data = seg.data
+        if data.dtype.kind == "i" and isinstance(value, int):
             value = ((value + 2**63) % 2**64) - 2**63
-        seg.data[index] = value
+        # No per-store check for a borrowed segment: numpy refuses the
+        # assignment, and only the failure path asks why.
+        try:
+            if undo is None:
+                data[index] = value
+            else:
+                view = seg.view
+                old = view[index]
+                data[index] = value
+                undo.append((view, index, old))
+        except ValueError:
+            if data.flags.writeable:
+                raise
+            raise MemoryError_(
+                f"store to read-only segment {seg.name!r} at 0x{addr:x}"
+            ) from None
 
     def digest(self) -> str:
-        """BLAKE2b digest over segment names, bases, and contents."""
+        """BLAKE2b digest over segment names, bases, and contents.
+
+        Contents are hashed as 8-byte words: a borrowed narrow segment
+        is widened to int64 a chunk at a time, so it digests like the
+        int64 copy it replaces without one whole widened copy.
+        """
         import hashlib
 
         h = hashlib.blake2b(digest_size=16)
         for seg in self._segments:
             h.update(seg.name.encode())
             h.update(seg.base.to_bytes(8, "little"))
-            h.update(seg.data.tobytes())
+            data = seg.data
+            if data.itemsize == WORD_BYTES:
+                h.update(data)
+            else:
+                for start in range(0, len(data), _DIGEST_CHUNK):
+                    h.update(data[start : start + _DIGEST_CHUNK].astype(np.int64))
         return h.hexdigest()
 
     def read_word_speculative(self, addr: int) -> Tuple[Union[int, float], bool]:

@@ -76,8 +76,11 @@ def _graph_input(profile: str, size: str, seed: Optional[int]) -> GraphInput:
 
     Built once per process per key and shared by all six GAP builders,
     so every array is read-only and :class:`Graph` is frozen: a stray
-    write raises instead of leaking into the next build. Images stay
-    per build, because ``MemoryImage.allocate`` copies what it is given.
+    write raises instead of leaking into the next build. Each image's
+    ``ROW``, ``COL``, ``WL`` and ``DEPTH`` segments borrow these arrays
+    as they are (``MemoryImage.allocate`` copies no read-only integer
+    array), and a store to one raises; what a kernel stores to is built
+    fresh per image.
     """
     seed = _input_seed(profile, size, seed)
     if size == "tiny":
@@ -102,8 +105,8 @@ def _edge_weights(profile: str, size: str, seed: Optional[int]) -> np.ndarray:
     """sssp's edge weights for one input, drawn once per process per key.
 
     ``add_weights`` draws them as int64 from its own fixed seed; each
-    lies in [1, 64), so the memo keeps them as read-only uint8, and
-    ``MemoryImage.allocate`` widens them into each build's image.
+    lies in [1, 64), so the memo keeps them as read-only uint8, which
+    each build's ``WEIGHT`` segment borrows and reads as int64 words.
     """
     weights = add_weights(_graph_input(profile, size, seed)[0]).weights.astype(np.uint8)
     weights.flags.writeable = False

@@ -524,6 +524,21 @@ class TestForkedWorkers:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == [False, True, True]
 
+    def test_an_idle_fork_is_the_retry_spare(self, kill_pool_workers):
+        # One spec, two forks: the one that runs it dies holding the
+        # lease, and the other, which had nothing to run, reruns it. A
+        # dead fork is never replaced, so the campaign forks ``workers``
+        # even when fewer specs are pending.
+        spec = RunSpec("camel", max_instructions=300)
+        serial = run_batch([spec])  # before arming: the wrapper refuses this process
+        kill_pool_workers(once=True)
+        campaign = _campaign([spec], lease_timeout=5.0)
+        assert campaign.fabric["fabric.requeued"] == 1
+        assert campaign.fabric["fabric.lost"] == 0
+        assert not campaign.failures
+        assert multiprocessing.active_children() == []
+        assert [r.to_dict() for r in campaign.outcomes] == [r.to_dict() for r in serial]
+
     def test_worker_that_cannot_connect_exits_with_one_line(self, capfd):
         # A coordinator that stopped before its forks connected (say, a
         # campaign timeout) leaves nothing listening on the port.

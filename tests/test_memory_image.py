@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import FunctionalCore
 from repro.errors import MemoryError_, SegmentOverlapError
+from repro.isa import ProgramBuilder
 from repro.memory import MemoryImage
+from repro.perf.trace import ArchTrace
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
 
 
 class TestAllocation:
@@ -199,6 +207,99 @@ class TestSpeculativeAccess:
         seg = mem.allocate("a", 4)
         assert mem.is_mapped(seg.base)
         assert not mem.is_mapped(seg.base + 4096)
+
+
+class TestBorrowedSegments:
+    """A read-only integer array is a segment's storage as it is."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
+    def test_read_only_integer_sources_are_borrowed(self, dtype):
+        info = np.iinfo(dtype)
+        source = _read_only(np.array([info.min, 0, 1, 200, info.max], dtype=dtype))
+        mem = MemoryImage()
+        seg = mem.allocate("a", source)
+        assert np.shares_memory(seg.data, source)
+        assert seg.size_bytes == 8 * len(source)
+        expected = source.astype(np.int64).tolist()
+        addrs = [seg.base + 8 * i for i in range(len(source))]
+        reads = [mem.read_word(addr) for addr in addrs]
+        assert reads == expected
+        assert all(type(value) is int for value in reads)
+        assert [mem.read_word_speculative(addr) for addr in addrs] == [
+            (value, True) for value in expected
+        ]
+        assert seg.view.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "source,dtype",
+        [
+            (np.arange(4, dtype=np.uint16), np.int64),
+            (_read_only(np.arange(4.0)), np.float64),
+            (_read_only(np.arange(4, dtype=np.uint16)), np.float64),
+            (_read_only(np.arange(4, dtype=np.uint64)), np.int64),
+            (_read_only(np.arange(8, dtype=np.int64))[::2], np.int64),
+            (_read_only(np.arange(4, dtype=np.int64)[:]), np.int64),
+            (_read_only(np.zeros(4, dtype=bool)), np.int64),
+        ],
+        ids=["writable", "float", "float-words", "uint64", "strided", "view", "bool"],
+    )
+    def test_other_sources_are_copied(self, source, dtype):
+        mem = MemoryImage()
+        seg = mem.allocate("a", source, dtype=dtype)
+        assert not np.shares_memory(seg.data, source)
+        assert seg.data.dtype == dtype and seg.data.flags.writeable
+        mem.write_word(seg.base, 3)
+        assert mem.read_word(seg.base) == 3
+        assert source[0] == 0
+
+    def test_digest_matches_an_image_of_int64_copies(self):
+        rng = np.random.default_rng(5)
+        # Longer than one hash chunk, so the narrow ones widen in parts.
+        sources = {
+            "u8": rng.integers(0, 256, 150_001).astype(np.uint8),
+            "u16": rng.integers(0, 1 << 16, 70_000).astype(np.uint16),
+            "u32": rng.integers(0, 1 << 32, 9).astype(np.uint32),
+            "i64": rng.integers(-(1 << 40), 1 << 40, 9),
+        }
+        shared, copied = MemoryImage(), MemoryImage()
+        for name, array in sources.items():
+            copied.allocate(name, array.astype(np.int64))
+            assert not shared.allocate(name, _read_only(array)).data.flags.writeable
+        for image in (shared, copied):
+            image.allocate("f", [0.5, -2.0], dtype=np.float64)
+        assert shared.digest() == copied.digest()
+
+    def test_a_store_fails_with_memory_error_and_logs_nothing(self):
+        mem = MemoryImage()
+        seg = mem.allocate("IN", _read_only(np.arange(4, dtype=np.uint16)))
+        digest = mem.digest()
+        undo = []
+        for value in (5, -1, 1 << 70, 0.5):
+            with pytest.raises(MemoryError_, match="'IN'"):
+                mem.write_word(seg.base + 8, value, undo=undo)
+        assert undo == []
+        assert mem.digest() == digest
+
+    def test_a_store_to_a_borrowed_segment_fails_fill(self):
+        # The first store succeeds and is logged; the second hits the
+        # borrowed segment. The fill must roll the first back and raise
+        # the store's own error, not one from its rollback.
+        mem = MemoryImage()
+        own = mem.allocate("OWN", 2)
+        shared = mem.allocate("IN", _read_only(np.arange(4, dtype=np.uint16)))
+        b = ProgramBuilder("store_to_input")
+        b.li("r1", own.base)
+        b.li("r2", shared.base)
+        b.li("r3", 5)
+        b.store("r3", "r1")
+        b.store("r3", "r2", 8)
+        b.halt()
+        digest = mem.digest()
+        core = FunctionalCore(b.build(), mem)
+        with pytest.raises(MemoryError_, match="read-only segment 'IN'"):
+            core.fill(ArchTrace(), 100)
+        assert mem.read_word(own.base) == 0
+        assert mem.digest() == digest
 
 
 @given(

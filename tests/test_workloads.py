@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import FunctionalCore, OoOCore
-from repro.errors import WorkloadError
+from repro.errors import MemoryError_, WorkloadError
 from repro.experiments import RunSpec, run_simulation
 from repro.isa.semantics import hash64
 from repro.observability.export import stats_payload
@@ -22,10 +22,22 @@ from repro.workloads import (
     WORKLOAD_NAMES,
     build_workload,
 )
-from repro.workloads.gap import _edge_weights, _graph_input
+from repro.workloads.gap import _edge_weights, _graph_input, gap_builders
 from repro.workloads.graphs import add_weights
 
 from conftest import quick_config
+
+
+def _memo_arrays(profile="KR", size="tiny", seed=157):
+    """The memo's read-only arrays of one input, by the segment they back."""
+    graph, frontier, depth = _graph_input(profile, size, seed)
+    return {
+        "ROW": graph.row_offsets,
+        "COL": graph.col_indices,
+        "WL": frontier,
+        "DEPTH": depth,
+        "WEIGHT": _edge_weights(profile, size, seed),
+    }
 
 
 class TestRegistry:
@@ -108,13 +120,11 @@ class TestGraphInputMemo:
         assert weights.dtype == np.uint8
         with pytest.raises(ValueError):
             weights[0] = 7
-        # Each image widens the one draw into its own int64 segment.
         expected = add_weights(_graph_input("KR", "tiny", 157)[0]).weights
         assert np.array_equal(weights, expected)
-        first.memory.segment("WEIGHT").data[:] = 0
-        segment = second.memory.segment("WEIGHT").data
-        assert segment.dtype == np.int64
-        assert np.array_equal(segment, expected)
+        # Both images read the one draw as int64 words.
+        for wl in (first, second):
+            assert wl.memory.segment("WEIGHT").view.tolist() == expected.tolist()
 
     def test_default_kr_entry_holds_under_two_megabytes(self):
         # uint16 node ids: 1 MiB of column indices where int64 took 4.
@@ -123,16 +133,59 @@ class TestGraphInputMemo:
         assert sum(array.nbytes for array in arrays) < 2_000_000
 
     def test_a_run_cannot_change_the_next_build(self):
-        digest = build_workload("bfs", size="tiny").memory.digest()
-        hits = _graph_input.cache_info().hits
-        # The run writes VISITED and OUTWL into its own image.
-        run_simulation("bfs", "dvr", size="tiny", max_instructions=3000, replay="off")
-        wl = build_workload("bfs", size="tiny")
-        assert wl.memory.digest() == digest
-        assert _graph_input.cache_info().hits > hits
-        # Nor can a write to a built image's copy of the CSR.
-        wl.memory.segment("COL").data[:] = 0
-        assert build_workload("bfs", size="tiny").memory.digest() == digest
+        for name, borrowed in (("bfs", ("COL", "ROW")), ("sssp", ("WEIGHT",))):
+            digest = build_workload(name, size="tiny").memory.digest()
+            hits = _graph_input.cache_info().hits
+            # The run stores only into the segments its image owns.
+            run_simulation(name, "dvr", size="tiny", max_instructions=3000, replay="off")
+            image = build_workload(name, size="tiny").memory
+            assert image.digest() == digest
+            assert _graph_input.cache_info().hits > hits
+            # Nor can a built image's store reach an input it borrows: it
+            # raises, and logs no undo entry, at either end of the segment.
+            for segment in borrowed:
+                array = _memo_arrays()[segment]
+                before = array.copy()
+                undo = [("earlier entry",)]
+                base = image.segment(segment).base
+                for addr in (base, base + 8 * (len(array) - 1)):
+                    with pytest.raises(MemoryError_, match=f"'{segment}'"):
+                        image.write_word(addr, 99, undo=undo)
+                assert undo == [("earlier entry",)]
+                assert np.array_equal(array, before)
+            assert image.digest() == digest
+            assert build_workload(name, size="tiny").memory.digest() == digest
+
+    @pytest.mark.parametrize(
+        "name,borrowed",
+        [
+            ("bc", {"ROW", "COL", "WL", "DEPTH"}),
+            ("bfs", {"ROW", "COL", "WL"}),
+            ("cc", {"ROW", "COL"}),
+            ("graph500", {"ROW", "COL", "WL"}),
+            ("pr", {"ROW", "COL"}),
+            ("sssp", {"ROW", "COL", "WL", "WEIGHT"}),
+        ],
+    )
+    def test_images_borrow_the_memo_arrays(self, name, borrowed):
+        memo = _memo_arrays()
+        first, second = (build_workload(name, size="tiny").memory for _ in range(2))
+        assert {seg.name for seg in first.segments() if not seg.data.flags.writeable} == borrowed
+        for seg in first.segments():
+            other = second.segment(seg.name).data
+            if seg.name in borrowed:
+                assert np.shares_memory(seg.data, memo[seg.name])
+                assert np.shares_memory(other, memo[seg.name])
+            else:  # every segment a kernel may store to is each image's own
+                assert not np.shares_memory(seg.data, other)
+
+    @pytest.mark.parametrize("name", sorted(gap_builders()))
+    def test_gap_kernels_never_store_to_shared_inputs(self, name):
+        # Long regions under both runahead engines, over images that
+        # borrow their inputs: a store to a borrowed segment, in the
+        # fill or at its turn in the kernel, would raise MemoryError_.
+        run_simulation(name, "dvr", max_instructions=50_000, replay="off")
+        run_simulation(name, "vr", input_name="UR", max_instructions=25_000, replay="off")
 
     # KR's own seed is 11 at default size; tiny inputs default to
     # sum(map(ord, "KR")) == 157.
